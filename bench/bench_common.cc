@@ -142,11 +142,18 @@ Result<amdb::AnalysisReport> AnalyzeAm(const std::string& am,
 void MetricsJson::Set(const std::string& key, double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-  entries_.emplace_back(key, buffer);
+  Add(key, buffer);
 }
 
 void MetricsJson::Set(const std::string& key, const std::string& value) {
-  entries_.emplace_back(key, "\"" + value + "\"");
+  Add(key, "\"" + value + "\"");
+}
+
+void MetricsJson::Add(const std::string& key, std::string value) {
+  for (const auto& entry : entries_) {
+    BW_CHECK_MSG(entry.first != key, "duplicate metrics key: " + key);
+  }
+  entries_.emplace_back(key, std::move(value));
 }
 
 std::string MetricsJson::ToString() const {

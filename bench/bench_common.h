@@ -81,6 +81,8 @@ bool ParseFlagsOrExit(Flags& flags, int argc, char** argv, int* exit_code);
 /// committed BENCH_*.json records) next to their human-readable tables.
 class MetricsJson {
  public:
+  /// Adds one key; BW_CHECK-fails if the key is already set, so a
+  /// record never carries a key twice.
   void Set(const std::string& key, double value);
   void Set(const std::string& key, const std::string& value);
 
@@ -90,6 +92,8 @@ class MetricsJson {
   void Write(const std::string& path) const;
 
  private:
+  void Add(const std::string& key, std::string value);
+
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 

@@ -5,20 +5,13 @@
 // optional open-loop run offers a fixed arrival rate and measures the
 // admission-control reject fraction.
 //
-// The container the benches run in may have a single core, so raw CPU
-// parallelism is not what this measures: the buffer pool charges a
-// simulated random-read latency per miss (--io_delay_us, a scaled-down
-// IoModel::RandomReadMs), and concurrency wins by overlapping those
-// I/O waits — exactly how a disk-bound serving tier scales. Set
-// --io_delay_us=0 on a many-core machine to measure pure CPU scaling
-// instead. Flags accept hyphenated spellings as well (--io-delay-us ==
-// --io_delay_us), like every bench binary.
-//
-// Both pool layouts are swept at every worker count — the process-wide
-// sharded pool (the serving default) and the per-worker private pools
-// it replaced — at a constant total page budget, so the shared pool's
-// QPS is directly comparable against the baseline. `--json_out=PATH`
-// records the sweep as a flat JSON object (see BENCH_read_path.json).
+// Every page is memory-resident and served without simulated I/O, so
+// the sweep measures CPU scaling: worker counts beyond the host's cores
+// cannot speed it up. Flags accept hyphenated spellings as well
+// (--write-fraction == --write_fraction), like every bench binary.
+// `--json_out=PATH` records the sweep as a flat JSON object. The exit
+// status is nonzero if any concurrent answer differs from serial
+// execution.
 
 #include <unistd.h>
 
@@ -375,11 +368,6 @@ int main(int argc, char** argv) {
   bw::Flags flags;
   auto* config = bw::bench::ExperimentConfig::Register(&flags);
   std::string* am = flags.AddString("am", "rtree", "access method to serve");
-  int64_t* io_delay_us = flags.AddInt64(
-      "io_delay_us", 200,
-      "simulated random-read latency per pool miss (0 = in-memory)");
-  int64_t* pool_pages = flags.AddInt64(
-      "pool_pages", 32, "per-worker buffer pool capacity in pages");
   int64_t* clients =
       flags.AddInt64("clients", 16, "closed-loop client threads");
   double* open_loop_qps = flags.AddDouble(
@@ -444,7 +432,7 @@ int main(int argc, char** argv) {
     expected[i].reserve(result->size());
     for (const auto& n : *result) expected[i].push_back(n.rid);
   }
-  std::printf("serial reference (no pool, no I/O model): %.0f QPS\n\n",
+  std::printf("serial reference: %.0f QPS\n\n",
               static_cast<double>(queries.size()) / watch.ElapsedSeconds());
 
   if (*shards > 1) {
@@ -474,10 +462,6 @@ int main(int argc, char** argv) {
       fleet_options.build = build;
       fleet_options.service.num_workers =
           static_cast<size_t>(config->threads);
-      fleet_options.service.worker_pool_pages =
-          static_cast<size_t>(*pool_pages);
-      fleet_options.service.io_delay_us =
-          static_cast<uint32_t>(*io_delay_us);
       const std::string dir = scratch + "_" + std::to_string(num_shards);
       std::filesystem::create_directories(dir);
       watch.Restart();
@@ -527,8 +511,6 @@ int main(int argc, char** argv) {
 
   bw::service::ServiceOptions options;
   options.queue_capacity = static_cast<size_t>(config->queue_depth);
-  options.worker_pool_pages = static_cast<size_t>(*pool_pages);
-  options.io_delay_us = static_cast<uint32_t>(*io_delay_us);
   options.overflow = bw::service::OverflowPolicy::kBlock;
 
   std::vector<size_t> sweep = {1, 2, 4};
@@ -542,109 +524,41 @@ int main(int argc, char** argv) {
   bw::bench::MetricsJson json;
   json.Set("bench", std::string("service_throughput"));
   json.Set("am", *am);
-  json.Set("io_delay_us", static_cast<double>(*io_delay_us));
-  json.Set("pool_pages_per_worker", static_cast<double>(*pool_pages));
-  double qps_shared_4 = 0, qps_private_4 = 0;
-  for (const bool shared : {true, false}) {
-    options.shared_pool = shared;
-    const char* mode = shared ? "shared" : "private";
-    TablePrinter table({"workers", "QPS", "speedup", "p50 us", "p95 us",
-                        "p99 us", "mean us", "pool hit-rate", "evictions",
-                        "contention", "identical"});
-    double qps_at_1 = 0;
-    for (size_t workers : sweep) {
-      options.num_workers = workers;
-      const RunOutcome run =
-          RunClosedLoop(tree, queries, k, options,
-                        std::max<size_t>(*clients, workers), expected);
-      if (workers == 1) qps_at_1 = run.qps;
-      if (workers == 4) (shared ? qps_shared_4 : qps_private_4) = run.qps;
-      const auto& s = run.snap;
-      const double hit_rate =
-          s.pool_hits + s.pool_misses > 0
-              ? static_cast<double>(s.pool_hits) /
-                    static_cast<double>(s.pool_hits + s.pool_misses)
-              : 0.0;
-      table.AddRow(
-          {TablePrinter::Count(static_cast<long long>(workers)),
-           TablePrinter::Num(run.qps, 1),
-           TablePrinter::Num(qps_at_1 > 0 ? run.qps / qps_at_1 : 1.0, 2),
-           TablePrinter::Count(static_cast<long long>(s.p50_latency_us)),
-           TablePrinter::Count(static_cast<long long>(s.p95_latency_us)),
-           TablePrinter::Count(static_cast<long long>(s.p99_latency_us)),
-           TablePrinter::Num(s.mean_latency_us, 0),
-           TablePrinter::Percent(hit_rate),
-           TablePrinter::Count(static_cast<long long>(s.pool_evictions)),
-           TablePrinter::Count(static_cast<long long>(s.pool_contention)),
-           run.identical ? "yes" : "NO"});
-      const std::string prefix =
-          std::string("qps_") + mode + "_" + std::to_string(workers) + "w";
-      json.Set(prefix, run.qps);
-      json.Set(std::string("hit_rate_") + mode + "_" +
-                   std::to_string(workers) + "w",
-               hit_rate);
-      if (shared) {
-        json.Set("pool_shards", static_cast<double>(s.pool_shards));
-        json.Set(std::string("contention_shared_") + std::to_string(workers) +
-                     "w",
-                 static_cast<double>(s.pool_contention));
-      }
-    }
-    std::printf("closed loop (%s pool): %zu clients, queue depth %lld, "
-                "k=%lld, io_delay=%lldus, pool budget=%lld pages/worker\n%s\n",
-                mode, static_cast<size_t>(*clients),
-                static_cast<long long>(config->queue_depth),
-                static_cast<long long>(config->k),
-                static_cast<long long>(*io_delay_us),
-                static_cast<long long>(*pool_pages),
-                table.ToString().c_str());
+  TablePrinter table({"workers", "QPS", "speedup", "p50 us", "p95 us",
+                      "p99 us", "mean us", "identical"});
+  double qps_at_1 = 0, qps_at_4 = 0;
+  bool all_identical = true;
+  for (size_t workers : sweep) {
+    options.num_workers = workers;
+    const RunOutcome run =
+        RunClosedLoop(tree, queries, k, options,
+                      std::max<size_t>(*clients, workers), expected);
+    if (workers == 1) qps_at_1 = run.qps;
+    if (workers == 4) qps_at_4 = run.qps;
+    all_identical = all_identical && run.identical;
+    const auto& s = run.snap;
+    table.AddRow(
+        {TablePrinter::Count(static_cast<long long>(workers)),
+         TablePrinter::Num(run.qps, 1),
+         TablePrinter::Num(qps_at_1 > 0 ? run.qps / qps_at_1 : 1.0, 2),
+         TablePrinter::Count(static_cast<long long>(s.p50_latency_us)),
+         TablePrinter::Count(static_cast<long long>(s.p95_latency_us)),
+         TablePrinter::Count(static_cast<long long>(s.p99_latency_us)),
+         TablePrinter::Num(s.mean_latency_us, 0),
+         run.identical ? "yes" : "NO"});
+    json.Set("qps_" + std::to_string(workers) + "w", run.qps);
   }
+  json.Set("identical", all_identical ? 1.0 : 0.0);
+  std::printf("closed loop: %zu clients, queue depth %lld, k=%lld\n%s\n",
+              static_cast<size_t>(*clients),
+              static_cast<long long>(config->queue_depth),
+              static_cast<long long>(config->k), table.ToString().c_str());
 
-  if (qps_shared_4 > 0 && qps_private_4 > 0) {
-    json.Set("qps_shared_over_private_4w", qps_shared_4 / qps_private_4);
-    std::printf("pool comparison: shared / private at 4 workers = %.2fx "
-                "aggregate QPS (target >= 1x)\n\n",
-                qps_shared_4 / qps_private_4);
-  }
-
-  // Frontier-prefetch A/B under the same I/O model: each run gets a
-  // fresh service (cold pools), so every first touch is a charged miss.
-  // The baseline pays io_delay_us per miss as the frontier pops nodes
-  // one read at a time; the prefetch run batches the nearest children
-  // of each expanded node so their simulated reads overlap (one delay
-  // per batch) — the asynchronous read engine's effect on tree descent.
-  if (*io_delay_us > 0) {
-    bw::service::ServiceOptions frontier = options;
-    frontier.shared_pool = true;
-    frontier.num_workers = 4;
-    const size_t frontier_clients = std::max<size_t>(*clients, 4);
-    frontier.frontier_prefetch = false;
-    const RunOutcome sync_run =
-        RunClosedLoop(tree, queries, k, frontier, frontier_clients, expected);
-    frontier.frontier_prefetch = true;
-    const RunOutcome prefetch_run =
-        RunClosedLoop(tree, queries, k, frontier, frontier_clients, expected);
-    const double speedup =
-        sync_run.qps > 0 ? prefetch_run.qps / sync_run.qps : 0.0;
-    std::printf("frontier prefetch (cold shared pool, 4 workers, "
-                "io_delay=%lldus):\n"
-                "  one read per pop: %.1f QPS; batched child reads: %.1f QPS "
-                "-> %.2fx (target > 1x), identical %s\n\n",
-                static_cast<long long>(*io_delay_us), sync_run.qps,
-                prefetch_run.qps, speedup,
-                (sync_run.identical && prefetch_run.identical) ? "yes" : "NO");
-    json.Set("qps_frontier_sync_4w", sync_run.qps);
-    json.Set("qps_frontier_prefetch_4w", prefetch_run.qps);
-    json.Set("frontier_prefetch_speedup", speedup);
-    json.Set("frontier_identical",
-             (sync_run.identical && prefetch_run.identical) ? 1.0 : 0.0);
-  }
   if (*net) {
-    // The same service configuration the 4-worker shared-pool baseline
-    // ran, fronted by the real epoll server on a loopback socket. The
-    // dispatch tier is sized to the client count so the gateway, not
-    // the wire, is never the bottleneck being measured.
-    options.shared_pool = true;
+    // The same service configuration the 4-worker baseline ran, fronted
+    // by the real epoll server on a loopback socket. The dispatch tier is
+    // sized to the client count so the gateway, not the wire, is never
+    // the bottleneck being measured.
     options.num_workers = 4;
     bw::service::QueryService service(tree, options);
     bw::net::ServerOptions nopts;
@@ -663,8 +577,7 @@ int main(int argc, char** argv) {
         RunNetPipelined(server.port(), queries, k, 1, expected);
     server.Shutdown();
 
-    const double net_ratio =
-        qps_shared_4 > 0 ? wire.qps / qps_shared_4 : 0.0;
+    const double net_ratio = qps_at_4 > 0 ? wire.qps / qps_at_4 : 0.0;
     const double pipeline_speedup =
         serial_conn.qps > 0 ? piped.qps / serial_conn.qps : 0.0;
     std::printf(
@@ -713,7 +626,6 @@ int main(int argc, char** argv) {
 
     bw::service::ServiceOptions mixed = options;
     mixed.num_workers = static_cast<size_t>(config->threads);
-    mixed.shared_pool = true;
     mixed.write.enabled = true;
     const size_t total_ops = std::max<size_t>(queries.size() * 4, 2000);
     const MixedOutcome run = RunMixedLoop(
@@ -779,5 +691,5 @@ int main(int argc, char** argv) {
                     static_cast<double>(s.rejected + s.submitted),
                 (unsigned long long)s.p99_latency_us);
   }
-  return 0;
+  return all_identical ? 0 : 1;
 }

@@ -70,7 +70,6 @@ int RunInProcess() {
   bw::service::ServiceOptions options;
   options.num_workers = 4;
   options.queue_capacity = 32;
-  options.worker_pool_pages = 64;
   bw::service::QueryService service(std::move(index), options);
 
   std::vector<std::thread> users;
@@ -112,15 +111,12 @@ int RunInProcess() {
   const bw::service::ServiceSnapshot snap = service.Snapshot();
   std::printf(
       "\nservice: %llu completed (%llu rejected), p50 %llu us, p95 %llu us, "
-      "p99 %llu us, pool hit rate %.0f%%\n",
+      "p99 %llu us, %llu node visits\n",
       (unsigned long long)snap.completed, (unsigned long long)snap.rejected,
       (unsigned long long)snap.p50_latency_us,
       (unsigned long long)snap.p95_latency_us,
       (unsigned long long)snap.p99_latency_us,
-      snap.pool_hits + snap.pool_misses > 0
-          ? 100.0 * static_cast<double>(snap.pool_hits) /
-                static_cast<double>(snap.pool_hits + snap.pool_misses)
-          : 0.0);
+      (unsigned long long)(snap.internal_accesses + snap.leaf_accesses));
   return 0;
 }
 
@@ -132,7 +128,6 @@ int RunServer(uint16_t port) {
   bw::service::ServiceOptions options;
   options.num_workers = 4;
   options.queue_capacity = 32;
-  options.worker_pool_pages = 64;
   bw::service::QueryService service(std::move(index), options);
 
   bw::net::ServerOptions server_options;

@@ -1,7 +1,5 @@
 #include "gist/nn_cursor.h"
 
-#include "gist/frontier_prefetch.h"
-
 #include <limits>
 
 namespace bw::gist {
@@ -72,9 +70,6 @@ Result<std::optional<Neighbor>> NnCursor::Next() {
         frontier_.push(Item{scan_.scratch.distances[i], false,
                             static_cast<pages::PageId>(scan_.payloads[i]), 0});
       }
-      // The nearest children are the frontier's likely next pops: batch
-      // their cold reads now if the pool overlaps them (async engine).
-      PrefetchNearestChildren(pool_, scan_);
     }
   }
   return std::optional<Neighbor>(std::nullopt);

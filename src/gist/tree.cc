@@ -5,7 +5,6 @@
 #include <limits>
 #include <queue>
 
-#include "gist/frontier_prefetch.h"
 #include "gist/node_scan.h"
 
 namespace bw::gist {
@@ -172,9 +171,6 @@ Result<std::vector<Neighbor>> Tree::KnnSearch(const geom::Vec& query,
                                 static_cast<pages::PageId>(scan.payloads[i]),
                                 0});
       }
-      // The nearest children are the frontier's likely next pops: batch
-      // their cold reads now if the pool overlaps them (async engine).
-      PrefetchNearestChildren(pool, scan);
     }
   }
   return results;

@@ -50,7 +50,7 @@ struct DegradedRead {
 
 /// True for fetch errors that degraded-mode traversal may absorb by
 /// skipping the subtree: the page is sick or unreadable (kUnavailable,
-/// kDataLoss, kIoError). Deliberately excludes kAborted — a watchdog
+/// kDataLoss, kIoError). Deliberately excludes kAborted — a deadline
 /// expiry is the caller's own deadline and must end the query, not eat
 /// the skip budget.
 inline bool IsDegradableReadError(const Status& status) {
@@ -82,15 +82,15 @@ inline bool IsDegradableReadError(const Status& status) {
 /// state — the only mutation on a default search is I/O accounting in
 /// the attached reader or the PageStore, both shared. Concurrent
 /// searches over one tree are therefore safe if and only if every
-/// caller passes its own per-call PageReader (a private BufferPool with
-/// charge_file_io=false, or a ShardedBufferPool session) via the `pool`
-/// parameter, which overrides both the attached reader and the direct
-/// PageStore::Read path. Insert/Delete and set_buffer_pool require
-/// exclusive access. Extension consistency methods (BpMinDistance and
-/// its batch variants, BpConsistentRange, DecodePoint) are const and
-/// draw nothing from the extension Rng (the Rng feeds only the
-/// non-const build-side methods), so one Extension instance safely
-/// serves concurrent readers.
+/// caller passes its own per-call PageReader (a pages::ResidentReader,
+/// which reads the resident store through its const PeekNoIo path) via
+/// the `pool` parameter, which overrides both the attached reader and
+/// the direct PageStore::Read path. Insert/Delete and set_buffer_pool
+/// require exclusive access. Extension consistency methods
+/// (BpMinDistance and its batch variants, BpConsistentRange,
+/// DecodePoint) are const and draw nothing from the extension Rng (the
+/// Rng feeds only the non-const build-side methods), so one Extension
+/// instance safely serves concurrent readers.
 class Tree {
  public:
   Tree(pages::PageStore* file, std::unique_ptr<Extension> extension,

@@ -2,41 +2,14 @@
 
 #include "util/logging.h"
 
-#include <chrono>
-#include <thread>
-
 namespace bw::pages {
 
-BufferPool::BufferPool(PageStore* file, size_t capacity,
-                       BufferPoolOptions options)
-    : file_(file), capacity_(capacity), options_(options) {
+BufferPool::BufferPool(PageStore* file, size_t capacity)
+    : file_(file), capacity_(capacity) {
   BW_CHECK(file != nullptr);
 }
 
-Status BufferPool::MissDelay() {
-  if (options_.miss_delay_us == 0) return Status::OK();
-  const auto end = std::chrono::steady_clock::now() +
-                   std::chrono::microseconds(options_.miss_delay_us);
-  // Sliced so the watchdog bounds a long simulated read instead of
-  // waiting it out.
-  constexpr auto kSlice = std::chrono::microseconds(100);
-  for (;;) {
-    const auto now = std::chrono::steady_clock::now();
-    if (watchdog_armed_ && now >= watchdog_deadline_) {
-      ++watchdog_expirations_;
-      return Status::Aborted("i/o watchdog: deadline expired mid-read");
-    }
-    if (now >= end) return Status::OK();
-    std::this_thread::sleep_for(end - now < kSlice ? end - now : kSlice);
-  }
-}
-
 Result<Page*> BufferPool::Fetch(PageId id) {
-  if (watchdog_armed_ &&
-      std::chrono::steady_clock::now() >= watchdog_deadline_) {
-    ++watchdog_expirations_;
-    return Status::Aborted("i/o watchdog: deadline expired");
-  }
   // Quarantine gate: a sick page is unfit to serve even on a cache hit.
   BW_RETURN_IF_ERROR(file_->ReadHealth(id));
   auto it = resident_.find(id);
@@ -46,49 +19,9 @@ Result<Page*> BufferPool::Fetch(PageId id) {
     return file_->PeekNoIo(id);
   }
   ++stats_.misses;
-  Page* page = nullptr;
-  if (options_.charge_file_io) {
-    BW_ASSIGN_OR_RETURN(page, file_->Read(id));
-  } else {
-    if (id >= file_->page_count()) {
-      return Status::InvalidArgument("page id out of range");
-    }
-    page = file_->PeekNoIo(id);
-  }
-  BW_RETURN_IF_ERROR(MissDelay());
+  BW_ASSIGN_OR_RETURN(Page* page, file_->Read(id));
   if (capacity_ > 0) InsertResident(id);
   return page;
-}
-
-void BufferPool::PrefetchBatch(const PageId* ids, size_t n) {
-  if (!wants_prefetch() || n == 0) return;
-  if (watchdog_armed_ &&
-      std::chrono::steady_clock::now() >= watchdog_deadline_) {
-    return;  // a hint: let the next Fetch charge the expiration.
-  }
-  // Charge every cold, healthy page exactly as its Fetch would have...
-  bool any_cold = false;
-  for (size_t i = 0; i < n; ++i) {
-    const PageId id = ids[i];
-    if (id >= file_->page_count()) continue;  // skipped, not an error.
-    if (resident_.count(id) > 0) continue;
-    if (!file_->ReadHealth(id).ok()) continue;  // Fetch will surface it.
-    ++stats_.misses;
-    if (options_.charge_file_io && !file_->Read(id).ok()) continue;
-    any_cold = true;
-  }
-  if (!any_cold) return;
-  // ...but sleep the simulated read latency once for the whole batch:
-  // the async engine issues the frontier's reads together, so their
-  // (simulated) seek+transfer overlaps instead of summing.
-  if (!MissDelay().ok()) return;  // expired: nothing becomes resident.
-  for (size_t i = 0; i < n; ++i) {
-    const PageId id = ids[i];
-    if (resident_.count(id) > 0) continue;
-    if (id >= file_->page_count()) continue;
-    if (!file_->ReadHealth(id).ok()) continue;
-    InsertResident(id);
-  }
 }
 
 void BufferPool::Prime(PageId id) {

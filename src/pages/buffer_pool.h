@@ -6,7 +6,6 @@
 #ifndef BLOBWORLD_PAGES_BUFFER_POOL_H_
 #define BLOBWORLD_PAGES_BUFFER_POOL_H_
 
-#include <chrono>
 #include <list>
 #include <unordered_map>
 
@@ -15,42 +14,18 @@
 
 namespace bw::pages {
 
-/// Behavioral knobs for a BufferPool.
-struct BufferPoolOptions {
-  /// When true (default), a miss reads through PageStore::Read and is
-  /// charged to the file's shared IoStats. When false, a miss resolves
-  /// via the const, accounting-free PeekNoIo path and is counted only in
-  /// this pool's BufferStats — the mode the concurrent query service
-  /// uses so per-worker pools never mutate the shared page store.
-  bool charge_file_io = true;
-  /// Simulated random-read latency per miss, in microseconds (the pool
-  /// sleeps this long before returning). 0 = no simulation. Lets the
-  /// service benches model the paper's disk (IoModel::RandomReadMs) on
-  /// wall-clock time, so overlapping I/O across workers is measurable.
-  uint32_t miss_delay_us = 0;
-  /// When true, PrefetchBatch loads cold pages as one overlapped batch
-  /// (one miss_delay_us for the batch, the async-read model) and
-  /// wants_prefetch() invites the traversal to send frontier batches.
-  /// Off by default: prefetching changes hit/miss accounting (a
-  /// prefetched page's later Fetch is a hit), so existing single-read
-  /// experiments keep their numbers.
-  bool prefetch = false;
-};
-
 /// Simple LRU cache of page ids. The pool does not copy page contents
 /// (every PageStore keeps its pages resident); it only models which pages would
 /// be resident, which is all the experiments need.
 ///
-/// Thread-safety: a BufferPool is single-threaded — the query service
-/// gives each worker its own pool. With charge_file_io=false, Fetch
-/// touches no shared mutable state (only const PageStore reads), so any
-/// number of pools may serve the same store concurrently provided no one
-/// calls PageStore::Allocate/Write/Read meanwhile.
+/// Thread-safety: a BufferPool is single-threaded, and every miss reads
+/// through PageStore::Read, which mutates the store's shared IoStats. It
+/// belongs to the experiment path (buffer_effects, scan_break_even,
+/// amdb); concurrent queries read through pages::ResidentReader instead.
 class BufferPool : public PageReader {
  public:
   /// `capacity` = number of resident pages; 0 means "cache nothing".
-  BufferPool(PageStore* file, size_t capacity,
-             BufferPoolOptions options = BufferPoolOptions());
+  BufferPool(PageStore* file, size_t capacity);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -58,31 +33,9 @@ class BufferPool : public PageReader {
   size_t capacity() const { return capacity_; }
 
   /// Fetches a page through the cache: a hit costs no file I/O, a miss
-  /// reads through to the file (incrementing its IoStats). Failure modes
-  /// are the PageReader contract (Unavailable on quarantine, Aborted on
-  /// watchdog expiry).
+  /// reads through to the file (incrementing its IoStats). A quarantined
+  /// page fails with Unavailable even when resident.
   Result<Page*> Fetch(PageId id) override;
-
-  /// Loads the cold pages of the batch, charging each one's miss and
-  /// file I/O as Fetch would but sleeping the simulated miss latency
-  /// once for the whole batch (overlapped reads). Resident, quarantined
-  /// and out-of-range ids are skipped; a watchdog expiry mid-delay
-  /// leaves the batch non-resident (the later Fetch ends the query).
-  void PrefetchBatch(const PageId* ids, size_t n) override;
-
-  bool wants_prefetch() const override {
-    return options_.prefetch && capacity_ > 0;
-  }
-
-  void ArmWatchdog(std::chrono::steady_clock::time_point deadline) override {
-    watchdog_deadline_ = deadline;
-    watchdog_armed_ = true;
-  }
-  void DisarmWatchdog() override { watchdog_armed_ = false; }
-
-  uint64_t watchdog_expirations() const override {
-    return watchdog_expirations_;
-  }
 
   /// Pre-loads a page without counting a miss (used to model "inner
   /// nodes are pinned in memory" scenarios).
@@ -91,23 +44,15 @@ class BufferPool : public PageReader {
   /// Drops all cached pages.
   void Clear();
 
-  const BufferStats& stats() const override { return stats_; }
+  const BufferStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
 
  private:
   void Touch(PageId id);
   void InsertResident(PageId id);
 
-  /// Sleeps the configured miss latency in slices, returning Aborted as
-  /// soon as the armed watchdog deadline passes.
-  Status MissDelay();
-
   PageStore* file_;
   size_t capacity_;
-  BufferPoolOptions options_;
-  bool watchdog_armed_ = false;
-  std::chrono::steady_clock::time_point watchdog_deadline_{};
-  uint64_t watchdog_expirations_ = 0;
   std::list<PageId> lru_;  // front = most recent.
   std::unordered_map<PageId, std::list<PageId>::iterator> resident_;
   BufferStats stats_;

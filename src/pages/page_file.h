@@ -27,9 +27,9 @@ namespace bw::pages {
 ///  - PeekNoIo() is a pure read and safe from any number of threads,
 ///    provided no thread calls Allocate() concurrently (Allocate may
 ///    grow the page table; page contents themselves never move).
-///  - Concurrent readers therefore go through per-worker BufferPools
-///    constructed with charge_file_io=false, whose misses resolve via
-///    PeekNoIo; per-query I/O is accounted in each pool's BufferStats.
+///  - Concurrent readers therefore go through pages::ResidentReader,
+///    which serves every fetch via PeekNoIo and counts it in the
+///    reader's own BufferStats, never in the shared IoStats.
 ///
 /// Debug builds enforce the contract with atomic occupancy counters:
 /// a mutating call (Read/Write/Allocate) overlapping another mutating

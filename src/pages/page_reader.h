@@ -1,13 +1,13 @@
-// The read-path page access interface shared by every serving cache: the
-// single-threaded LRU BufferPool (private per worker or per bench run)
-// and a process-wide ShardedBufferPool session. gist::Tree and the
-// cursors take a PageReader*, so the traversal layer costs one virtual
-// call per *node*, not per entry, regardless of which cache serves it.
+// The read-path page access interface: the single-threaded LRU
+// BufferPool the paper's page-access experiments read through, and the
+// ResidentReader the concurrent query service serves through. gist::Tree
+// and the cursors take a PageReader*, so the traversal layer costs one
+// virtual call per *node*, not per entry, regardless of which reader
+// serves it.
 
 #ifndef BLOBWORLD_PAGES_PAGE_READER_H_
 #define BLOBWORLD_PAGES_PAGE_READER_H_
 
-#include <chrono>
 #include <cstdint>
 
 #include "pages/page.h"
@@ -15,16 +15,11 @@
 
 namespace bw::pages {
 
-/// Buffer-cache counters. For a private BufferPool these cover the whole
-/// pool; for a ShardedBufferPool session they cover only the fetches made
-/// through that session (which is what per-query metrics need).
+/// Page-read counters kept by a reader for the fetches made through it.
 struct BufferStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  /// Times a fetch found its lock shard already held by another thread
-  /// and had to wait. Always 0 for the lock-free private BufferPool.
-  uint64_t shard_contention = 0;
 
   double HitRate() const {
     const uint64_t total = hits + misses;
@@ -33,50 +28,20 @@ struct BufferStats {
   void Reset() { *this = BufferStats(); }
 };
 
-/// A cached page-read path with an I/O watchdog.
+/// A page-read path.
 ///
-/// Failure modes surfaced to the traversal layer by every implementation:
-///  - Unavailable: the store quarantined this page (ReadHealth gate);
-///    degraded-mode traversal may skip the subtree and flag it.
-///  - Aborted: the armed I/O watchdog expired while this fetch was stuck
-///    in (simulated) storage-read latency; never skipped, always ends
-///    the query.
+/// Failure modes a reader surfaces to the traversal layer:
+///  - Unavailable: the store quarantined this page (ReadHealth gate,
+///    every reader); degraded-mode traversal may skip the subtree and
+///    flag it.
+///  - Aborted: the query's deadline passed before this fetch
+///    (ResidentReader); never skipped, always ends the query.
 class PageReader {
  public:
   virtual ~PageReader() = default;
 
-  /// Fetches a page through the cache.
+  /// Fetches a page.
   virtual Result<Page*> Fetch(PageId id) = 0;
-
-  /// Hint: the caller expects to Fetch these ids soon (a cursor's next
-  /// search-frontier level, say). An implementation may load the cold
-  /// ones as one overlapped batch — charging each cold page's miss and
-  /// file I/O exactly as its eventual Fetch would have, but paying the
-  /// simulated miss latency once for the whole batch instead of once
-  /// per page. A pure hint: errors are swallowed (the later Fetch
-  /// surfaces them) and the default does nothing.
-  virtual void PrefetchBatch(const PageId* ids, size_t n) {
-    (void)ids;
-    (void)n;
-  }
-
-  /// True when PrefetchBatch can actually help (prefetching enabled and
-  /// backed by a real cache) — lets the traversal skip assembling a
-  /// batch that would be thrown away.
-  virtual bool wants_prefetch() const { return false; }
-
-  /// Arms an I/O watchdog: any Fetch at or past `deadline` — including
-  /// one that crosses it mid-miss-latency — fails with Aborted instead
-  /// of sleeping on. This is how a query deadline covers time stuck
-  /// inside storage reads, not just the gaps between pages.
-  virtual void ArmWatchdog(std::chrono::steady_clock::time_point deadline) = 0;
-  virtual void DisarmWatchdog() = 0;
-
-  /// Times the watchdog fired since construction.
-  virtual uint64_t watchdog_expirations() const = 0;
-
-  /// Counters for the fetches made through this reader.
-  virtual const BufferStats& stats() const = 0;
 };
 
 }  // namespace bw::pages

@@ -75,39 +75,9 @@ void QueryService::Start() {
   paused_ = options_.start_paused;
   start_time_ = Clock::now();
 
-  worker_readers_.reserve(options_.num_workers);
   workers_.reserve(options_.num_workers);
-  // The const_cast is sound: the shared pool is PeekNoIo-only, and a
-  // private pool with charge_file_io=false resolves every fetch through
-  // the same const path — the shared file is never written through this
-  // pointer either way.
-  auto* file = const_cast<pages::PageStore*>(tree_->file());
-  if (options_.shared_pool) {
-    const size_t capacity = options_.shared_pool_pages > 0
-                                ? options_.shared_pool_pages
-                                : options_.num_workers *
-                                      options_.worker_pool_pages;
-    pages::ShardedPoolOptions pool_options;
-    pool_options.shards = options_.pool_shards;
-    pool_options.miss_delay_us = options_.io_delay_us;
-    pool_options.prefetch = options_.frontier_prefetch;
-    shared_pool_ = std::make_unique<pages::ShardedBufferPool>(
-        file, capacity, pool_options);
-    for (size_t i = 0; i < options_.num_workers; ++i) {
-      worker_readers_.push_back(shared_pool_->MakeSession());
-    }
-  } else {
-    pages::BufferPoolOptions pool_options;
-    pool_options.charge_file_io = false;  // never mutate the shared file.
-    pool_options.miss_delay_us = options_.io_delay_us;
-    pool_options.prefetch = options_.frontier_prefetch;
-    for (size_t i = 0; i < options_.num_workers; ++i) {
-      worker_readers_.push_back(std::make_unique<pages::BufferPool>(
-          file, options_.worker_pool_pages, pool_options));
-    }
-  }
   for (size_t i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back(&QueryService::WorkerLoop, this, i);
+    workers_.emplace_back(&QueryService::WorkerLoop, this);
   }
 
   if (options_.write.enabled) {
@@ -253,33 +223,17 @@ std::unique_ptr<QueryService::StreamCursor> QueryService::OpenCursor(
   if (snapshot_restoring_.load(std::memory_order_acquire)) {
     return nullptr;  // Torn tree mid-restore; shed like a failed open.
   }
-  // Each cursor brings its own reader (the Tree thread-safety contract):
-  // a shared-pool session when the service runs one, a small private
-  // pool otherwise.
-  std::unique_ptr<pages::PageReader> reader;
-  if (shared_pool_) {
-    reader = shared_pool_->MakeSession();
-  } else {
-    auto* file = const_cast<pages::PageStore*>(tree_->file());
-    pages::BufferPoolOptions pool_options;
-    pool_options.charge_file_io = false;
-    pool_options.miss_delay_us = options_.io_delay_us;
-    pool_options.prefetch = options_.frontier_prefetch;
-    reader = std::make_unique<pages::BufferPool>(
-        file, options_.worker_pool_pages, pool_options);
-  }
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  auto cursor = std::unique_ptr<StreamCursor>(new StreamCursor(
-      this, std::move(query), limits, std::move(reader)));
+  auto cursor = std::unique_ptr<StreamCursor>(
+      new StreamCursor(this, std::move(query), limits));
   if (!cursor->lock_.owns_lock()) return nullptr;  // open_timeout_us hit.
   return cursor;
 }
 
-QueryService::StreamCursor::StreamCursor(
-    QueryService* service, geom::Vec query, StreamOptions limits,
-    std::unique_ptr<pages::PageReader> reader)
+QueryService::StreamCursor::StreamCursor(QueryService* service,
+                                         geom::Vec query, StreamOptions limits)
     : service_(service),
-      reader_(std::move(reader)),
+      reader_(service->tree_->file()),
       query_(std::move(query)),
       limits_(limits),
       start_(Clock::now()) {
@@ -305,15 +259,14 @@ QueryService::StreamCursor::StreamCursor(
   }
   degraded_.budget = service_->options_.fault_budget;
   if (limits_.deadline_us > 0) {
-    reader_->ArmWatchdog(start_ + std::chrono::microseconds(static_cast<
+    reader_.set_deadline(start_ + std::chrono::microseconds(static_cast<
                              int64_t>(limits_.deadline_us)));
   }
   cursor_ = std::make_unique<gist::NnCursor>(
-      *service_->tree_, query_, &traversal_, reader_.get(), &degraded_);
+      *service_->tree_, query_, &traversal_, &reader_, &degraded_);
 }
 
 QueryService::StreamCursor::~StreamCursor() {
-  reader_->DisarmWatchdog();
   // Aggregate into the service counters exactly once, at close: the
   // cursor is one query from the snapshot's point of view.
   const double latency_us = MicrosSince(start_);
@@ -324,13 +277,8 @@ QueryService::StreamCursor::~StreamCursor() {
                                      std::memory_order_relaxed);
   service_->internal_accesses_.fetch_add(traversal_.internal_accesses,
                                          std::memory_order_relaxed);
-  const pages::BufferStats& stats = reader_->stats();
-  service_->pool_hits_.fetch_add(stats.hits, std::memory_order_relaxed);
-  service_->pool_misses_.fetch_add(stats.misses, std::memory_order_relaxed);
-  service_->pool_evictions_.fetch_add(stats.evictions,
-                                      std::memory_order_relaxed);
-  service_->pool_contention_.fetch_add(stats.shard_contention,
-                                       std::memory_order_relaxed);
+  service_->pool_hits_.fetch_add(reader_.stats().hits,
+                                 std::memory_order_relaxed);
   if (truncated_) {
     service_->truncated_streams_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -362,7 +310,7 @@ Result<std::optional<gist::Neighbor>> QueryService::StreamCursor::Next() {
   if (!next.ok()) {
     finished_ = true;
     if (next.status().code() == StatusCode::kAborted) {
-      // Watchdog cut a fetch off mid-read: partial stream, flagged.
+      // The deadline refused a node fetch: partial stream, flagged.
       service_->watchdog_expirations_.fetch_add(1, std::memory_order_relaxed);
       truncated_ = true;
       return std::optional<gist::Neighbor>();
@@ -720,8 +668,7 @@ void QueryService::WriterLoop() {
 // Execution
 // ---------------------------------------------------------------------------
 
-void QueryService::WorkerLoop(size_t worker_index) {
-  pages::PageReader* pool = worker_readers_[worker_index].get();
+void QueryService::WorkerLoop() {
   for (;;) {
     Task task;
     {
@@ -750,7 +697,7 @@ void QueryService::WorkerLoop(size_t worker_index) {
             "replica is restoring from a snapshot; queries shed until "
             "the restore commits");
       }
-      return Execute(task, pool);
+      return Execute(task);
     }();
 
     // Aggregate into the shared counters (relaxed: monitoring only).
@@ -763,10 +710,6 @@ void QueryService::WorkerLoop(size_t worker_index) {
       internal_accesses_.fetch_add(m.internal_accesses,
                                    std::memory_order_relaxed);
       pool_hits_.fetch_add(m.pool_hits, std::memory_order_relaxed);
-      pool_misses_.fetch_add(m.pool_misses, std::memory_order_relaxed);
-      pool_evictions_.fetch_add(m.pool_evictions, std::memory_order_relaxed);
-      pool_contention_.fetch_add(m.pool_contention,
-                                 std::memory_order_relaxed);
       if (m.truncated) {
         truncated_streams_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -781,9 +724,10 @@ void QueryService::WorkerLoop(size_t worker_index) {
   }
 }
 
-QueryService::Response QueryService::Execute(Task& task,
-                                             pages::PageReader* pool) {
-  const pages::BufferStats pool_before = pool->stats();
+QueryService::Response QueryService::Execute(Task& task) {
+  // A reader per query: its counters are this query's, and its deadline
+  // dies with it.
+  pages::ResidentReader reader(tree_->file());
   gist::TraversalStats traversal;
   // Per-query fault budget: how many unreadable subtrees this query may
   // absorb before failing. With budget 0 the first fault wins.
@@ -796,24 +740,25 @@ QueryService::Response QueryService::Execute(Task& task,
     case Kind::kKnn: {
       BW_ASSIGN_OR_RETURN(response.neighbors,
                           tree_->KnnSearch(task.query, task.k, &traversal,
-                                           pool, &degraded));
+                                           &reader, &degraded));
       break;
     }
     case Kind::kRange: {
       BW_ASSIGN_OR_RETURN(response.neighbors,
                           tree_->RangeSearch(task.query, task.radius,
-                                             &traversal, pool, &degraded));
+                                             &traversal, &reader, &degraded));
       break;
     }
     case Kind::kStream: {
       const StreamOptions& limits = task.stream;
-      // The watchdog makes the deadline cover time stuck *inside* a
-      // storage read, not just the checks between results.
+      // The reader's deadline stops a stream mid-descent too, not only
+      // between results.
       if (limits.deadline_us > 0) {
-        pool->ArmWatchdog(start + std::chrono::microseconds(static_cast<
-                              int64_t>(limits.deadline_us)));
+        reader.set_deadline(start + std::chrono::microseconds(static_cast<
+                                int64_t>(limits.deadline_us)));
       }
-      gist::NnCursor cursor(*tree_, task.query, &traversal, pool, &degraded);
+      gist::NnCursor cursor(*tree_, task.query, &traversal, &reader,
+                            &degraded);
       for (;;) {
         if (limits.max_results > 0 &&
             response.neighbors.size() >= limits.max_results) {
@@ -831,13 +776,12 @@ QueryService::Response QueryService::Execute(Task& task,
         auto next = cursor.Next();
         if (!next.ok()) {
           if (next.status().code() == StatusCode::kAborted) {
-            // The watchdog cut a fetch off mid-read: same contract as a
-            // deadline expiring between pages — partial stream, flagged.
+            // The deadline refused a node fetch: same contract as a
+            // deadline expiring between results — partial stream, flagged.
             watchdog_expirations_.fetch_add(1, std::memory_order_relaxed);
             response.metrics.truncated = true;
             break;
           }
-          pool->DisarmWatchdog();
           return next.status();
         }
         if (!next.value().has_value()) break;
@@ -845,7 +789,6 @@ QueryService::Response QueryService::Execute(Task& task,
         if (neighbor.distance > limits.budget_radius) break;
         response.neighbors.push_back(neighbor);
       }
-      pool->DisarmWatchdog();
       break;
     }
   }
@@ -856,13 +799,7 @@ QueryService::Response QueryService::Execute(Task& task,
   response.metrics.pages_skipped = degraded.skipped.size();
   response.completeness = degraded.degraded() ? Completeness::kDegraded
                                               : Completeness::kComplete;
-  const pages::BufferStats& pool_after = pool->stats();
-  response.metrics.pool_hits = pool_after.hits - pool_before.hits;
-  response.metrics.pool_misses = pool_after.misses - pool_before.misses;
-  response.metrics.pool_evictions =
-      pool_after.evictions - pool_before.evictions;
-  response.metrics.pool_contention =
-      pool_after.shard_contention - pool_before.shard_contention;
+  response.metrics.pool_hits = reader.stats().hits;
   return response;
 }
 
@@ -1138,10 +1075,6 @@ ServiceSnapshot QueryService::Snapshot() const {
   snap.leaf_accesses = leaf_accesses_.load(std::memory_order_relaxed);
   snap.internal_accesses = internal_accesses_.load(std::memory_order_relaxed);
   snap.pool_hits = pool_hits_.load(std::memory_order_relaxed);
-  snap.pool_misses = pool_misses_.load(std::memory_order_relaxed);
-  snap.pool_evictions = pool_evictions_.load(std::memory_order_relaxed);
-  snap.pool_contention = pool_contention_.load(std::memory_order_relaxed);
-  snap.pool_shards = shared_pool_ != nullptr ? shared_pool_->shard_count() : 0;
   snap.writes_enabled = options_.write.enabled;
   snap.write_state = write_state_.load(std::memory_order_relaxed);
   snap.write_degraded =

@@ -10,24 +10,19 @@
 //
 // Concurrency model (see the audited contracts in gist/tree.h and
 // pages/page_file.h): the tree, its extension, and the page file are
-// shared and strictly read-only during serving. By default all workers
-// share one process-wide pages::ShardedBufferPool (lock-sharded CLOCK
-// cache over the store), each worker reading through its own Session so
-// watchdog state and per-query stat deltas stay worker-private while
-// cached pages are shared — one worker's miss warms every other
-// worker's read path. Setting ServiceOptions::shared_pool=false
-// restores the original per-worker private BufferPool layout
-// (charge_file_io=false), kept as the comparison baseline for the
-// read-path benchmarks. Either way the shared PageFile is only ever
-// touched through its const PeekNoIo path.
+// shared and strictly read-only during serving. Every page is resident,
+// so there is no cache in front of the store: each query and each
+// cursor reads through its own pages::ResidentReader (quarantine gate,
+// range check, deadline check, then the const PeekNoIo path), which
+// keeps deadline state and per-query counters private without a lock.
 //
 // Serving through faults: when the store underneath quarantines pages
 // (see storage/page_health.h), queries carrying a fault budget
 // (ServiceOptions::fault_budget) skip unreadable subtrees and return
 // flagged, partial answers (QueryResponse::completeness = kDegraded)
 // instead of failing — every returned neighbor is genuine, some may be
-// missing. Stream deadlines are enforced through an I/O watchdog on the
-// worker pool, so they also bound time stuck inside a storage read.
+// missing. Stream deadlines are checked between results and before every
+// node fetch, so a stream ends within one node visit of its deadline.
 //
 // Serving through writes (ServiceWriteOptions::enabled over a mutable
 // DurableIndex): a single writer thread drains a bounded mutation queue
@@ -74,8 +69,7 @@
 #include "storage/wal_ship.h"
 #include "gist/nn_cursor.h"
 #include "gist/tree.h"
-#include "pages/buffer_pool.h"
-#include "pages/sharded_buffer_pool.h"
+#include "pages/resident_reader.h"
 #include "util/histogram.h"
 #include "util/status.h"
 
@@ -130,36 +124,7 @@ struct ServiceOptions {
   size_t num_workers = 4;
   /// Maximum queued (admitted but not yet executing) requests.
   size_t queue_capacity = 128;
-  /// Capacity, in pages, of each worker's private LRU buffer pool when
-  /// shared_pool=false; with the shared pool it sizes the default
-  /// shared capacity (see shared_pool_pages). 0 caches nothing but
-  /// still keeps per-worker I/O accounting.
-  size_t worker_pool_pages = 256;
-  /// Serve all workers from one process-wide ShardedBufferPool (each
-  /// worker reads through its own session). false restores the
-  /// original per-worker private BufferPool layout — the baseline the
-  /// read-path benchmarks compare against.
-  bool shared_pool = true;
-  /// Total page capacity of the shared pool. 0 (default) derives
-  /// num_workers * worker_pool_pages, so switching shared_pool on or
-  /// off holds the total cache budget constant.
-  size_t shared_pool_pages = 0;
-  /// Lock shards in the shared pool; 0 (default) auto-sizes from
-  /// hardware concurrency (see pages::ShardedPoolOptions::shards).
-  size_t pool_shards = 0;
   OverflowPolicy overflow = OverflowPolicy::kReject;
-  /// Simulated random-read latency per buffer-pool miss (microseconds),
-  /// forwarded to the worker pools. Models the paper's disk so benches
-  /// can measure I/O overlap across workers in wall-clock time; 0 for
-  /// pure in-memory serving.
-  uint32_t io_delay_us = 0;
-  /// When true, the worker pools accept frontier prefetch batches: the
-  /// k-NN traversal hands each expanded internal node's nearest
-  /// children to the pool as one batch, which pays io_delay_us once per
-  /// batch instead of once per cold child (the async-read model). Off
-  /// by default — prefetching changes hit/miss accounting, so existing
-  /// experiments keep their numbers.
-  bool frontier_prefetch = false;
   /// Start with execution paused (requests are admitted and queued but
   /// not run until Resume()). Used by admission-control tests and for
   /// warm-up staging.
@@ -184,10 +149,9 @@ struct StreamOptions {
   /// Wall-clock execution budget in microseconds, measured from the
   /// moment a worker picks the request up; 0 = no deadline. Expiry
   /// returns the results streamed so far with metrics.truncated set.
-  /// The deadline also covers time stuck *inside* a storage read: the
-  /// worker's buffer pool runs an I/O watchdog for the duration of the
-  /// stream, so a read that outlives the deadline is cut off mid-fetch
-  /// instead of being waited out.
+  /// The deadline is checked between results and before every node
+  /// fetch (pages::ResidentReader), so a stream that is still descending
+  /// toward its next result stops within one node visit of it.
   double deadline_us = 0;
   /// Bound on how long OpenCursor may wait for the tree's generation
   /// lock (a writer applying a batch holds it exclusively); 0 = wait
@@ -206,14 +170,12 @@ struct QueryMetrics {
   double queue_wait_us = 0;  // admission -> start of execution.
   uint64_t internal_accesses = 0;  // tree nodes visited, by level.
   uint64_t leaf_accesses = 0;
-  uint64_t pool_hits = 0;    // buffer-pool hits / misses by this query.
+  /// Pages this query fetched: every page is resident, so each served
+  /// fetch is a hit (internal_accesses + leaf_accesses on a healthy
+  /// tree), and misses, evictions and contention are always 0.
+  uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
-  /// Pages this query's misses evicted from the pool (shared pool:
-  /// evictions performed by this query's fetches; private pools: this
-  /// worker's LRU evictions).
   uint64_t pool_evictions = 0;
-  /// Shard-lock contention events this query's fetches hit in the
-  /// shared pool (always 0 with private per-worker pools).
   uint64_t pool_contention = 0;
   /// Unreadable subtrees this query skipped under its fault budget.
   uint64_t pages_skipped = 0;
@@ -313,14 +275,15 @@ struct ServiceSnapshot {
   uint64_t truncated_streams = 0;
   uint64_t degraded_responses = 0;   // completed with a partial answer.
   uint64_t pages_skipped = 0;        // subtrees skipped, summed.
-  uint64_t watchdog_expirations = 0; // streams cut off mid-storage-read.
+  /// Streams cut off at a node fetch by their deadline (the rest of
+  /// truncated_streams stopped between two results).
+  uint64_t watchdog_expirations = 0;
   uint64_t leaf_accesses = 0;
   uint64_t internal_accesses = 0;
-  uint64_t pool_hits = 0;
+  uint64_t pool_hits = 0;         // QueryMetrics::pool_*, summed.
   uint64_t pool_misses = 0;
-  uint64_t pool_evictions = 0;    // pages evicted to admit misses.
-  uint64_t pool_contention = 0;   // shared-pool shard-lock contention.
-  uint64_t pool_shards = 0;       // shard count (0 = private pools).
+  uint64_t pool_evictions = 0;
+  uint64_t pool_contention = 0;
   /// Mirrored from the served store's self-healing machinery when the
   /// service fronts a DurableIndex (all zero otherwise).
   uint64_t store_read_retries = 0;       // transient read faults absorbed.
@@ -433,11 +396,10 @@ class QueryService {
   /// the in-process shard frontier the scatter-gather router merges.
   /// Results arrive one at a time in non-decreasing distance order,
   /// subject to the StreamOptions limits (count, budget radius,
-  /// deadline with I/O watchdog), with the same degraded-read
-  /// accounting as SubmitStream.
+  /// deadline), with the same degraded-read accounting as SubmitStream.
   ///
-  /// The cursor holds the shared side of the tree lock and a private
-  /// page-reader session for its whole lifetime: writer batches cannot
+  /// The cursor holds the shared side of the tree lock and its own
+  /// pages::ResidentReader for its whole lifetime: writer batches cannot
   /// apply while one is open, exactly as if a query were executing, so
   /// close cursors promptly. Runs on the calling thread (it bypasses
   /// the worker pool and its admission queue — the caller *is* the
@@ -461,19 +423,18 @@ class QueryService {
     /// Degraded-read accounting so far (grows as faults are absorbed).
     bool degraded() const { return degraded_.degraded(); }
     uint64_t pages_skipped() const { return degraded_.skipped.size(); }
-    /// True once the deadline (or its I/O watchdog) cut the stream off.
+    /// True once the deadline cut the stream off.
     bool truncated() const { return truncated_; }
     size_t produced() const { return returned_; }
 
    private:
     friend class QueryService;
     StreamCursor(QueryService* service, geom::Vec query,
-                 StreamOptions limits,
-                 std::unique_ptr<pages::PageReader> reader);
+                 StreamOptions limits);
 
     QueryService* service_;
     std::shared_lock<std::shared_mutex> lock_;
-    std::unique_ptr<pages::PageReader> reader_;
+    pages::ResidentReader reader_;
     geom::Vec query_;
     StreamOptions limits_;
     gist::TraversalStats traversal_;
@@ -617,11 +578,11 @@ class QueryService {
 
   void Start();
   Result<ResponseFuture> Submit(Task task);
-  void WorkerLoop(size_t worker_index);
-  /// Runs one query through the calling worker's reader (a shared-pool
-  /// session or a private BufferPool). Fills metrics.latency_us/
-  /// accesses/pool counters; queue_wait_us is set by the caller.
-  Response Execute(Task& task, pages::PageReader* pool);
+  void WorkerLoop();
+  /// Runs one query through its own ResidentReader. Fills
+  /// metrics.latency_us/accesses/pool counters; queue_wait_us is set by
+  /// the caller.
+  Response Execute(Task& task);
 
   // --- Write path (single writer thread) --------------------------------
 
@@ -671,13 +632,6 @@ class QueryService {
   bool paused_ = false;
   bool shutdown_ = false;
 
-  /// Shared page cache (null when shared_pool=false). Workers never
-  /// touch it directly — only through their sessions in
-  /// worker_readers_, which keeps watchdog state worker-private.
-  std::unique_ptr<pages::ShardedBufferPool> shared_pool_;
-  /// One reader per worker: ShardedBufferPool sessions when sharing,
-  /// private BufferPools otherwise.
-  std::vector<std::unique_ptr<pages::PageReader>> worker_readers_;
   std::vector<std::thread> workers_;
 
   // --- Write-path state (guarded by write_mutex_ unless atomic) --------
@@ -725,9 +679,6 @@ class QueryService {
   std::atomic<uint64_t> leaf_accesses_{0};
   std::atomic<uint64_t> internal_accesses_{0};
   std::atomic<uint64_t> pool_hits_{0};
-  std::atomic<uint64_t> pool_misses_{0};
-  std::atomic<uint64_t> pool_evictions_{0};
-  std::atomic<uint64_t> pool_contention_{0};
   LatencyHistogram write_latency_histogram_;
   std::atomic<uint64_t> writes_submitted_{0};
   std::atomic<uint64_t> writes_rejected_{0};

@@ -35,7 +35,6 @@ std::vector<std::pair<std::string, double>> ExportSnapshotFields(
   add("pool_misses", static_cast<double>(snap.pool_misses));
   add("pool_evictions", static_cast<double>(snap.pool_evictions));
   add("pool_contention", static_cast<double>(snap.pool_contention));
-  add("pool_shards", static_cast<double>(snap.pool_shards));
   // Self-healing store.
   add("store_read_retries", static_cast<double>(snap.store_read_retries));
   add("store_pages_quarantined",
@@ -59,6 +58,12 @@ std::vector<std::pair<std::string, double>> ExportSnapshotFields(
       static_cast<double>(snap.wal_segments_created));
   add("wal_segments_retired",
       static_cast<double>(snap.wal_segments_retired));
+  // Replica catch-up.
+  add("catchup_batches_applied",
+      static_cast<double>(snap.catchup_batches_applied));
+  add("snapshot_chunks_applied",
+      static_cast<double>(snap.snapshot_chunks_applied));
+  add("snapshot_restoring", snap.snapshot_restoring ? 1 : 0);
   add("mean_write_latency_us", snap.mean_write_latency_us);
   add("p50_write_latency_us",
       static_cast<double>(snap.p50_write_latency_us));

@@ -1,6 +1,5 @@
 #include "storage/async_io.h"
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
@@ -11,52 +10,22 @@
 
 namespace bw::storage {
 
-namespace {
-
-IoEngineKind BuildDefault() {
-#if defined(BW_HAVE_LIBURING)
-  return IoEngineKind::kIoUring;
-#else
-  return IoEngineKind::kThreadPool;
-#endif
-}
-
-}  // namespace
-
 IoEngineKind ResolveIoEngine(IoEngineChoice choice) {
-  IoEngineKind kind;
   switch (choice) {
     case IoEngineChoice::kSync:
       return IoEngineKind::kSync;
     case IoEngineChoice::kThreadPool:
       return IoEngineKind::kThreadPool;
-    case IoEngineChoice::kIoUring:
-      kind = IoEngineKind::kIoUring;
-      break;
     case IoEngineChoice::kAuto:
     default: {
       const char* env = std::getenv("BW_IO_ENGINE");
       if (env != nullptr && std::strcmp(env, "sync") == 0) {
         return IoEngineKind::kSync;
       }
-      if (env != nullptr && std::strcmp(env, "threads") == 0) {
-        return IoEngineKind::kThreadPool;
-      }
-      if (env != nullptr && std::strcmp(env, "uring") == 0) {
-        kind = IoEngineKind::kIoUring;
-        break;
-      }
-      // Unset (or unrecognized, which is ignored): the build default.
-      kind = BuildDefault();
-      break;
+      // "threads", unset, or unrecognized (ignored): the build default.
+      return IoEngineKind::kThreadPool;
     }
   }
-#if !defined(BW_HAVE_LIBURING)
-  // io_uring requested but not compiled in: fall back, never fail —
-  // engine choice must not change observable behavior.
-  if (kind == IoEngineKind::kIoUring) kind = IoEngineKind::kThreadPool;
-#endif
-  return kind;
 }
 
 const char* IoEngineName(IoEngineKind kind) {
@@ -65,8 +34,6 @@ const char* IoEngineName(IoEngineKind kind) {
       return "sync";
     case IoEngineKind::kThreadPool:
       return "threads";
-    case IoEngineKind::kIoUring:
-      return "uring";
   }
   return "unknown";
 }
@@ -84,7 +51,7 @@ struct ReadThreadPool::Impl {
     const std::function<void(size_t)>* fn = nullptr;
     size_t next = 0;   // next span index to claim; guarded by pool mutex.
     size_t count = 0;
-    std::atomic<size_t> remaining{0};  // spans not yet finished.
+    size_t remaining = 0;  // spans not yet finished; under done_mutex.
     std::mutex done_mutex;
     std::condition_variable done_cv;
   };
@@ -111,12 +78,12 @@ struct ReadThreadPool::Impl {
 
   static void Run(Batch* batch, size_t i) {
     (*batch->fn)(i);
-    if (batch->remaining.fetch_sub(1) == 1) {
-      // Last span: wake the submitter. The lock makes the wake visible
-      // even if the submitter is between its predicate check and wait.
-      std::lock_guard<std::mutex> lock(batch->done_mutex);
-      batch->done_cv.notify_all();
-    }
+    // Count the span done under the batch's mutex: the submitter reads
+    // `remaining` under the same mutex, so it cannot see 0 — and return,
+    // destroying the batch on its stack — until this thread has released
+    // the mutex and stopped touching the batch.
+    std::lock_guard<std::mutex> lock(batch->done_mutex);
+    if (--batch->remaining == 0) batch->done_cv.notify_all();
   }
 };
 
@@ -155,7 +122,7 @@ void ReadThreadPool::RunBatch(size_t n, const std::function<void(size_t)>& fn) {
   Impl::Batch batch;
   batch.fn = &fn;
   batch.count = n;
-  batch.remaining.store(n);
+  batch.remaining = n;
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     impl_->queue.push_back(&batch);
@@ -183,7 +150,7 @@ void ReadThreadPool::RunBatch(size_t n, const std::function<void(size_t)>& fn) {
     Impl::Run(&batch, i);
   }
   std::unique_lock<std::mutex> lock(batch.done_mutex);
-  batch.done_cv.wait(lock, [&] { return batch.remaining.load() == 0; });
+  batch.done_cv.wait(lock, [&] { return batch.remaining == 0; });
 }
 
 }  // namespace bw::storage

@@ -1,8 +1,8 @@
 // Read-engine selection and the worker pool behind File::ReadBatch.
 //
-// A batched read ("give me these N byte ranges") can be served three
-// ways, all with identical results and identical fault-injection
-// accounting (see File::ReadBatch for the one-tick-per-span contract):
+// A batched read ("give me these N byte ranges") can be served two ways,
+// with identical results and identical fault-injection accounting (see
+// File::ReadBatch for the one-tick-per-span contract):
 //
 //  - kSync:       the spans are read inline on the submitting thread, in
 //                 submit order — the reference engine, also the only one
@@ -11,17 +11,12 @@
 //                 pool of preadv workers and the submitter blocks until
 //                 the whole batch completes. Wall-clock for N cold spans
 //                 approaches max(span latency) instead of the sum.
-//  - kIoUring:    compiled only when the configure-time probe found
-//                 liburing (BW_HAVE_LIBURING); the batch is submitted as
-//                 one SQE ring and reaped in completion order.
 //
 // Resolution order for the engine actually used: the caller's explicit
 // choice (DiskPageFileOptions::engine), then the BW_IO_ENGINE
-// environment variable ("sync", "threads", "uring"), then the build
-// default (io_uring when liburing was detected, the thread pool
-// otherwise). Asking for "uring" in a build without liburing falls back
-// to the thread pool rather than failing — engine choice must never
-// change observable results, only scheduling.
+// environment variable ("sync" or "threads"), then the build default
+// (the thread pool). Engine choice must never change observable
+// results, only scheduling.
 
 #ifndef BLOBWORLD_STORAGE_ASYNC_IO_H_
 #define BLOBWORLD_STORAGE_ASYNC_IO_H_
@@ -34,17 +29,14 @@ namespace bw::storage {
 enum class IoEngineKind {
   kSync,
   kThreadPool,
-  kIoUring,
 };
 
 /// How a caller picks an engine: kAuto defers to BW_IO_ENGINE and the
-/// build default; the rest force a specific engine (subject to the
-/// liburing fallback above).
+/// build default; the rest force a specific engine.
 enum class IoEngineChoice {
   kAuto,
   kSync,
   kThreadPool,
-  kIoUring,
 };
 
 /// Resolves a choice to the engine that will actually serve the batch.

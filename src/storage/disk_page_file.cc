@@ -206,10 +206,10 @@ Result<std::unique_ptr<DiskPageFile>> DiskPageFile::Open(
   store->active_header_slot_ = slot_found;
 
   // Load all frames as batched reads (kLoadBatchFrames per batch keeps
-  // scratch memory bounded): an async engine overlaps the cold reads,
-  // and the injector is ticked once per frame in id order regardless of
-  // engine, so a chaos plan armed over Open unrolls identically on
-  // sync, thread-pool, and io_uring paths.
+  // scratch memory bounded): the thread-pool engine overlaps the cold
+  // reads, and the injector is ticked once per frame in id order
+  // regardless of engine, so a chaos plan armed over Open unrolls
+  // identically on the sync and thread-pool paths.
   const size_t fb = store->frame_bytes();
   const uint32_t page_count = header.page_count;
   std::vector<uint8_t> frames;

@@ -10,10 +10,6 @@
 #include <thread>
 #include <vector>
 
-#if defined(BW_HAVE_LIBURING)
-#include <liburing.h>
-#endif
-
 namespace bw::storage {
 
 namespace {
@@ -43,71 +39,6 @@ Status PreadExact(int fd, const std::string& path, uint64_t offset,
   }
   return Status::OK();
 }
-
-#if defined(BW_HAVE_LIBURING)
-/// Serves the spans at `idx` through one io_uring: all reads submitted
-/// up front, completions reaped in any order, short reads resubmitted
-/// for their remainder. Ring setup failure (a locked-down container)
-/// degrades to synchronous preads — engine choice must never change
-/// results.
-void UringReadSpans(int fd, const std::string& path, ReadSpan* spans,
-                    const std::vector<size_t>& idx) {
-  struct io_uring ring;
-  if (io_uring_queue_init(static_cast<unsigned>(idx.size()), &ring, 0) != 0) {
-    for (const size_t i : idx) {
-      spans[i].status =
-          PreadExact(fd, path, spans[i].offset, spans[i].data, spans[i].n);
-    }
-    return;
-  }
-  std::vector<size_t> done(idx.size(), 0);
-  size_t completed = 0;
-  auto submit_one = [&](size_t j) {
-    struct io_uring_sqe* sqe = io_uring_get_sqe(&ring);
-    ReadSpan& s = spans[idx[j]];
-    io_uring_prep_read(sqe, fd, static_cast<uint8_t*>(s.data) + done[j],
-                       static_cast<unsigned>(s.n - done[j]),
-                       s.offset + done[j]);
-    io_uring_sqe_set_data(sqe, reinterpret_cast<void*>(j));
-  };
-  for (size_t j = 0; j < idx.size(); ++j) submit_one(j);
-  io_uring_submit(&ring);
-  while (completed < idx.size()) {
-    struct io_uring_cqe* cqe = nullptr;
-    if (io_uring_wait_cqe(&ring, &cqe) != 0) continue;
-    const size_t j = reinterpret_cast<uintptr_t>(io_uring_cqe_get_data(cqe));
-    const int res = cqe->res;
-    io_uring_cqe_seen(&ring, cqe);
-    ReadSpan& s = spans[idx[j]];
-    if (res == -EINTR || res == -EAGAIN) {
-      submit_one(j);
-      io_uring_submit(&ring);
-      continue;
-    }
-    if (res < 0) {
-      s.status = Status::IoError("io_uring read '" + path +
-                                 "': " + std::strerror(-res));
-      ++completed;
-      continue;
-    }
-    if (res == 0) {
-      s.status = Status::IoError("short read from '" + path + "' at offset " +
-                                 std::to_string(s.offset));
-      ++completed;
-      continue;
-    }
-    done[j] += static_cast<size_t>(res);
-    if (done[j] < s.n) {  // short read: resubmit the remainder.
-      submit_one(j);
-      io_uring_submit(&ring);
-      continue;
-    }
-    s.status = Status::OK();
-    ++completed;
-  }
-  io_uring_queue_exit(&ring);
-}
-#endif  // BW_HAVE_LIBURING
 
 }  // namespace
 
@@ -289,43 +220,6 @@ void File::ReadBatch(ReadSpan* spans, size_t count,
     case IoEngineKind::kThreadPool:
       ReadThreadPool::Instance().RunBatch(count, serve);
       return;
-    case IoEngineKind::kIoUring: {
-#if defined(BW_HAVE_LIBURING)
-      // Injected faults first (decisions were charged above): delays
-      // sleep on the submitting thread, transient failures never reach
-      // the ring; the remaining spans ride one SQE batch.
-      std::vector<size_t> physical;
-      physical.reserve(count);
-      for (size_t i = 0; i < count; ++i) {
-        if (!decisions.empty()) {
-          const FaultInjector::ReadDecision& decision = decisions[i];
-          if (decision.delay_us > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::microseconds(decision.delay_us));
-          }
-          if (decision.fail_transient) {
-            spans[i].status = Status::Unavailable(
-                "simulated transient read fault on '" + path_ +
-                "' at offset " + std::to_string(spans[i].offset));
-            continue;
-          }
-        }
-        physical.push_back(i);
-      }
-      UringReadSpans(fd_, path_, spans, physical);
-      for (const size_t i : physical) {
-        if (spans[i].status.ok() && !decisions.empty() &&
-            decisions[i].flip_bit && spans[i].n > 0) {
-          static_cast<uint8_t*>(spans[i].data)[spans[i].n / 2] ^= 0x10;
-        }
-      }
-#else
-      // Unreachable: ResolveIoEngine never yields kIoUring without
-      // BW_HAVE_LIBURING. Serve sanely anyway.
-      ReadThreadPool::Instance().RunBatch(count, serve);
-#endif
-      return;
-    }
   }
 }
 

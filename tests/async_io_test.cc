@@ -1,9 +1,7 @@
 // The async read engines' core promise: engine choice changes only
 // scheduling, never results or fault accounting. These tests pin the
-// one-tick-per-span injector contract of File::ReadBatch, the
-// DiskPageFile batched Open/Scrub equivalence across engines, and the
-// buffer pools' frontier-prefetch semantics (one overlapped miss delay
-// per batch, Fetch-identical accounting, results unchanged).
+// one-tick-per-span injector contract of File::ReadBatch and the
+// DiskPageFile batched Open/Scrub equivalence across engines.
 
 #include <gtest/gtest.h>
 
@@ -12,18 +10,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "am/bulk_load.h"
-#include "am/rtree.h"
-#include "gist/nn_cursor.h"
-#include "gist/tree.h"
-#include "pages/buffer_pool.h"
-#include "pages/page_file.h"
-#include "pages/sharded_buffer_pool.h"
 #include "storage/async_io.h"
 #include "storage/disk_page_file.h"
 #include "storage/fault_injector.h"
@@ -59,17 +49,9 @@ class ScopedEnv {
   const char* name_;
 };
 
-IoEngineKind BuildAsyncDefault() {
-#if defined(BW_HAVE_LIBURING)
-  return IoEngineKind::kIoUring;
-#else
-  return IoEngineKind::kThreadPool;
-#endif
-}
-
 TEST(IoEngineTest, ResolutionFollowsEnvThenBuildDefault) {
   ::unsetenv("BW_IO_ENGINE");
-  EXPECT_EQ(ResolveIoEngine(), BuildAsyncDefault());
+  EXPECT_EQ(ResolveIoEngine(), IoEngineKind::kThreadPool);
   {
     ScopedEnv env("BW_IO_ENGINE", "sync");
     EXPECT_EQ(ResolveIoEngine(), IoEngineKind::kSync);
@@ -79,14 +61,8 @@ TEST(IoEngineTest, ResolutionFollowsEnvThenBuildDefault) {
     EXPECT_EQ(ResolveIoEngine(), IoEngineKind::kThreadPool);
   }
   {
-    // "uring" without liburing falls back to the thread pool rather
-    // than failing; with liburing it is honored.
-    ScopedEnv env("BW_IO_ENGINE", "uring");
-    EXPECT_EQ(ResolveIoEngine(), BuildAsyncDefault());
-  }
-  {
     ScopedEnv env("BW_IO_ENGINE", "bogus");  // unrecognized: ignored.
-    EXPECT_EQ(ResolveIoEngine(), BuildAsyncDefault());
+    EXPECT_EQ(ResolveIoEngine(), IoEngineKind::kThreadPool);
   }
   {
     // An explicit caller choice beats the environment.
@@ -107,7 +83,11 @@ TEST(ReadThreadPoolTest, RunsEveryIndexExactlyOnce) {
 TEST(ReadThreadPoolTest, ConcurrentBatchesDoNotInterfere) {
   auto& pool = storage::ReadThreadPool::Instance();
   constexpr size_t kSubmitters = 4;
-  constexpr size_t kN = 64;
+  // Many short batches: each batch lives on its submitter's stack, so
+  // every round also races the worker that finishes a batch's last span
+  // against the submitter returning from RunBatch.
+  constexpr int kRounds = 300;
+  constexpr size_t kN = 4;
   std::vector<std::vector<std::atomic<int>>> counts(kSubmitters);
   for (auto& c : counts) {
     c = std::vector<std::atomic<int>>(kN);
@@ -115,12 +95,14 @@ TEST(ReadThreadPoolTest, ConcurrentBatchesDoNotInterfere) {
   std::vector<std::thread> submitters;
   for (size_t s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&, s] {
-      pool.RunBatch(kN, [&, s](size_t i) { counts[s][i].fetch_add(1); });
+      for (int round = 0; round < kRounds; ++round) {
+        pool.RunBatch(kN, [&, s](size_t i) { counts[s][i].fetch_add(1); });
+      }
     });
   }
   for (auto& t : submitters) t.join();
   for (size_t s = 0; s < kSubmitters; ++s) {
-    for (size_t i = 0; i < kN; ++i) EXPECT_EQ(counts[s][i].load(), 1);
+    for (size_t i = 0; i < kN; ++i) EXPECT_EQ(counts[s][i].load(), kRounds);
   }
 }
 
@@ -398,131 +380,6 @@ TEST(DiskPageFileBatchTest, ScrubQuarantinesRotAndCountsUnreadable) {
   EXPECT_EQ(report.frames_unreadable, 0u);
   EXPECT_EQ((*disk)->health().quarantined_count(), 0u);
   std::remove(path.c_str());
-}
-
-// --- Pool prefetch ------------------------------------------------------
-
-TEST(PrefetchTest, BufferPoolPrefetchTurnsColdFetchesIntoHits) {
-  pages::PageFile file(1024);
-  for (int i = 0; i < 10; ++i) file.Allocate();
-
-  pages::BufferPoolOptions options;
-  options.charge_file_io = false;
-  options.prefetch = true;
-  pages::BufferPool pool(&file, /*capacity=*/8, options);
-  EXPECT_TRUE(pool.wants_prefetch());
-
-  const pages::PageId batch[] = {1, 3, 5};
-  pool.PrefetchBatch(batch, 3);
-  // Each cold page was charged as a miss by the prefetch itself...
-  EXPECT_EQ(pool.stats().misses, 3u);
-  EXPECT_EQ(pool.stats().hits, 0u);
-  // ...so its later Fetch is a hit.
-  for (const pages::PageId id : batch) {
-    ASSERT_TRUE(pool.Fetch(id).ok());
-  }
-  EXPECT_EQ(pool.stats().hits, 3u);
-  EXPECT_EQ(pool.stats().misses, 3u);
-  // Re-prefetching resident pages charges nothing.
-  pool.PrefetchBatch(batch, 3);
-  EXPECT_EQ(pool.stats().misses, 3u);
-
-  // Out-of-range ids are skipped, not errors.
-  const pages::PageId bogus[] = {1000};
-  pool.PrefetchBatch(bogus, 1);
-  EXPECT_EQ(pool.stats().misses, 3u);
-}
-
-TEST(PrefetchTest, DisabledOrZeroCapacityPoolIgnoresPrefetch) {
-  pages::PageFile file(1024);
-  for (int i = 0; i < 4; ++i) file.Allocate();
-
-  pages::BufferPool plain(&file, 8);  // prefetch not requested.
-  EXPECT_FALSE(plain.wants_prefetch());
-  const pages::PageId batch[] = {0, 1};
-  plain.PrefetchBatch(batch, 2);
-  EXPECT_EQ(plain.stats().misses, 0u);
-
-  pages::BufferPoolOptions options;
-  options.prefetch = true;
-  pages::BufferPool uncached(&file, 0, options);  // caches nothing.
-  EXPECT_FALSE(uncached.wants_prefetch());
-  uncached.PrefetchBatch(batch, 2);
-  EXPECT_EQ(uncached.stats().misses, 0u);
-}
-
-TEST(PrefetchTest, ShardedSessionPrefetchTurnsColdFetchesIntoHits) {
-  pages::PageFile file(1024);
-  for (int i = 0; i < 32; ++i) file.Allocate();
-
-  pages::ShardedPoolOptions options;
-  options.shards = 4;
-  options.prefetch = true;
-  pages::ShardedBufferPool pool(&file, /*capacity=*/16, options);
-  auto session = pool.MakeSession();
-  EXPECT_TRUE(session->wants_prefetch());
-
-  const pages::PageId batch[] = {2, 7, 11, 30};
-  session->PrefetchBatch(batch, 4);
-  EXPECT_EQ(session->stats().misses, 4u);
-  for (const pages::PageId id : batch) {
-    ASSERT_TRUE(session->Fetch(id).ok());
-  }
-  EXPECT_EQ(session->stats().hits, 4u);
-  EXPECT_EQ(session->stats().misses, 4u);
-  const auto totals = pool.TotalStats();
-  EXPECT_EQ(totals.hits, 4u);
-  EXPECT_EQ(totals.misses, 4u);
-}
-
-TEST(PrefetchTest, TraversalResultsIdenticalWithPrefetchOnAndOff) {
-  pages::PageFile file(2048);
-  gist::Tree tree(&file, std::make_unique<am::RtreeExtension>(4));
-  const auto points = testing::MakeClusteredPoints(3000, 4, 10, 17);
-  std::vector<gist::Rid> rids(points.size());
-  std::iota(rids.begin(), rids.end(), 0);
-  ASSERT_TRUE(am::StrBulkLoad(&tree, points, rids).ok());
-
-  pages::BufferPoolOptions off_options;
-  off_options.charge_file_io = false;
-  pages::BufferPool off_pool(&file, 64, off_options);
-  pages::BufferPoolOptions on_options;
-  on_options.charge_file_io = false;
-  on_options.prefetch = true;
-  pages::BufferPool on_pool(&file, 64, on_options);
-
-  Rng rng(3);
-  for (int trial = 0; trial < 10; ++trial) {
-    const geom::Vec& q = points[rng.NextBelow(points.size())];
-    const size_t k = 1 + rng.NextBelow(30);
-    auto off = tree.KnnSearch(q, k, nullptr, &off_pool);
-    auto on = tree.KnnSearch(q, k, nullptr, &on_pool);
-    ASSERT_TRUE(off.ok());
-    ASSERT_TRUE(on.ok());
-    ASSERT_EQ(off->size(), on->size());
-    for (size_t i = 0; i < off->size(); ++i) {
-      EXPECT_EQ((*off)[i].rid, (*on)[i].rid);
-      EXPECT_EQ((*off)[i].distance, (*on)[i].distance);
-    }
-  }
-  // Prefetching populated the cache ahead of the fetches: some fetches
-  // that were misses without prefetch became hits.
-  EXPECT_GT(on_pool.stats().hits, 0u);
-
-  // The streaming cursor takes the same prefetch path.
-  const geom::Vec& q = points[7];
-  gist::NnCursor off_cursor(tree, q, nullptr, &off_pool);
-  gist::NnCursor on_cursor(tree, q, nullptr, &on_pool);
-  for (int i = 0; i < 25; ++i) {
-    auto a = off_cursor.Next();
-    auto b = on_cursor.Next();
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->has_value(), b->has_value());
-    if (!a->has_value()) break;
-    EXPECT_EQ((*a)->rid, (*b)->rid);
-    EXPECT_EQ((*a)->distance, (*b)->distance);
-  }
 }
 
 }  // namespace

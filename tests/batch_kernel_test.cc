@@ -27,7 +27,7 @@
 #include "core/index_factory.h"
 #include "gist/extension.h"
 #include "gist/tree.h"
-#include "pages/sharded_buffer_pool.h"
+#include "pages/resident_reader.h"
 #include "tests/test_helpers.h"
 #include "util/cpu.h"
 #include "util/random.h"
@@ -169,15 +169,13 @@ TEST_P(BatchKernelTest, DegradedBatchedSearchMatchesBruteForce) {
   core::DurableIndex& index = **built;
   const gist::Tree& tree = index.tree();
 
-  // Read through a sharded-pool session, the serving read path.
-  auto* store = const_cast<pages::PageStore*>(tree.file());
-  pages::ShardedBufferPool pool(store, 64, {});
-  auto session = pool.MakeSession();
+  // Read through a ResidentReader, the serving read path.
+  pages::ResidentReader reader(tree.file());
 
   const geom::Vec query = testing::MakeUniformPoints(1, kDim, 3)[0];
   constexpr size_t kK = 25;
   gist::TraversalStats stats;
-  auto baseline = tree.KnnSearch(query, kK, &stats, session.get());
+  auto baseline = tree.KnnSearch(query, kK, &stats, &reader);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
   // Victims: one visited leaf plus one visited non-root internal (when
@@ -200,7 +198,7 @@ TEST_P(BatchKernelTest, DegradedBatchedSearchMatchesBruteForce) {
   }
   gist::DegradedRead degraded;
   degraded.budget = 16;
-  auto result = tree.KnnSearch(query, kK, nullptr, session.get(), &degraded);
+  auto result = tree.KnnSearch(query, kK, nullptr, &reader, &degraded);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(degraded.degraded());
 

@@ -18,6 +18,7 @@
 #include "core/durable_index.h"
 #include "core/index_factory.h"
 #include "service/query_service.h"
+#include "service/snapshot_export.h"
 #include "shard/fleet.h"
 #include "shard/partitioner.h"
 #include "shard/router.h"
@@ -45,6 +46,18 @@ core::IndexBuildOptions TestBuild() {
   build.am = "xjb";
   build.xjb_x = 0;
   return build;
+}
+
+/// The value `service` exports under `name` (the registry behind
+/// bwadmin stats and the Stats RPC); -1 with a failure if it is absent.
+double ExportedStat(const service::QueryService& service,
+                    const std::string& name) {
+  for (const auto& [key, value] :
+       service::ExportSnapshotFields(service.Snapshot())) {
+    if (key == name) return value;
+  }
+  ADD_FAILURE() << "stat not exported: " << name;
+  return -1;
 }
 
 geom::Vec MakePoint(float base) {
@@ -231,6 +244,7 @@ TEST(ServiceCatchupTest, WalPathConvergesAndReapplyIsIdempotent) {
   dst_pos = dst.service->Position();
   ASSERT_TRUE(dst_pos.ok());
   EXPECT_EQ(dst_pos->last_tag, converged);
+  EXPECT_GE(ExportedStat(*dst.service, "catchup_batches_applied"), 1.0);
 
   // Bit-identity handshake, then the shipped write actually serves.
   auto src_sum = src.service->TreeChecksum();
@@ -292,6 +306,8 @@ TEST(ServiceCatchupTest, SnapshotPathCrossesRetiredHorizonAndShedsQueries) {
     if (last) break;
   }
   EXPECT_TRUE(shed_observed) << "snapshot fit one chunk; shrink max_bytes";
+  EXPECT_GE(ExportedStat(*dst.service, "snapshot_chunks_applied"), 1.0);
+  EXPECT_EQ(ExportedStat(*dst.service, "snapshot_restoring"), 0.0);
 
   auto src_sum = src.service->TreeChecksum();
   auto dst_sum = dst.service->TreeChecksum();

@@ -200,8 +200,6 @@ void RunSeed(uint64_t seed) {
   options.num_workers = 3;
   options.queue_capacity = 64;
   options.overflow = OverflowPolicy::kBlock;
-  options.worker_pool_pages = 4;  // small pool: quarantine gate on every walk.
-  options.io_delay_us = 30;       // gives stream deadlines something to cut.
   options.fault_budget = page_count + 8;  // never fail a query outright.
   QueryService service(index, options);
 
@@ -323,8 +321,9 @@ void RunSeed(uint64_t seed) {
             }
           }
           if (iter % 5 == 0) {
-            // Deadline stream: the I/O watchdog may cut it off mid-read;
-            // whatever streamed out must still be genuine and ascending.
+            // Deadline stream: the deadline may cut it off at a node
+            // fetch or between results; whatever streamed out must still
+            // be genuine and ascending.
             StreamOptions stream;
             stream.max_results = 25;
             stream.deadline_us = 200;

@@ -516,10 +516,7 @@ TEST(NetEndToEnd, StreamingHonorsClientBatchSize) {
 }
 
 TEST(NetEndToEnd, DeadlinePropagatesIntoStreamTruncation) {
-  service::ServiceOptions sopts;
-  sopts.worker_pool_pages = 2;
-  sopts.io_delay_us = 500;  // every page access costs 500 us.
-  NetHarness h(sopts);
+  NetHarness h;
   auto client = h.Connect();
   QueryLimits limits;
   limits.deadline_us = 1;
@@ -536,10 +533,7 @@ TEST(NetEndToEnd, DeadlinePropagatesIntoStreamTruncation) {
 }
 
 TEST(NetEndToEnd, DeadlineExpiryMidStreamLeavesTheConnectionReusable) {
-  service::ServiceOptions sopts;
-  sopts.worker_pool_pages = 2;
-  sopts.io_delay_us = 500;
-  NetHarness h(sopts);
+  NetHarness h;
   auto client = h.Connect();
 
   // A deadline-doomed stream pipelined ahead of a full one: the doomed
@@ -581,10 +575,7 @@ TEST(NetEndToEnd, DeadlineExpiryMidStreamLeavesTheConnectionReusable) {
 }
 
 TEST(NetEndToEnd, DeadlineExpiryDuringIncrementalStreamRetiresCleanly) {
-  service::ServiceOptions sopts;
-  sopts.worker_pool_pages = 2;
-  sopts.io_delay_us = 500;
-  NetHarness h(sopts);
+  NetHarness h;
   auto client = h.Connect();
 
   // Consume the doomed stream one result at a time — the shard

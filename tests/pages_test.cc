@@ -1,20 +1,26 @@
 // Unit tests for src/pages: slotted Page, PageFile I/O accounting,
-// BufferPool LRU behavior, the process-wide ShardedBufferPool, and the
-// IoModel disk arithmetic of the paper's footnote 4.
+// BufferPool LRU behavior, the serving ResidentReader, and the IoModel
+// disk arithmetic of the paper's footnote 4.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "am/bulk_load.h"
+#include "am/rtree.h"
+#include "gist/nn_cursor.h"
+#include "gist/tree.h"
 #include "pages/buffer_pool.h"
 #include "pages/io_model.h"
 #include "pages/page.h"
 #include "pages/page_file.h"
-#include "pages/sharded_buffer_pool.h"
+#include "pages/resident_reader.h"
+#include "tests/test_helpers.h"
+#include "util/random.h"
 
 namespace bw::pages {
 namespace {
@@ -231,134 +237,120 @@ class QuarantiningFile : public PageStore {
   std::vector<PageId> sick_;
 };
 
-TEST(ShardedPoolTest, MissesAreSharedAcrossSessions) {
-  PageFile file(512);
-  for (int i = 0; i < 4; ++i) file.Allocate();
-  ShardedPoolOptions options;
-  options.shards = 4;
-  ShardedBufferPool pool(&file, 8, options);
-  auto a = pool.MakeSession();
-  auto b = pool.MakeSession();
-  for (PageId id = 0; id < 4; ++id) ASSERT_TRUE(a->Fetch(id).ok());
-  // Session B reuses the pages session A's misses brought in: the whole
-  // point of the shared pool.
-  for (PageId id = 0; id < 4; ++id) ASSERT_TRUE(b->Fetch(id).ok());
-  EXPECT_EQ(a->stats().misses, 4u);
-  EXPECT_EQ(a->stats().hits, 0u);
-  EXPECT_EQ(b->stats().hits, 4u);
-  EXPECT_EQ(b->stats().misses, 0u);
-  const BufferStats total = pool.TotalStats();
-  EXPECT_EQ(total.hits, 4u);
-  EXPECT_EQ(total.misses, 4u);
-  EXPECT_EQ(total.evictions, 0u);
-}
-
-TEST(ShardedPoolTest, ClockEvictionIsCounted) {
-  PageFile file(512);
-  for (int i = 0; i < 3; ++i) file.Allocate();
-  ShardedPoolOptions options;
-  options.shards = 1;  // single shard: deterministic CLOCK behavior.
-  ShardedBufferPool pool(&file, 2, options);
-  EXPECT_EQ(pool.shard_count(), 1u);
-  auto session = pool.MakeSession();
-  (void)session->Fetch(0);
-  (void)session->Fetch(1);
-  (void)session->Fetch(2);  // full: the sweep must evict someone.
-  EXPECT_EQ(pool.TotalStats().evictions, 1u);
-  EXPECT_EQ(session->stats().evictions, 1u);
-  const auto per_shard = pool.PerShardStats();
-  ASSERT_EQ(per_shard.size(), 1u);
-  EXPECT_EQ(per_shard[0].resident, 2u);
-  EXPECT_EQ(per_shard[0].capacity, 2u);
-}
-
-TEST(ShardedPoolTest, HashSpreadsPagesOverShards) {
-  PageFile file(512);
-  for (int i = 0; i < 64; ++i) file.Allocate();
-  ShardedPoolOptions options;
-  options.shards = 4;
-  ShardedBufferPool pool(&file, 64, options);
-  auto session = pool.MakeSession();
-  for (PageId id = 0; id < 64; ++id) ASSERT_TRUE(session->Fetch(id).ok());
-  for (const ShardStats& shard : pool.PerShardStats()) {
-    EXPECT_GT(shard.misses, 0u) << "a shard saw none of 64 pages";
-  }
-}
-
-TEST(ShardedPoolTest, QuarantinedPageRefusedEvenWhenResident) {
+TEST(ResidentReaderTest, QuarantinedPageRefused) {
   QuarantiningFile store(512);
   store.Allocate();
-  ShardedBufferPool pool(&store, 4, {});
-  auto session = pool.MakeSession();
-  ASSERT_TRUE(session->Fetch(0).ok());  // resident now.
+  ResidentReader reader(&store);
+  ASSERT_TRUE(reader.Fetch(0).ok());
   store.Quarantine(0);
-  auto refused = session->Fetch(0);
+  auto refused = reader.Fetch(0);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(reader.stats().hits, 1u);  // only the served fetch counts.
 }
 
-TEST(ShardedPoolTest, OutOfRangeFetchFails) {
+TEST(ResidentReaderTest, OutOfRangeFetchFails) {
   PageFile file(512);
   file.Allocate();
-  ShardedBufferPool pool(&file, 4, {});
-  auto session = pool.MakeSession();
-  EXPECT_FALSE(session->Fetch(99).ok());
+  ResidentReader reader(&file);
+  EXPECT_FALSE(reader.Fetch(99).ok());
+  EXPECT_EQ(reader.stats().hits, 0u);
 }
 
-TEST(ShardedPoolTest, WatchdogCutsOffSimulatedRead) {
+TEST(ResidentReaderTest, FetchAtOrPastDeadlineIsAborted) {
   PageFile file(512);
   file.Allocate();
-  ShardedPoolOptions options;
-  options.miss_delay_us = 200000;  // one read dwarfs the deadline.
-  ShardedBufferPool pool(&file, 4, options);
-  auto session = pool.MakeSession();
-  session->ArmWatchdog(std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(2));
-  const auto start = std::chrono::steady_clock::now();
-  auto aborted = session->Fetch(0);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ResidentReader reader(&file);
+  ASSERT_TRUE(reader.Fetch(0).ok());  // no deadline set: always served.
+  reader.set_deadline(ResidentReader::Clock::now());
+  auto aborted = reader.Fetch(0);
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(aborted.status().code(), StatusCode::kAborted);
-  EXPECT_EQ(session->watchdog_expirations(), 1u);
-  EXPECT_LT(std::chrono::duration<double>(elapsed).count(), 0.15);
-  session->DisarmWatchdog();
-  // Watchdog state is per-session: a fresh session reads fine (with the
-  // full delay, so drop it first).
-  auto other = pool.MakeSession();
-  EXPECT_EQ(other->watchdog_expirations(), 0u);
+  EXPECT_EQ(reader.deadline_expirations(), 1u);
+  EXPECT_EQ(reader.stats().hits, 1u);
+  // Deadline state is per-reader: a fresh reader over the same store
+  // serves normally.
+  ResidentReader other(&file);
+  EXPECT_TRUE(other.Fetch(0).ok());
+  EXPECT_EQ(other.deadline_expirations(), 0u);
 }
 
-TEST(ShardedPoolTest, ConcurrentSessionsAccountExactly) {
+TEST(ResidentReaderTest, ConcurrentReadersCountExactly) {
   PageFile file(512);
   for (int i = 0; i < 8; ++i) file.Allocate();
-  ShardedPoolOptions options;
-  options.shards = 4;
-  // Ample per-shard headroom: 8 pages never evict even if the hash
-  // lands them all in one shard (8 <= 32/4 is not guaranteed per shard,
-  // but 32 total leaves every shard at least 8 frames).
-  ShardedBufferPool pool(&file, 32, options);
   constexpr size_t kThreads = 4;
   constexpr size_t kFetches = 500;
   std::vector<std::thread> threads;
-  std::vector<BufferStats> session_stats(kThreads);
+  std::vector<BufferStats> reader_stats(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, &session_stats, t] {
-      auto session = pool.MakeSession();
+    threads.emplace_back([&file, &reader_stats, t] {
+      ResidentReader reader(&file);
       for (size_t i = 0; i < kFetches; ++i) {
-        ASSERT_TRUE(session->Fetch((t * 31 + i * 7) % 8).ok());
+        const PageId id = (t * 31 + i * 7) % 8;
+        auto page = reader.Fetch(id);
+        ASSERT_TRUE(page.ok());
+        EXPECT_EQ(*page, file.PeekNoIo(id));
       }
-      session_stats[t] = session->stats();
+      reader_stats[t] = reader.stats();
     });
   }
   for (auto& thread : threads) thread.join();
-  uint64_t session_total = 0;
-  for (const BufferStats& s : session_stats) {
-    EXPECT_EQ(s.hits + s.misses, kFetches);
-    session_total += s.hits + s.misses;
+  for (const BufferStats& s : reader_stats) {
+    EXPECT_EQ(s.hits, kFetches);
+    EXPECT_EQ(s.misses, 0u);
+    EXPECT_EQ(s.evictions, 0u);
   }
-  const BufferStats total = pool.TotalStats();
-  EXPECT_EQ(total.hits + total.misses, session_total);
-  EXPECT_EQ(total.evictions, 0u);  // capacity covers every page.
+  EXPECT_EQ(file.stats().reads, 0u);  // the shared IoStats stay untouched.
+}
+
+TEST(ResidentReaderTest, TraversalMatchesCountedReads) {
+  PageFile file(2048);
+  gist::Tree tree(&file, std::make_unique<am::RtreeExtension>(4));
+  const auto points = testing::MakeClusteredPoints(3000, 4, 10, 17);
+  std::vector<gist::Rid> rids(points.size());
+  std::iota(rids.begin(), rids.end(), 0);
+  ASSERT_TRUE(am::StrBulkLoad(&tree, points, rids).ok());
+
+  ResidentReader reader(&file);
+  Rng rng(3);
+  for (int trial = 0; trial < 10; ++trial) {
+    const geom::Vec& q = points[rng.NextBelow(points.size())];
+    const size_t k = 1 + rng.NextBelow(30);
+    gist::TraversalStats counted_stats;
+    gist::TraversalStats resident_stats;
+    const uint64_t hits_before = reader.stats().hits;
+    auto counted = tree.KnnSearch(q, k, &counted_stats);
+    auto resident = tree.KnnSearch(q, k, &resident_stats, &reader);
+    ASSERT_TRUE(counted.ok());
+    ASSERT_TRUE(resident.ok());
+    ASSERT_EQ(counted->size(), resident->size());
+    for (size_t i = 0; i < counted->size(); ++i) {
+      EXPECT_EQ((*counted)[i].rid, (*resident)[i].rid);
+      EXPECT_EQ((*counted)[i].distance, (*resident)[i].distance);
+    }
+    // Same nodes visited, each one a served fetch.
+    EXPECT_EQ(resident_stats.accessed_internals,
+              counted_stats.accessed_internals);
+    EXPECT_EQ(resident_stats.accessed_leaves, counted_stats.accessed_leaves);
+    EXPECT_EQ(reader.stats().hits - hits_before,
+              resident_stats.internal_accesses +
+                  resident_stats.leaf_accesses);
+  }
+
+  // The streaming cursor reads through the same path.
+  const geom::Vec& q = points[7];
+  gist::NnCursor counted_cursor(tree, q);
+  gist::NnCursor resident_cursor(tree, q, nullptr, &reader);
+  for (int i = 0; i < 25; ++i) {
+    auto a = counted_cursor.Next();
+    auto b = resident_cursor.Next();
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    ASSERT_EQ(a->has_value(), b->has_value());
+    if (!a->has_value()) break;
+    EXPECT_EQ((*a)->rid, (*b)->rid);
+    EXPECT_EQ((*a)->distance, (*b)->distance);
+  }
 }
 
 TEST(IoModelTest, PaperFootnote4Arithmetic) {

@@ -269,12 +269,12 @@ TEST(QueryServiceTest, StreamDeadlineTruncates) {
 
   ServiceOptions options;
   options.num_workers = 1;
-  options.io_delay_us = 50;       // make every page miss cost wall time
-  options.worker_pool_pages = 1;  // and make nearly every fetch a miss.
   QueryService service(built->tree(), options);
 
+  // Expires essentially immediately: the stream stops at the next node
+  // fetch or between two results, long before all 4000 points stream.
   StreamOptions stream;
-  stream.deadline_us = 1;  // expires essentially immediately.
+  stream.deadline_us = 1;
   auto future = service.SubmitStream(points[3], stream);
   ASSERT_TRUE(future.ok());
   auto response = future->get();
@@ -319,73 +319,46 @@ TEST(QueryServiceTest, SnapshotAggregates) {
   EXPECT_LE(snap.p95_latency_us, snap.p99_latency_us);
 }
 
-TEST(QueryServiceTest, SharedPoolCountersSurfaceInMetricsAndSnapshot) {
+TEST(QueryServiceTest, ResidentReadCountersSurfaceInMetricsAndSnapshot) {
   auto built = BuildSmallIndex();
   const auto points = testing::MakeClusteredPoints(2000, 5, 8, 11);
   ServiceOptions options;
   options.num_workers = 2;
-  options.shared_pool = true;       // the default, stated for clarity.
-  options.shared_pool_pages = 4;    // tiny: force evictions.
-  options.pool_shards = 2;
   QueryService service(built->tree(), options);
 
-  uint64_t per_query_hits = 0, per_query_misses = 0, per_query_evictions = 0;
+  // Every page is resident: each node a query visits is one served
+  // fetch, counted as a hit, and nothing ever misses, evicts or waits.
+  uint64_t hits = 0, visits = 0;
   for (size_t i = 0; i < 30; ++i) {
     auto response = service.Knn(points[i * 13 % points.size()], 10);
     ASSERT_TRUE(response.ok());
-    per_query_hits += response->metrics.pool_hits;
-    per_query_misses += response->metrics.pool_misses;
-    per_query_evictions += response->metrics.pool_evictions;
+    const service::QueryMetrics& m = response->metrics;
+    EXPECT_EQ(m.pool_hits, m.internal_accesses + m.leaf_accesses);
+    EXPECT_GT(m.pool_hits, 0u);
+    EXPECT_EQ(m.pool_misses, 0u);
+    EXPECT_EQ(m.pool_evictions, 0u);
+    EXPECT_EQ(m.pool_contention, 0u);
+    hits += m.pool_hits;
+    visits += m.internal_accesses + m.leaf_accesses;
   }
-  EXPECT_GT(per_query_misses, 0u);
-  EXPECT_GT(per_query_evictions, 0u);  // 4 pages cannot hold the tree.
-
-  const auto snap = service.Snapshot();
-  EXPECT_EQ(snap.pool_shards, 2u);
-  // Per-query deltas and the aggregate are the same counters, summed.
-  EXPECT_EQ(snap.pool_hits, per_query_hits);
-  EXPECT_EQ(snap.pool_misses, per_query_misses);
-  EXPECT_EQ(snap.pool_evictions, per_query_evictions);
-}
-
-TEST(QueryServiceTest, SharedPoolWarmsAcrossWorkers) {
-  auto built = BuildSmallIndex();
-  const auto points = testing::MakeClusteredPoints(2000, 5, 8, 11);
-  ServiceOptions options;
-  options.num_workers = 4;
-  options.overflow = OverflowPolicy::kBlock;
-  QueryService service(built->tree(), options);
-
-  // Same query many times: after the first execution every page it
-  // touches is resident for all workers, so misses stay bounded by one
-  // traversal's page set while hits grow with repetition.
-  std::vector<QueryService::ResponseFuture> futures;
-  for (size_t i = 0; i < 32; ++i) {
-    auto f = service.SubmitKnn(points[42], 10);
-    ASSERT_TRUE(f.ok());
-    futures.push_back(std::move(*f));
-  }
-  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
-  const auto snap = service.Snapshot();
-  EXPECT_GT(snap.pool_hits, snap.pool_misses);
-}
-
-TEST(QueryServiceTest, PrivatePoolModeKeepsLegacyLayout) {
-  auto built = BuildSmallIndex();
-  const auto points = testing::MakeClusteredPoints(2000, 5, 8, 11);
-  ServiceOptions options;
-  options.num_workers = 2;
-  options.shared_pool = false;
-  options.worker_pool_pages = 64;
-  QueryService service(built->tree(), options);
-
-  auto response = service.Knn(points[5], 10);
+  StreamOptions stream;
+  stream.max_results = 20;
+  auto streamed = service.SubmitStream(points[3], stream);
+  ASSERT_TRUE(streamed.ok());
+  auto response = streamed->get();
   ASSERT_TRUE(response.ok());
-  EXPECT_GT(response->metrics.pool_misses, 0u);
-  EXPECT_EQ(response->metrics.pool_contention, 0u);  // no shared locks.
+  EXPECT_EQ(response->metrics.pool_hits, response->metrics.internal_accesses +
+                                             response->metrics.leaf_accesses);
+  hits += response->metrics.pool_hits;
+  visits += response->metrics.internal_accesses +
+            response->metrics.leaf_accesses;
 
+  // The snapshot holds the per-query sums.
   const auto snap = service.Snapshot();
-  EXPECT_EQ(snap.pool_shards, 0u);  // 0 marks private per-worker pools.
+  EXPECT_EQ(snap.pool_hits, hits);
+  EXPECT_EQ(snap.internal_accesses + snap.leaf_accesses, visits);
+  EXPECT_EQ(snap.pool_misses, 0u);
+  EXPECT_EQ(snap.pool_evictions, 0u);
   EXPECT_EQ(snap.pool_contention, 0u);
 }
 
@@ -432,7 +405,7 @@ TEST(QueryServiceTest, OwnedIndexConstructor) {
 // Many client threads hammer one service with k-NN, range, and stream
 // requests concurrently; every response must be well-formed.
 // ---------------------------------------------------------------------------
-// Serving through faults: watchdog deadlines and degraded-mode queries
+// Serving through faults: degraded-mode queries
 // ---------------------------------------------------------------------------
 
 std::string TempPath(const std::string& name) {
@@ -452,33 +425,6 @@ std::unique_ptr<core::DurableIndex> BuildDurableSmallIndex(
                                        TempPath("svc_" + tag + ".bwwal"));
   EXPECT_TRUE(built.ok()) << built.status().ToString();
   return std::move(*built);
-}
-
-TEST(QueryServiceFaultTest, DeadlineExpiresDuringStorageRead) {
-  auto built = BuildSmallIndex();
-  const auto points = testing::MakeClusteredPoints(2000, 5, 8, 11);
-
-  ServiceOptions options;
-  options.num_workers = 1;
-  options.worker_pool_pages = 0;  // every page access is a miss.
-  options.io_delay_us = 20000;    // one simulated read dwarfs the deadline.
-  QueryService service(built->tree(), options);
-
-  StreamOptions stream;
-  stream.max_results = 50;
-  stream.deadline_us = 2000;
-  auto future = service.SubmitStream(points[0], stream);
-  ASSERT_TRUE(future.ok());
-  auto response = future->get();
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  // The deadline expired inside the very first 20 ms storage read, so the
-  // watchdog — not the between-pages check — must have cut the stream:
-  // the query comes back truncated well before one full read completes.
-  EXPECT_TRUE(response->metrics.truncated);
-  EXPECT_LT(response->metrics.latency_us, 15000.0);
-  const auto snap = service.Snapshot();
-  EXPECT_GE(snap.watchdog_expirations, 1u);
-  EXPECT_EQ(snap.truncated_streams, 1u);
 }
 
 TEST(QueryServiceFaultTest, QuarantineDegradesThenHealsExact) {
@@ -550,7 +496,6 @@ TEST(QueryServiceTest, MixedKindStress) {
   options.num_workers = 4;
   options.queue_capacity = 8;
   options.overflow = OverflowPolicy::kBlock;
-  options.worker_pool_pages = 32;
   QueryService service(built->tree(), options);
 
   constexpr size_t kClients = 6;
