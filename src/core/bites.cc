@@ -1,8 +1,10 @@
 #include "core/bites.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "core/bites_isa.h"
@@ -21,14 +23,20 @@ inline float CornerCoord(const geom::Rect& mbr, uint32_t corner, size_t d) {
   return CornerAtHi(corner, d) ? mbr.hi()[d] : mbr.lo()[d];
 }
 
-}  // namespace
-
-double Bite::Volume(const geom::Rect& mbr) const {
+// Volume of the box between the MBR corner and `inner` (`dim` floats).
+double BoxVolume(const geom::Rect& mbr, uint32_t corner, const float* inner,
+                 size_t dim) {
   double v = 1.0;
-  for (size_t d = 0; d < inner.dim(); ++d) {
+  for (size_t d = 0; d < dim; ++d) {
     v *= std::abs(static_cast<double>(CornerCoord(mbr, corner, d)) - inner[d]);
   }
   return v;
+}
+
+}  // namespace
+
+double Bite::Volume(const geom::Rect& mbr) const {
+  return BoxVolume(mbr, corner, inner.data(), inner.dim());
 }
 
 bool Bite::IsEmpty(const geom::Rect& mbr) const {
@@ -64,87 +72,237 @@ bool RectIntersectsBite(const geom::Rect& mbr, const Bite& bite,
   return true;
 }
 
+namespace {
+
+constexpr size_t kMaxBiteDim = 16;
+
+// Both constructions below keep two invariants that make them
+// near-linear in the node's contents:
+//
+//  * The bite under construction never holds a content element. The
+//    nibble starts at zero extent (every inner coordinate is a content
+//    minimum) and undoes a blocked step; an extension stops at the
+//    nearest content that would enter.
+//  * Inner faces only move outward, so "content i lies past face d"
+//    never becomes false again.
+//
+// Hence a nibble step of dimension d from its k-th to its (k+1)-th
+// distinct coordinate can only be blocked by the contents whose
+// d-coordinate is the k-th value, and an extension's blocking set only
+// grows: its limit is a running minimum fed as faces advance.
+
+// The node's contents in signed coordinates, shared by the nibble and
+// the maximal extension. Axis a = 2*d + side holds dimension d for the
+// corners on one side of it: side 0 (corner at lo[d]) stores each
+// content's lo[d], side 1 (corner at hi[d]) stores -hi[d]. With the
+// bite's key equal to its inner coordinate (side 0) or its negation
+// (side 1), "strictly inside the bite" reads coord < key on the
+// corner's axis of every dimension, and an inner face moving outward
+// is a key growing. All three arrays are 2*D planes of n entries.
+struct SignedAxes {
+  size_t n = 0;
+  // Content i's coordinate on axis a is coord[a * n + i].
+  std::vector<float> coord;
+  // The contents of axis a in ascending coordinate order.
+  std::vector<uint32_t> sorted;
+  // run_end[a * n + k]: the first sorted position past the run of equal
+  // coordinates that holds position k. The runs are the distinct values
+  // a nibble steps through.
+  std::vector<uint32_t> run_end;
+};
+
+SignedAxes BuildSignedAxes(const std::vector<geom::Rect>& contents,
+                           size_t dim) {
+  SignedAxes axes;
+  const size_t n = contents.size();
+  axes.n = n;
+  axes.coord.resize(2 * dim * n);
+  axes.sorted.resize(2 * dim * n);
+  axes.run_end.resize(2 * dim * n);
+  for (size_t i = 0; i < n; ++i) {
+    BW_DCHECK_EQ(contents[i].dim(), dim);
+    for (size_t d = 0; d < dim; ++d) {
+      axes.coord[2 * d * n + i] = contents[i].lo()[d];
+      axes.coord[(2 * d + 1) * n + i] = -contents[i].hi()[d];
+    }
+  }
+  for (size_t a = 0; a < 2 * dim; ++a) {
+    const float* plane = axes.coord.data() + a * n;
+    uint32_t* order = axes.sorted.data() + a * n;
+    uint32_t* run_end = axes.run_end.data() + a * n;
+    std::iota(order, order + n, 0u);
+    // The same comparisons, on the same sequence, as a sort of the raw
+    // values (on side 1, -x < -y exactly when x > y), so each run starts
+    // with the content whose value bits a sort-and-unique would keep.
+    std::sort(order, order + n,
+              [plane](uint32_t x, uint32_t y) { return plane[x] < plane[y]; });
+    for (size_t k = n; k-- > 0;) {
+      const bool run_goes_on =
+          k + 1 < n && plane[order[k + 1]] == plane[order[k]];
+      run_end[k] = run_goes_on ? run_end[k + 1] : static_cast<uint32_t>(k + 1);
+    }
+  }
+  return axes;
+}
+
+// One corner's view of the axes: dimension d reads the axis of the
+// corner's side in d.
+struct CornerView {
+  const float* plane[kMaxBiteDim];
+  const uint32_t* sorted[kMaxBiteDim];
+  const uint32_t* run_end[kMaxBiteDim];
+};
+
+CornerView ViewCorner(const SignedAxes& axes, size_t dim, uint32_t corner) {
+  CornerView view;
+  for (size_t d = 0; d < dim; ++d) {
+    const size_t offset = (2 * d + (CornerAtHi(corner, d) ? 1 : 0)) * axes.n;
+    view.plane[d] = axes.coord.data() + offset;
+    view.sorted[d] = axes.sorted.data() + offset;
+    view.run_end[d] = axes.run_end.data() + offset;
+  }
+  return view;
+}
+
+// The inner point of the bite with signed inner point `key`.
+void InnerFromKey(uint32_t corner, size_t dim, const float* key,
+                  float* inner) {
+  for (size_t d = 0; d < dim; ++d) {
+    inner[d] = CornerAtHi(corner, d) ? -key[d] : key[d];
+  }
+}
+
+Bite MakeBite(uint32_t corner, size_t dim, const float* key) {
+  Bite bite;
+  bite.corner = corner;
+  bite.inner = geom::Vec(dim);
+  InnerFromKey(corner, dim, key, bite.inner.data());
+  return bite;
+}
+
+double KeyVolume(const geom::Rect& mbr, uint32_t corner, size_t dim,
+                 const float* key) {
+  float inner[kMaxBiteDim];
+  InnerFromKey(corner, dim, key, inner);
+  return BoxVolume(mbr, corner, inner, dim);
+}
+
+// True if a content of [first, last) lies strictly inside the bite with
+// signed inner point `key`.
+bool AnyInside(const CornerView& view, size_t dim, const uint32_t* first,
+               const uint32_t* last, const float* key) {
+  for (; first != last; ++first) {
+    const uint32_t i = *first;
+    size_t d = 0;
+    while (d < dim && view.plane[d][i] < key[d]) ++d;
+    if (d == dim) return true;
+  }
+  return false;
+}
+
+// Figure 13 for one corner: nibble the next distinct coordinate of each
+// unfinished dimension in turn until content stops every dimension.
+// Writes the bite's signed inner point to `key` and, per dimension, the
+// sorted position where the run at key[d] starts to `run_start`. A step
+// of d past a run is tested against that run's contents only (see the
+// invariants above).
+void NibbleCorner(const CornerView& view, size_t dim, size_t n, float* key,
+                  uint32_t* run_start) {
+  for (size_t d = 0; d < dim; ++d) {
+    run_start[d] = 0;
+    key[d] = view.plane[d][view.sorted[d][0]];
+  }
+  const uint32_t all = (uint32_t{1} << dim) - 1;
+  uint32_t done = 0;
+  while (done != all) {
+    for (size_t d = 0; d < dim; ++d) {
+      if ((done >> d) & 1u) continue;
+      const uint32_t next = view.run_end[d][run_start[d]];
+      if (next == n) {
+        done |= 1u << d;
+        continue;
+      }
+      const float held = key[d];
+      key[d] = view.plane[d][view.sorted[d][next]];
+      if (AnyInside(view, dim, view.sorted[d] + run_start[d],
+                    view.sorted[d] + next, key)) {
+        key[d] = held;
+        done |= 1u << d;
+      } else {
+        run_start[d] = next;
+      }
+    }
+  }
+}
+
+// The maximal extension of one corner's bite. Extending dimension d
+// moves its inner face to the nearest blocking coordinate: the minimum,
+// over the opposite MBR face and every content past the bite's inner
+// face in all dimensions but d, of that content's d-coordinate. A
+// content is tracked by the set of dimensions it lies past (`past`,
+// never all D since the bite stays empty); one reaching D-1 feeds its
+// missing dimension's running minimum. Ties keep the face, then the
+// lowest content index: the element a first-to-last scan with std::min
+// (std::max on hi sides) keeps, so the chosen bits are the same.
+struct ExtendState {
+  float key[kMaxBiteDim];
+  float limit[kMaxBiteDim];
+  uint32_t limit_rank[kMaxBiteDim];  // 0 = the face; content i = i + 1.
+  // How many of dimension d's sorted contents lie past face d.
+  uint32_t walked[kMaxBiteDim];
+};
+
+// Content i now lies past the faces in `mask`; if that is all but one,
+// it blocks the missing dimension.
+void NotePast(const CornerView& view, size_t dim, uint32_t i, uint32_t mask,
+              ExtendState& state) {
+  BW_DCHECK_LT(static_cast<size_t>(std::popcount(mask)), dim);
+  if (static_cast<size_t>(std::popcount(mask)) + 1 != dim) return;
+  const uint32_t all = (uint32_t{1} << dim) - 1;
+  const size_t m = static_cast<size_t>(std::countr_zero(~mask & all));
+  const float v = view.plane[m][i];
+  if (v < state.limit[m] ||
+      (v == state.limit[m] && i + 1 < state.limit_rank[m])) {
+    state.limit[m] = v;
+    state.limit_rank[m] = i + 1;
+  }
+}
+
+// Marks the contents the face of dimension d has passed since the last
+// walk.
+void WalkFace(const CornerView& view, size_t dim, size_t n, size_t d,
+              ExtendState& state, uint16_t* past) {
+  const float* plane = view.plane[d];
+  const uint32_t* sorted = view.sorted[d];
+  const float key = state.key[d];
+  uint32_t k = state.walked[d];
+  for (; k < n && plane[sorted[k]] < key; ++k) {
+    const uint32_t i = sorted[k];
+    const uint32_t mask = past[i] | (uint32_t{1} << d);
+    past[i] = static_cast<uint16_t>(mask);
+    NotePast(view, dim, i, mask, state);
+  }
+  state.walked[d] = k;
+}
+
+}  // namespace
+
 std::vector<Bite> NibbleAllCorners(const geom::Rect& mbr,
                                    const std::vector<geom::Rect>& contents) {
   const size_t dim = mbr.dim();
   BW_CHECK_LE(dim, 16u);
+  BW_CHECK(!contents.empty());
   const uint32_t corner_count = 1u << dim;
-
-  // Per dimension, the content coordinates that nibbling can step
-  // through: ascending (for lo corners) and descending (for hi corners),
-  // deduplicated. Index 0 is the MBR face itself (zero-extent bite).
-  std::vector<std::vector<float>> ascending(dim);
-  std::vector<std::vector<float>> descending(dim);
-  for (size_t d = 0; d < dim; ++d) {
-    std::vector<float>& asc = ascending[d];
-    std::vector<float>& desc = descending[d];
-    asc.reserve(contents.size());
-    desc.reserve(contents.size());
-    for (const geom::Rect& r : contents) {
-      asc.push_back(r.lo()[d]);
-      desc.push_back(r.hi()[d]);
-    }
-    std::sort(asc.begin(), asc.end());
-    asc.erase(std::unique(asc.begin(), asc.end()), asc.end());
-    std::sort(desc.begin(), desc.end(), std::greater<float>());
-    desc.erase(std::unique(desc.begin(), desc.end()), desc.end());
-  }
+  const SignedAxes axes = BuildSignedAxes(contents, dim);
 
   std::vector<Bite> bites;
   bites.reserve(corner_count);
+  float key[kMaxBiteDim];
+  uint32_t run_start[kMaxBiteDim];
   for (uint32_t corner = 0; corner < corner_count; ++corner) {
-    Bite bite;
-    bite.corner = corner;
-    bite.inner = geom::Vec(dim);
-
-    // Figure 13: simultaneously nibble the next projected value in each
-    // dimension until content stops the nibbling everywhere.
-    std::vector<size_t> how_far(dim, 0);
-    std::vector<bool> done(dim, false);
-    size_t stopped = 0;
-
-    auto value_at = [&](size_t d, size_t steps) {
-      const auto& vals = CornerAtHi(corner, d) ? descending[d] : ascending[d];
-      return vals[std::min(steps, vals.size() - 1)];
-    };
-    auto values_count = [&](size_t d) {
-      return (CornerAtHi(corner, d) ? descending[d] : ascending[d]).size();
-    };
-
-    while (stopped < dim) {
-      for (size_t d = 0; d < dim; ++d) {
-        if (done[d]) continue;
-        if (how_far[d] + 1 >= values_count(d)) {
-          done[d] = true;
-          ++stopped;
-          continue;
-        }
-        ++how_far[d];
-        Bite candidate;
-        candidate.corner = corner;
-        candidate.inner = geom::Vec(dim);
-        for (size_t d2 = 0; d2 < dim; ++d2) {
-          candidate.inner[d2] = value_at(d2, how_far[d2]);
-        }
-        bool blocked = false;
-        for (const geom::Rect& r : contents) {
-          if (RectIntersectsBite(mbr, candidate, r)) {
-            blocked = true;
-            break;
-          }
-        }
-        if (blocked) {
-          --how_far[d];
-          done[d] = true;
-          ++stopped;
-        }
-      }
-    }
-
-    for (size_t d = 0; d < dim; ++d) {
-      bite.inner[d] = value_at(d, how_far[d]);
-    }
-    bites.push_back(std::move(bite));
+    const CornerView view = ViewCorner(axes, dim, corner);
+    NibbleCorner(view, dim, axes.n, key, run_start);
+    bites.push_back(MakeBite(corner, dim, key));
   }
   return bites;
 }
@@ -153,78 +311,81 @@ std::vector<Bite> MaxVolumeCorners(const geom::Rect& mbr,
                                    const std::vector<geom::Rect>& contents) {
   const size_t dim = mbr.dim();
   BW_CHECK_LE(dim, 16u);
-
-  // Extends dimension d of the quadrant (corner .. inner) as far as
-  // possible while keeping it free of contents. A content rect blocks
-  // only if it protrudes strictly beyond `inner` in every other
-  // dimension; the extension must stop at the extreme coordinate of the
-  // blocking set, which keeps the quadrant empty by construction.
-  auto extend_dim = [&](uint32_t corner, geom::Vec& inner, size_t d) {
-    const bool hi = CornerAtHi(corner, d);
-    // Start from the fully-extended position (the opposite face).
-    float limit = hi ? mbr.lo()[d] : mbr.hi()[d];
-    for (const geom::Rect& r : contents) {
-      bool beyond_elsewhere = true;
-      for (size_t d2 = 0; d2 < dim; ++d2) {
-        if (d2 == d) continue;
-        if (CornerAtHi(corner, d2)) {
-          if (!(r.hi()[d2] > inner[d2])) {
-            beyond_elsewhere = false;
-            break;
-          }
-        } else {
-          if (!(r.lo()[d2] < inner[d2])) {
-            beyond_elsewhere = false;
-            break;
-          }
-        }
-      }
-      if (!beyond_elsewhere) continue;
-      if (hi) {
-        limit = std::max(limit, r.hi()[d]);
-      } else {
-        limit = std::min(limit, r.lo()[d]);
-      }
-    }
-    inner[d] = limit;
-  };
+  BW_CHECK(!contents.empty());
+  const uint32_t corner_count = 1u << dim;
+  const SignedAxes axes = BuildSignedAxes(contents, dim);
 
   // Dimension orders to try: all cyclic rotations, forward and reversed.
-  std::vector<std::vector<size_t>> orders;
+  std::vector<uint8_t> orders;
   for (size_t rot = 0; rot < dim; ++rot) {
-    std::vector<size_t> fwd(dim);
-    std::vector<size_t> rev(dim);
     for (size_t i = 0; i < dim; ++i) {
-      fwd[i] = (rot + i) % dim;
-      rev[i] = (rot + dim - i) % dim;
+      orders.push_back(static_cast<uint8_t>((rot + i) % dim));
     }
-    orders.push_back(std::move(fwd));
-    if (dim > 2) orders.push_back(std::move(rev));
+    if (dim <= 2) continue;
+    for (size_t i = 0; i < dim; ++i) {
+      orders.push_back(static_cast<uint8_t>((rot + dim - i) % dim));
+    }
   }
 
   // Seed with the Figure-13 nibble bites (valid by construction), then
-  // run maximal extension passes. Seeding matters: extending dimensions
-  // of a zero-size quadrant in sequence degenerates (early dimensions
-  // extend fully and block every later one); from a square-ish seed the
-  // extension rule converges to a genuinely maximal empty quadrant.
-  std::vector<Bite> seeds = NibbleAllCorners(mbr, contents);
+  // run two maximal extension passes per order and keep the largest
+  // volume. Seeding matters: extending dimensions of a zero-size
+  // quadrant in sequence degenerates (early dimensions extend fully and
+  // block every later one); from a square-ish seed the extension rule
+  // converges to a genuinely maximal empty quadrant. (A blocker found
+  // after a face moved is never nearer than that face, so the second
+  // pass only re-picks among equal limits: it decides the sign of a
+  // zero, and is kept so the bits match.)
   std::vector<Bite> bites;
-  bites.reserve(seeds.size());
-  for (Bite& seed : seeds) {
-    Bite best = seed;
-    double best_volume = best.Volume(mbr);
-    for (const auto& order : orders) {
-      Bite candidate = seed;
-      for (int pass = 0; pass < 2; ++pass) {
-        for (size_t d : order) extend_dim(candidate.corner, candidate.inner, d);
+  bites.reserve(corner_count);
+  std::vector<uint16_t> seed_past(axes.n);
+  std::vector<uint16_t> past(axes.n);
+  float key[kMaxBiteDim];
+  float best_key[kMaxBiteDim];
+  uint32_t run_start[kMaxBiteDim];
+  for (uint32_t corner = 0; corner < corner_count; ++corner) {
+    const CornerView view = ViewCorner(axes, dim, corner);
+    NibbleCorner(view, dim, axes.n, key, run_start);
+
+    // The seed state: each face has walked past the runs below the
+    // nibble's stop (those coordinates are < key), and every content
+    // already past all faces but one blocks that one.
+    ExtendState seed;
+    for (size_t d = 0; d < dim; ++d) {
+      seed.key[d] = key[d];
+      // The opposite face, as a key on this corner's axis.
+      seed.limit[d] = CornerAtHi(corner, d) ? -mbr.lo()[d] : mbr.hi()[d];
+      seed.limit_rank[d] = 0;
+      seed.walked[d] = run_start[d];
+    }
+    for (uint32_t i = 0; i < axes.n; ++i) {
+      uint32_t mask = 0;
+      for (size_t d = 0; d < dim; ++d) {
+        mask |= uint32_t{view.plane[d][i] < key[d]} << d;
       }
-      const double volume = candidate.Volume(mbr);
+      seed_past[i] = static_cast<uint16_t>(mask);
+      NotePast(view, dim, i, mask, seed);
+    }
+
+    std::copy(key, key + dim, best_key);
+    double best_volume = KeyVolume(mbr, corner, dim, key);
+    for (size_t o = 0; o < orders.size(); o += dim) {
+      ExtendState state = seed;
+      std::copy(seed_past.begin(), seed_past.end(), past.begin());
+      for (int pass = 0; pass < 2; ++pass) {
+        for (size_t i = 0; i < dim; ++i) {
+          const size_t d = orders[o + i];
+          state.key[d] = state.limit[d];
+          WalkFace(view, dim, axes.n, d, state, past.data());
+        }
+      }
+      const double volume = KeyVolume(mbr, corner, dim, state.key);
       if (volume > best_volume) {
         best_volume = volume;
-        best = candidate;
+        std::copy(state.key, state.key + dim, best_key);
       }
     }
-    bites.push_back(std::move(best));
+    bites.push_back(MakeBite(corner, dim, best_key));
   }
   return bites;
 }

@@ -54,7 +54,13 @@ bool RectIntersectsBite(const geom::Rect& mbr, const Bite& bite,
 /// against `contents` (none of which may protrude from `mbr`). Returns
 /// 2^D bites, indexed by corner bitmask; unproductive corners come back
 /// as empty bites. D is capped at 16 dimensions (65536 corners) by the
-/// caller's page budget long before that.
+/// caller's page budget long before that. `contents` must not be empty
+/// (checked, as for Rect::BoundingBoxOfRects).
+///
+/// Cost: O(D n log n) to sort the n contents per axis once, then per
+/// corner one test per content at each distinct coordinate stepped past
+/// — a step can only be blocked by the contents at the coordinate it
+/// leaves, since the bite never holds a content.
 std::vector<Bite> NibbleAllCorners(const geom::Rect& mbr,
                                    const std::vector<geom::Rect>& contents);
 
@@ -63,7 +69,12 @@ std::vector<Bite> NibbleAllCorners(const geom::Rect& mbr,
 /// maximal empty extent (the extension rule keeps the quadrant free of
 /// contents by construction), under several dimension orders; the
 /// largest-volume result is kept. Strictly dominates the Figure-13
-/// nibble (every nibbled bite is a subset of some maximal bite).
+/// nibble (every nibbled bite is a subset of some maximal bite). Same
+/// precondition as NibbleAllCorners.
+///
+/// Cost: the nibble's, plus O(D n) per corner and dimension order. Inner
+/// faces only move outward, so each content's count of dimensions it
+/// lies past only grows and each extension limit is a running minimum.
 std::vector<Bite> MaxVolumeCorners(const geom::Rect& mbr,
                                    const std::vector<geom::Rect>& contents);
 

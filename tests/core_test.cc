@@ -5,6 +5,8 @@
 //  * JaggedMinDistance is an admissible lower bound on the distance to
 //    any covered point, and exact when the clamp point is in the region,
 //  * the maximal-bite construction dominates the Figure-13 nibble,
+//  * both constructions return exactly the reference bites
+//    (tests/reference_bites.h), so tree pages stay byte-identical,
 //  * codecs round-trip and match Table 3 sizes,
 //  * auto-X selection never grows the estimated tree height.
 
@@ -13,9 +15,13 @@
 #include <cmath>
 
 #include "core/bites.h"
+#include "core/index_factory.h"
 #include "core/jagged.h"
 #include "core/map_tree.h"
+#include "gist/node.h"
+#include "tests/reference_bites.h"
 #include "tests/test_helpers.h"
+#include "util/crc32.h"
 #include "util/random.h"
 
 namespace bw::core {
@@ -93,8 +99,107 @@ TEST_P(BiteConstructionTest, JaggedMinDistanceIsAdmissible) {
   }
 }
 
+// Snaps every coordinate to a multiple of `step`.
+std::vector<geom::Rect> SnapToGrid(const std::vector<geom::Rect>& rects,
+                                   float step) {
+  std::vector<geom::Rect> snapped;
+  for (const geom::Rect& r : rects) {
+    geom::Vec lo = r.lo();
+    geom::Vec hi = r.hi();
+    for (size_t d = 0; d < lo.dim(); ++d) {
+      lo[d] = step * std::round(lo[d] / step);
+      hi[d] = step * std::round(hi[d] / step);
+    }
+    snapped.emplace_back(lo, hi);
+  }
+  return snapped;
+}
+
+// Content sets for MatchesReference at dimension `dim`: clustered
+// points, child rectangles as at internal levels, both also snapped to
+// a coarse grid (many contents share each coordinate, so nibble groups
+// and extension ties are large), and a grid centered on zero whose
+// first axis holds both +0.0 and -0.0.
+std::vector<std::vector<geom::Rect>> ReferenceCases(size_t dim) {
+  std::vector<std::vector<geom::Rect>> cases;
+  const std::vector<size_t> sizes =
+      dim <= 5 ? std::vector<size_t>{1, 2, 3, 5, 9, 24, 70, 160, 300}
+               : std::vector<size_t>{1, 2, 3, 6, 17, 50, 120};
+  for (size_t n : sizes) {
+    const uint64_t seed = n * 131 + dim;
+    const auto points = testing::MakeClusteredPoints(n, dim, 3, seed);
+    cases.push_back(AsRects(points));
+    cases.push_back(SnapToGrid(cases.back(), 20.0f));
+
+    std::vector<geom::Rect> children;
+    const auto corners = testing::MakeClusteredPoints(2 * n, dim, 3, seed + 1);
+    for (size_t i = 0; i < n; ++i) {
+      children.push_back(
+          geom::Rect::BoundingBox({corners[2 * i], corners[2 * i + 1]}));
+    }
+    cases.push_back(std::move(children));
+    cases.push_back(SnapToGrid(cases.back(), 20.0f));
+
+    std::vector<geom::Rect> zeros;
+    for (size_t i = 0; i < points.size(); ++i) {
+      geom::Vec p = points[i];
+      for (size_t d = 0; d < dim; ++d) {
+        p[d] = 25.0f * std::round((p[d] - 50.0f) / 25.0f);
+      }
+      if (p[0] == 0.0f) p[0] = (i % 2 == 0) ? 0.0f : -0.0f;
+      zeros.emplace_back(p);
+    }
+    cases.push_back(std::move(zeros));
+  }
+  return cases;
+}
+
+void ExpectSameBites(const std::vector<Bite>& got,
+                     const std::vector<Bite>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t c = 0; c < want.size(); ++c) {
+    ASSERT_EQ(got[c].corner, want[c].corner) << what;
+    ASSERT_EQ(got[c].inner.dim(), want[c].inner.dim()) << what;
+    for (size_t d = 0; d < want[c].inner.dim(); ++d) {
+      // Float ==: the reference's sort-and-unique leaves the sign of a
+      // zero to the library; every other coordinate matches bit for bit.
+      ASSERT_EQ(got[c].inner[d], want[c].inner[d])
+          << what << " corner=" << c << " d=" << d;
+    }
+  }
+}
+
+void ExpectMatchesReference(size_t dim) {
+  const auto cases = ReferenceCases(dim);
+  bool saw_signed_zeros = false;
+  for (size_t k = 0; k < cases.size(); ++k) {
+    const auto& contents = cases[k];
+    for (const geom::Rect& r : contents) {
+      saw_signed_zeros |= r.lo()[0] == 0.0f && std::signbit(r.lo()[0]);
+    }
+    const geom::Rect mbr = geom::Rect::BoundingBoxOfRects(contents);
+    const std::string what = "dim=" + std::to_string(dim) +
+                             " case=" + std::to_string(k) +
+                             " n=" + std::to_string(contents.size());
+    ExpectSameBites(NibbleAllCorners(mbr, contents),
+                    reference::NibbleAllCorners(mbr, contents),
+                    "nibble " + what);
+    ExpectSameBites(MaxVolumeCorners(mbr, contents),
+                    reference::MaxVolumeCorners(mbr, contents),
+                    "maxvol " + what);
+  }
+  EXPECT_TRUE(saw_signed_zeros);
+}
+
+TEST_P(BiteConstructionTest, MatchesReference) {
+  ExpectMatchesReference(GetParam());
+}
+
+// One dimension: every content blocks the extension from the start.
+TEST(BiteTest, MatchesReferenceInOneDimension) { ExpectMatchesReference(1); }
+
 INSTANTIATE_TEST_SUITE_P(Dims, BiteConstructionTest,
-                         ::testing::Values(2, 3, 5, 7),
+                         ::testing::Values(2, 3, 5, 7, 8),
                          [](const ::testing::TestParamInfo<size_t>& info) {
                            return "D" + std::to_string(info.param);
                          });
@@ -144,6 +249,98 @@ TEST(BiteTest, RectContentsRespected) {
       EXPECT_FALSE(RectIntersectsBite(mbr, bite, child));
     }
   }
+}
+
+TEST(BiteDeathTest, EmptyContentsAbort) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const geom::Rect mbr(geom::Vec{0.0f, 0.0f}, geom::Vec{1.0f, 1.0f});
+  const std::vector<geom::Rect> none;
+  EXPECT_DEATH(NibbleAllCorners(mbr, none), "contents\\.empty");
+  EXPECT_DEATH(MaxVolumeCorners(mbr, none), "contents\\.empty");
+}
+
+// ---------------------------------------------------------------------------
+// Same pages end to end
+// ---------------------------------------------------------------------------
+
+// CRC-32 over every node in ForEachNode order: page id, level, entry
+// count, then each entry's predicate bytes and payload.
+uint32_t TreePagesCrc(const gist::Tree& tree) {
+  uint32_t crc = 0;
+  tree.ForEachNode([&](pages::PageId id, const gist::NodeView& node) {
+    const uint64_t header[3] = {id, static_cast<uint64_t>(node.level()),
+                                node.entry_count()};
+    crc = Crc32Extend(crc, header, sizeof(header));
+    for (size_t i = 0; i < node.entry_count(); ++i) {
+      const gist::EntryView e = node.entry(i);
+      crc = Crc32Extend(crc, e.predicate.data(), e.predicate.size());
+      crc = Crc32Extend(crc, &e.payload, sizeof(e.payload));
+    }
+  });
+  return crc;
+}
+
+size_t LeafCount(const gist::Tree& tree) {
+  return tree.Shape().nodes_per_level[0];
+}
+
+// The hashes below were recorded with the original bite construction
+// (tests/reference_bites.h); the near-linear one must write the same
+// pages.
+TEST(SamePagesTest, JaggedBulkLoadsMatchPinnedHashes) {
+  const auto points = testing::MakeClusteredPoints(3000, 5, 6, 2024);
+  struct Case {
+    const char* am;
+    const char* bites;
+    uint32_t crc;
+  };
+  const Case cases[] = {
+      {"xjb", "maxvol", 3020369014u},
+      {"xjb", "nibble", 3091152229u},
+      {"jb", "maxvol", 2643424066u},
+      {"jb", "nibble", 2313191040u},
+  };
+  for (const Case& c : cases) {
+    IndexBuildOptions options;
+    options.am = c.am;
+    options.bite_algorithm = c.bites;
+    options.page_bytes = 4096;
+    auto built = BuildIndex(points, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const gist::Tree& tree = (*built)->tree();
+    EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
+    EXPECT_EQ(TreePagesCrc(tree), c.crc) << c.am << "/" << c.bites;
+  }
+}
+
+// Inserts force leaf splits; deletes rebuild each leaf's BP
+// (AdjustKeysUpward) and, once leaves underflow, condense them.
+TEST(SamePagesTest, XjbInsertDeleteScriptMatchesPinnedHash) {
+  const auto points = testing::MakeClusteredPoints(2000, 5, 6, 4048);
+  const std::vector<geom::Vec> loaded(points.begin(), points.begin() + 1500);
+  IndexBuildOptions options;
+  options.am = "xjb";
+  options.page_bytes = 2048;
+  auto built = BuildIndex(loaded, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  gist::Tree& tree = (*built)->tree();
+  const size_t bulk_leaves = LeafCount(tree);
+
+  for (size_t i = loaded.size(); i < points.size(); ++i) {
+    ASSERT_TRUE(tree.Insert(points[i], i).ok());
+  }
+  const size_t grown_leaves = LeafCount(tree);
+  EXPECT_GT(grown_leaves, bulk_leaves);
+  ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
+
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (i % 3 == 0) continue;
+    ASSERT_TRUE(tree.Delete(points[i], i).ok()) << i;
+  }
+  EXPECT_LT(LeafCount(tree), grown_leaves);
+  EXPECT_EQ(tree.size(), (points.size() + 2) / 3);
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
+  EXPECT_EQ(TreePagesCrc(tree), 2406796071u);
 }
 
 // ---------------------------------------------------------------------------
