@@ -7,7 +7,9 @@
 // MinDistance kernel that drives k-NN ordering, the range-query
 // consistency check, and — the read-path headline — batched node scans
 // (one BpMinDistanceBatch / BpConsistentRangeBatch call over a whole
-// node's entries) against the per-entry scalar loop they replace.
+// node's entries) against the per-entry scalar loop they replace, and
+// one whole k-NN traversal (BM_KnnSearch: node scans, candidate upkeep
+// and frontier together) at k = 10 and k = 200.
 // `--json_out=PATH` additionally runs a self-timed scalar-vs-batched
 // comparison and writes entries/sec + speedups as a flat JSON object
 // (the committed BENCH_read_path.json record).
@@ -26,6 +28,8 @@
 #include "core/index_factory.h"
 #include "core/jagged.h"
 #include "core/map_tree.h"
+#include "gist/tree.h"
+#include "pages/resident_reader.h"
 #include "tests/test_helpers.h"
 #include "util/cpu.h"
 #include "util/stopwatch.h"
@@ -210,7 +214,35 @@ void BM_NodeScanMinDistCoveredBatch(benchmark::State& state,
                           kNodeEntries);
 }
 
+// One k-NN query (state.range(0) = k) over a fixed bulk-loaded tree of
+// 20k clustered points, read through a per-query ResidentReader as the
+// query service reads; queries are indexed points, as in the paper.
+void BM_KnnSearch(benchmark::State& state, const std::string& am) {
+  const auto points = bw::testing::MakeClusteredPoints(20000, kDim, 40, 17);
+  bw::core::IndexBuildOptions options;
+  options.am = am;
+  auto built = bw::core::BuildIndex(points, options);
+  BW_CHECK_MSG(built.ok(), built.status().ToString());
+  const bw::gist::Tree& tree = (*built)->tree();
+  const size_t k = static_cast<size_t>(state.range(0));
+  size_t i = 0;
+  for (auto _ : state) {
+    bw::pages::ResidentReader reader(tree.file());
+    auto result = tree.KnnSearch(points[(i++ * 7919) % points.size()], k,
+                                 nullptr, &reader);
+    BW_CHECK(result.ok());
+    benchmark::DoNotOptimize(result->data());
+  }
+}
+
 void RegisterAll() {
+  for (const char* am : {"rtree", "xjb"}) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_KnnSearch/") + am).c_str(),
+        [am](benchmark::State& s) { BM_KnnSearch(s, am); })
+        ->Arg(10)
+        ->Arg(200);
+  }
   for (const char* am : kAms) {
     benchmark::RegisterBenchmark(
         (std::string("BM_BpConstruct/") + am).c_str(),

@@ -82,8 +82,9 @@ class JaggedExtension : public gist::Extension {
   /// child box distances on budget exhaustion, pruned bounds — is >= the
   /// root box distance). Entries within `radius` of the box run the
   /// identical min-distance path, so scratch.consistent is bit-identical
-  /// to the scalar BpConsistentRange decision; scratch.distances is NOT
-  /// meaningful afterwards (see gist/extension.h).
+  /// to the scalar BpConsistentRange decision, and scratch.distances of
+  /// every consistent entry is the BatchMinDistanceImpl double (see
+  /// gist/extension.h).
   void BatchConsistentRangeImpl(gist::BatchScratch& scratch,
                                 const geom::Vec& query, size_t bite_count,
                                 bool interleaved, double radius) const;

@@ -1,8 +1,6 @@
 #include "gist/extension.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace bw::gist {
 
@@ -22,7 +20,7 @@ geom::Vec Extension::DecodePoint(ByteSpan bytes) const {
 }
 
 double Extension::PointDistance(ByteSpan key, const geom::Vec& query) const {
-  BW_DCHECK_EQ(key.size(), PointBytes());
+  BW_CHECK_EQ(key.size(), PointBytes());
   // Same arithmetic as query.DistanceTo(DecodePoint(key)): per-dim
   // double difference, squared, accumulated in ascending-d order.
   double acc = 0.0;
@@ -31,36 +29,6 @@ double Extension::PointDistance(ByteSpan key, const geom::Vec& query) const {
     acc += diff * diff;
   }
   return std::sqrt(acc);
-}
-
-void Extension::PointDistanceBatch(BatchScratch& scratch,
-                                   const geom::Vec& query) const {
-  const size_t n = scratch.count();
-  scratch.distances.resize(n);
-  scratch.soa.resize(n * dim_);
-  for (size_t d = 0; d < dim_; ++d) {
-    float* plane = scratch.soa.data() + d * n;
-    for (size_t e = 0; e < n; ++e) {
-      BW_DCHECK_EQ(scratch.preds[e].size(), PointBytes());
-      plane[e] = ReadFloat(scratch.preds[e], d);
-    }
-  }
-  std::fill(scratch.distances.begin(), scratch.distances.end(), 0.0);
-  // d-outer / e-inner: the inner loop is a contiguous, branch-free
-  // multiply-add over one SoA plane, and each entry still accumulates
-  // its dims in ascending order — bit-identical to the scalar path.
-  for (size_t d = 0; d < dim_; ++d) {
-    const double q = query[d];
-    const float* plane = scratch.soa.data() + d * n;
-    double* out = scratch.distances.data();
-    for (size_t e = 0; e < n; ++e) {
-      const double diff = q - plane[e];
-      out[e] += diff * diff;
-    }
-  }
-  for (size_t e = 0; e < n; ++e) {
-    scratch.distances[e] = std::sqrt(scratch.distances[e]);
-  }
 }
 
 void Extension::BpMinDistanceBatch(BatchScratch& scratch,

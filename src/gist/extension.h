@@ -32,16 +32,18 @@ using ByteSpan = std::span<const uint8_t>;
 /// assignment[i] is true. Both sides must be non-empty.
 using SplitAssignment = std::vector<bool>;
 
-/// Reusable scratch for batched node scans. A cursor owns one of these
-/// and refills it per node, so steady-state traversal performs zero
-/// allocations: the vectors grow to the largest node seen and stay
-/// there.
+/// Reusable scratch for batched node scans. A search owns one of these
+/// (inside a gist::NodeScan) and refills it per node, so steady-state
+/// traversal performs zero allocations: the vectors grow to the largest
+/// node seen and stay there.
 ///
 /// `preds` is the input (one span per entry, viewing the node page);
 /// `soa` is kernel staging in dim-major layout — plane d occupies
 /// [d * count, (d + 1) * count), so the inner loop of a kernel walks
 /// contiguous floats of one coordinate across all entries; `distances`
-/// and `consistent` are the outputs, indexed like `preds`.
+/// and `consistent` are the outputs, indexed like `preds`. Leaf scans
+/// (NodeScan::ScanLeaf) decode points straight from the page into `soa`
+/// and fill `distances` without `preds`.
 struct BatchScratch {
   std::vector<ByteSpan> preds;
   std::vector<float> soa;
@@ -89,16 +91,11 @@ class Extension {
   size_t PointBytes() const { return dim_ * sizeof(float); }
 
   /// Distance from `query` to one leaf key without materializing a Vec;
-  /// bit-identical to query.DistanceTo(DecodePoint(key)).
+  /// bit-identical to query.DistanceTo(DecodePoint(key)). The scalar
+  /// reference for the batched leaf scan (gist::NodeScan::ScanLeaf),
+  /// which every search uses; like DecodePoint, it aborts in every
+  /// build on a key that is not PointBytes() long.
   double PointDistance(ByteSpan key, const geom::Vec& query) const;
-
-  /// Batched leaf scan: fills scratch.distances[i] with
-  /// PointDistance(scratch.preds[i], query) for every entry, decoding
-  /// the keys once into the dim-major SoA staging. Non-virtual — the
-  /// leaf key format is shared by all AMs. Bit-identical to the scalar
-  /// path: per-entry accumulation runs in ascending-d order with the
-  /// same double arithmetic as Vec::DistanceSquaredTo.
-  void PointDistanceBatch(BatchScratch& scratch, const geom::Vec& query) const;
 
   // --- Bounding predicates --------------------------------------------
 
@@ -138,14 +135,19 @@ class Extension {
   virtual void BpMinDistanceBatch(BatchScratch& scratch,
                                   const geom::Vec& query) const;
 
-  /// Fills scratch.consistent for every predicate. Only consistent[] is
-  /// contractual after this call: overrides may push `radius` down into
-  /// the scan and skip the exact distance for entries whose admissible
-  /// lower bound already exceeds it, leaving scratch.distances partially
-  /// filled with those bounds. Default derives from BpMinDistanceBatch
-  /// with the same `<= radius` test as the scalar default above; an AM
-  /// that overrides BpConsistentRange with different logic must override
-  /// this too.
+  /// Fills scratch.consistent for every predicate, and, wherever
+  /// consistent[i] is 1, scratch.distances[i] with exactly the double
+  /// BpMinDistanceBatch writes for that entry under the same kernel
+  /// dispatch (util/cpu.h). Searches rely on both: they push their
+  /// pruning distance down as `radius` and queue consistent children
+  /// with these distances as bounds, so the children and bounds must be
+  /// those of a BpMinDistanceBatch scan followed by `<= radius`. For
+  /// inconsistent entries distances[i] is unspecified: overrides may
+  /// push `radius` down into the scan and skip the exact distance of an
+  /// entry whose admissible lower bound already exceeds it. Default
+  /// derives from BpMinDistanceBatch with the same `<= radius` test as
+  /// the scalar default above; an AM that overrides BpConsistentRange
+  /// with different logic must override this too.
   virtual void BpConsistentRangeBatch(BatchScratch& scratch,
                                       const geom::Vec& query,
                                       double radius) const;

@@ -5,23 +5,30 @@
 namespace bw::gist {
 
 NnCursor::NnCursor(const Tree& tree, geom::Vec query, TraversalStats* stats,
-                   pages::PageReader* pool, DegradedRead* degraded)
+                   pages::PageReader* pool, DegradedRead* degraded,
+                   size_t limit)
     : tree_(tree),
       query_(std::move(query)),
       stats_(stats),
       pool_(pool),
-      degraded_(degraded) {
+      degraded_(degraded),
+      limit_(limit) {
+  // A limit below the tree's size prunes; any larger one cannot, so the
+  // cursor then keeps no candidates and only stops after `limit_`.
+  if (limit_ > 0 && limit_ < tree_.size()) queued_.emplace(limit_);
   if (!tree_.empty()) {
     frontier_.push(Item{0.0, false, tree_.root(), 0});
   }
 }
 
 double NnCursor::FrontierDistance() const {
-  return frontier_.empty() ? std::numeric_limits<double>::infinity()
-                           : frontier_.top().distance;
+  return frontier_.empty() || Exhausted()
+             ? std::numeric_limits<double>::infinity()
+             : frontier_.top().distance;
 }
 
 Result<std::optional<Neighbor>> NnCursor::Next() {
+  if (Exhausted()) return std::optional<Neighbor>(std::nullopt);
   const Extension& extension = tree_.extension();
   while (!frontier_.empty()) {
     const Item item = frontier_.top();
@@ -33,40 +40,29 @@ Result<std::optional<Neighbor>> NnCursor::Next() {
           Neighbor{item.rid, item.distance, item.page});
     }
 
-    // Expand a node. The cursor reads through the tree's fetch path so
-    // buffer pools and I/O accounting behave exactly as KnnSearch does.
-    auto fetched = tree_.FetchNode(item.page, pool_);
-    if (!fetched.ok()) {
-      if (degraded_ != nullptr && IsDegradableReadError(fetched.status()) &&
-          degraded_->skipped.size() < degraded_->budget) {
-        degraded_->skipped.push_back(item.page);
-        continue;  // drop the subtree; the rest of the frontier lives on.
-      }
-      return fetched.status();
-    }
-    pages::Page* page = fetched.value();
+    // Expand a node. The cursor reads through the tree's visit path so
+    // readers, degraded-mode skips and access stats behave exactly as
+    // in KnnSearch.
+    BW_ASSIGN_OR_RETURN(pages::Page * page,
+                        tree_.VisitNode(item.page, stats_, pool_, degraded_));
+    if (page == nullptr) continue;  // dropped subtree; the rest lives on.
     const NodeView node(page);
-    if (stats_ != nullptr) {
-      if (node.IsLeaf()) {
-        ++stats_->leaf_accesses;
-        stats_->accessed_leaves.push_back(item.page);
-      } else {
-        ++stats_->internal_accesses;
-        stats_->accessed_internals.push_back(item.page);
-      }
-    }
-    // Batched node scan: stage the entries once, one virtual call for
-    // the whole node, no per-entry decode allocation.
-    scan_.Load(node);
     if (node.IsLeaf()) {
-      extension.PointDistanceBatch(scan_.scratch, query_);
+      scan_.ScanLeaf(node, extension, query_);
       for (size_t i = 0; i < scan_.count(); ++i) {
-        frontier_.push(Item{scan_.scratch.distances[i], true, item.page,
-                            static_cast<Rid>(scan_.payloads[i])});
+        const Neighbor n{static_cast<Rid>(scan_.payloads[i]),
+                         scan_.scratch.distances[i], item.page};
+        // Under a limit, a point outside the `limit` smallest keys
+        // queued so far can never be among the first `limit` results.
+        if (queued_ && !queued_->Offer(n)) continue;
+        frontier_.push(Item{n.distance, true, item.page, n.rid});
       }
     } else {
-      extension.BpMinDistanceBatch(scan_.scratch, query_);
+      const double radius =
+          queued_ ? queued_->Bound() : std::numeric_limits<double>::infinity();
+      scan_.ScanInternal(node, extension, query_, radius);
       for (size_t i = 0; i < scan_.count(); ++i) {
+        if (!scan_.scratch.consistent[i]) continue;
         frontier_.push(Item{scan_.scratch.distances[i], false,
                             static_cast<pages::PageId>(scan_.payloads[i]), 0});
       }

@@ -22,6 +22,22 @@ namespace bw::gist {
 ///   NnCursor cursor(tree, query);
 ///   while (auto n = cursor.Next()) { ... }
 ///
+/// Order: results come in NeighborLess order — ascending distance, ties
+/// by rid — so a cursor's first k results are exactly
+/// Tree::KnnSearch(query, k). The frontier's total order makes that
+/// hold: distance, then nodes before data, then data by rid, then nodes
+/// by page id.
+///
+/// A non-zero `limit` is the most results the caller will read (a
+/// stream's max_results; 0 = unbounded). The cursor then keeps only
+/// leaf points among the `limit` smallest (distance, rid) keys it has
+/// queued, and once `limit` keys exist it scans internal nodes with the
+/// limit-th distance pushed down. Neither changes what the first
+/// `limit` results are or which nodes producing them reads; Next() ends
+/// after `limit` results, since the points the cursor pruned would be
+/// missing from any later ones. A limit of at least the tree's size
+/// prunes nothing, so such a cursor keeps no candidates.
+///
 /// A non-null `pool` routes every node read of this cursor through that
 /// pool instead of the tree's configured read path; concurrent cursors
 /// over one shared tree must each bring their own pool (see the Tree
@@ -33,13 +49,14 @@ class NnCursor {
  public:
   NnCursor(const Tree& tree, geom::Vec query, TraversalStats* stats = nullptr,
            pages::PageReader* pool = nullptr,
-           DegradedRead* degraded = nullptr);
+           DegradedRead* degraded = nullptr, size_t limit = 0);
 
   NnCursor(const NnCursor&) = delete;
   NnCursor& operator=(const NnCursor&) = delete;
 
-  /// The next-nearest entry, or nullopt when the tree is exhausted.
-  /// Distances are non-decreasing across calls.
+  /// The next-nearest entry, or nullopt when the tree is exhausted or
+  /// `limit` results have been produced. Distances are non-decreasing
+  /// across calls.
   Result<std::optional<Neighbor>> Next();
 
   /// Number of results produced so far.
@@ -54,20 +71,26 @@ class NnCursor {
   struct Item {
     double distance;
     bool is_data;
-    pages::PageId page;
-    Rid rid;
+    pages::PageId page;  // node to expand, or leaf that held the data.
+    Rid rid;             // valid when is_data.
     bool operator>(const Item& other) const {
       if (distance != other.distance) return distance > other.distance;
-      return is_data && !other.is_data;
+      if (is_data != other.is_data) return is_data;  // nodes first.
+      return is_data ? rid > other.rid : page > other.page;
     }
   };
+
+  bool Exhausted() const { return limit_ > 0 && produced_ >= limit_; }
 
   const Tree& tree_;
   geom::Vec query_;
   TraversalStats* stats_;
   pages::PageReader* pool_;
   DegradedRead* degraded_;
-  NodeScanBuffer scan_;  // reused across nodes: zero per-entry allocation.
+  size_t limit_;
+  NodeScan scan_;  // reused across nodes: zero per-entry allocation.
+  // The `limit` smallest data keys queued; only when 0 < limit < size.
+  std::optional<TopK> queued_;
   std::priority_queue<Item, std::vector<Item>, std::greater<Item>> frontier_;
   size_t produced_ = 0;
 };

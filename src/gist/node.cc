@@ -4,16 +4,6 @@
 
 namespace bw::gist {
 
-EntryView NodeView::entry(size_t i) const {
-  const uint8_t* data = page_->RecordData(i);
-  const size_t len = page_->RecordLength(i);
-  BW_CHECK_GE(len, sizeof(uint64_t));
-  EntryView out;
-  out.predicate = ByteSpan(data, len - sizeof(uint64_t));
-  std::memcpy(&out.payload, data + len - sizeof(uint64_t), sizeof(uint64_t));
-  return out;
-}
-
 Status NodeView::Append(ByteSpan predicate, uint64_t payload) {
   Bytes record(predicate.begin(), predicate.end());
   const size_t offset = record.size();

@@ -11,6 +11,7 @@
 #define BLOBWORLD_GIST_NODE_H_
 
 #include <cstdint>
+#include <cstring>
 
 #include "gist/extension.h"
 #include "pages/page.h"
@@ -53,7 +54,16 @@ class NodeView {
 
   size_t entry_count() const { return page_->slot_count(); }
 
-  EntryView entry(size_t i) const;
+  EntryView entry(size_t i) const {
+    const uint8_t* data = page_->RecordData(i);
+    const size_t len = page_->RecordLength(i);
+    BW_CHECK_GE(len, sizeof(uint64_t));
+    EntryView out;
+    out.predicate = ByteSpan(data, len - sizeof(uint64_t));
+    std::memcpy(&out.payload, data + len - sizeof(uint64_t),
+                sizeof(uint64_t));
+    return out;
+  }
 
   /// Appends an entry; NoSpace if the page is full.
   Status Append(ByteSpan predicate, uint64_t payload);
@@ -72,6 +82,7 @@ class NodeView {
   double Utilization() const { return page_->Utilization(); }
 
   pages::Page* page() { return page_; }
+  const pages::Page* page() const { return page_; }
 
  private:
   pages::Page* page_;

@@ -1,44 +1,10 @@
 #include "gist/tree.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <queue>
 
 #include "gist/node_scan.h"
 
 namespace bw::gist {
-
-namespace {
-
-// Priority-queue element for best-first k-NN: either a tree node or a
-// candidate data entry, ordered by ascending distance bound.
-struct QueueItem {
-  double distance;
-  bool is_data;
-  pages::PageId page;  // node to expand, or leaf that held the data entry.
-  Rid rid;             // valid when is_data.
-
-  bool operator>(const QueueItem& other) const {
-    if (distance != other.distance) return distance > other.distance;
-    // Expand nodes before emitting data at equal distance so a data
-    // candidate is only emitted once no node could beat it.
-    return is_data && !other.is_data;
-  }
-};
-
-// Degraded-mode skip decision for one failed node fetch: true when the
-// traversal should drop the subtree at `id` and continue. Consumes one
-// unit of the skip budget.
-bool AbsorbFetchError(const Status& status, pages::PageId id,
-                      DegradedRead* degraded) {
-  if (degraded == nullptr || !IsDegradableReadError(status)) return false;
-  if (degraded->skipped.size() >= degraded->budget) return false;
-  degraded->skipped.push_back(id);
-  return true;
-}
-
-}  // namespace
 
 Tree::Tree(pages::PageStore* file, std::unique_ptr<Extension> extension,
            TreeOptions options)
@@ -52,6 +18,31 @@ Result<pages::Page*> Tree::Fetch(pages::PageId id,
   if (pool != nullptr) return pool->Fetch(id);
   if (pool_ != nullptr) return pool_->Fetch(id);
   return file_->Read(id);
+}
+
+Result<pages::Page*> Tree::VisitNode(pages::PageId id, TraversalStats* stats,
+                                     pages::PageReader* pool,
+                                     DegradedRead* degraded) const {
+  auto fetched = Fetch(id, pool);
+  if (!fetched.ok()) {
+    // Degraded mode drops the subtree while the skip budget holds out.
+    if (degraded == nullptr || !IsDegradableReadError(fetched.status()) ||
+        degraded->skipped.size() >= degraded->budget) {
+      return fetched.status();
+    }
+    degraded->skipped.push_back(id);
+    return static_cast<pages::Page*>(nullptr);
+  }
+  if (stats != nullptr) {
+    if (NodeView(fetched.value()).IsLeaf()) {
+      ++stats->leaf_accesses;
+      stats->accessed_leaves.push_back(id);
+    } else {
+      ++stats->internal_accesses;
+      stats->accessed_internals.push_back(id);
+    }
+  }
+  return fetched;
 }
 
 void Tree::InstallBulkLoaded(pages::PageId root, int height, uint64_t size) {
@@ -72,30 +63,17 @@ Result<std::vector<Neighbor>> Tree::RangeSearch(const geom::Vec& query,
   std::vector<Neighbor> results;
   if (empty()) return results;
 
-  NodeScanBuffer scan;
+  NodeScan scan;
   std::vector<pages::PageId> todo = {root_};
   while (!todo.empty()) {
     const pages::PageId id = todo.back();
     todo.pop_back();
-    auto fetched = Fetch(id, pool);
-    if (!fetched.ok()) {
-      if (AbsorbFetchError(fetched.status(), id, degraded)) continue;
-      return fetched.status();
-    }
-    pages::Page* page = fetched.value();
-    NodeView node(page);
-    if (stats != nullptr) {
-      if (node.IsLeaf()) {
-        ++stats->leaf_accesses;
-        stats->accessed_leaves.push_back(id);
-      } else {
-        ++stats->internal_accesses;
-        stats->accessed_internals.push_back(id);
-      }
-    }
-    scan.Load(node);
+    BW_ASSIGN_OR_RETURN(pages::Page * page,
+                        VisitNode(id, stats, pool, degraded));
+    if (page == nullptr) continue;  // skipped subtree (degraded mode).
+    const NodeView node(page);
     if (node.IsLeaf()) {
-      extension_->PointDistanceBatch(scan.scratch, query);
+      scan.ScanLeaf(node, *extension_, query);
       for (size_t i = 0; i < scan.count(); ++i) {
         const double d = scan.scratch.distances[i];
         if (d <= radius) {
@@ -103,7 +81,7 @@ Result<std::vector<Neighbor>> Tree::RangeSearch(const geom::Vec& query,
         }
       }
     } else {
-      extension_->BpConsistentRangeBatch(scan.scratch, query, radius);
+      scan.ScanInternal(node, *extension_, query, radius);
       for (size_t i = 0; i < scan.count(); ++i) {
         if (scan.scratch.consistent[i]) {
           todo.push_back(static_cast<pages::PageId>(scan.payloads[i]));
@@ -111,10 +89,7 @@ Result<std::vector<Neighbor>> Tree::RangeSearch(const geom::Vec& query,
       }
     }
   }
-  std::sort(results.begin(), results.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              return a.distance < b.distance;
-            });
+  std::sort(results.begin(), results.end(), NeighborLess);
   return results;
 }
 
@@ -122,107 +97,64 @@ Result<std::vector<Neighbor>> Tree::KnnSearch(const geom::Vec& query,
                                               size_t k, TraversalStats* stats,
                                               pages::PageReader* pool,
                                               DegradedRead* degraded) const {
-  std::vector<Neighbor> results;
-  if (empty() || k == 0) return results;
+  if (empty() || k == 0) return std::vector<Neighbor>();
 
-  NodeScanBuffer scan;
-  std::priority_queue<QueueItem, std::vector<QueueItem>,
-                      std::greater<QueueItem>>
-      frontier;
-  frontier.push(QueueItem{0.0, false, root_, 0});
+  // Unexpanded nodes, a min-heap by (bound, page id).
+  struct NodeBound {
+    double bound;
+    pages::PageId page;
+  };
+  const auto later = [](const NodeBound& a, const NodeBound& b) {
+    return a.bound != b.bound ? a.bound > b.bound : a.page > b.page;
+  };
+  std::vector<NodeBound> frontier = {{0.0, root_}};
+  TopK candidates(k);
+  candidates.reserve(size_);
+  NodeScan scan;
 
-  while (!frontier.empty() && results.size() < k) {
-    const QueueItem item = frontier.top();
-    frontier.pop();
+  while (!frontier.empty()) {
+    // Stop once the nearest unexpanded bound exceeds the k-th candidate:
+    // no node left can hold a better point. `>`, not `>=`: a node whose
+    // bound ties the k-th distance is expanded, as best-first search
+    // expands a node before data at an equal distance.
+    if (frontier.front().bound > candidates.Bound()) break;
+    std::pop_heap(frontier.begin(), frontier.end(), later);
+    const pages::PageId id = frontier.back().page;
+    frontier.pop_back();
 
-    if (item.is_data) {
-      results.push_back(Neighbor{item.rid, item.distance, item.page});
-      continue;
-    }
-
-    auto fetched = Fetch(item.page, pool);
-    if (!fetched.ok()) {
-      if (AbsorbFetchError(fetched.status(), item.page, degraded)) continue;
-      return fetched.status();
-    }
-    pages::Page* page = fetched.value();
-    NodeView node(page);
-    if (stats != nullptr) {
-      if (node.IsLeaf()) {
-        ++stats->leaf_accesses;
-        stats->accessed_leaves.push_back(item.page);
-      } else {
-        ++stats->internal_accesses;
-        stats->accessed_internals.push_back(item.page);
-      }
-    }
-
-    scan.Load(node);
+    BW_ASSIGN_OR_RETURN(pages::Page * page,
+                        VisitNode(id, stats, pool, degraded));
+    if (page == nullptr) continue;  // skipped subtree (degraded mode).
+    const NodeView node(page);
     if (node.IsLeaf()) {
-      extension_->PointDistanceBatch(scan.scratch, query);
+      scan.ScanLeaf(node, *extension_, query);
       for (size_t i = 0; i < scan.count(); ++i) {
-        frontier.push(QueueItem{scan.scratch.distances[i], true, item.page,
-                                static_cast<Rid>(scan.payloads[i])});
+        candidates.Offer(Neighbor{static_cast<Rid>(scan.payloads[i]),
+                                  scan.scratch.distances[i], id});
       }
     } else {
-      extension_->BpMinDistanceBatch(scan.scratch, query);
+      // With k candidates, the k-th distance is pushed down: only
+      // children that may hold a point within it (`<=`) are queued.
+      scan.ScanInternal(node, *extension_, query, candidates.Bound());
       for (size_t i = 0; i < scan.count(); ++i) {
-        frontier.push(QueueItem{scan.scratch.distances[i], false,
-                                static_cast<pages::PageId>(scan.payloads[i]),
-                                0});
+        if (!scan.scratch.consistent[i]) continue;
+        frontier.push_back(NodeBound{
+            scan.scratch.distances[i],
+            static_cast<pages::PageId>(scan.payloads[i])});
+        std::push_heap(frontier.begin(), frontier.end(), later);
       }
     }
   }
-  return results;
+  return std::move(candidates).Sorted();
 }
-
-namespace {
-
-// Bounded candidate set for DFS k-NN: a max-heap of the k best so far.
-class CandidateHeap {
- public:
-  explicit CandidateHeap(size_t k) : k_(k) {}
-
-  double Bound() const {
-    return heap_.size() < k_ ? std::numeric_limits<double>::infinity()
-                             : heap_.front().distance;
-  }
-
-  void Offer(Neighbor candidate) {
-    if (heap_.size() < k_) {
-      heap_.push_back(candidate);
-      std::push_heap(heap_.begin(), heap_.end(), ByDistance);
-      return;
-    }
-    if (candidate.distance >= heap_.front().distance) return;
-    std::pop_heap(heap_.begin(), heap_.end(), ByDistance);
-    heap_.back() = candidate;
-    std::push_heap(heap_.begin(), heap_.end(), ByDistance);
-  }
-
-  std::vector<Neighbor> Sorted() && {
-    std::sort_heap(heap_.begin(), heap_.end(), ByDistance);
-    return std::move(heap_);
-  }
-
- private:
-  static bool ByDistance(const Neighbor& a, const Neighbor& b) {
-    return a.distance < b.distance;
-  }
-
-  size_t k_;
-  std::vector<Neighbor> heap_;  // max-heap by distance.
-};
-
-}  // namespace
 
 Result<std::vector<Neighbor>> Tree::KnnSearchDfs(
     const geom::Vec& query, size_t k, TraversalStats* stats,
     pages::PageReader* pool, DegradedRead* degraded) const {
-  std::vector<Neighbor> results;
-  if (empty() || k == 0) return results;
-  NodeScanBuffer scan;
-  CandidateHeap candidates(k);
+  if (empty() || k == 0) return std::vector<Neighbor>();
+  NodeScan scan;
+  TopK candidates(k);
+  candidates.reserve(size_);
 
   // Explicit DFS stack; children are pushed in reverse bound order so
   // the nearest child is explored first, and every frame re-checks its
@@ -232,31 +164,18 @@ Result<std::vector<Neighbor>> Tree::KnnSearchDfs(
     pages::PageId page;
   };
   std::vector<Frame> stack = {{0.0, root_}};
+  std::vector<Frame> children;
   while (!stack.empty()) {
     const Frame frame = stack.back();
     stack.pop_back();
     if (frame.bound > candidates.Bound()) continue;
 
-    auto fetched = Fetch(frame.page, pool);
-    if (!fetched.ok()) {
-      if (AbsorbFetchError(fetched.status(), frame.page, degraded)) continue;
-      return fetched.status();
-    }
-    pages::Page* page = fetched.value();
-    NodeView node(page);
-    if (stats != nullptr) {
-      if (node.IsLeaf()) {
-        ++stats->leaf_accesses;
-        stats->accessed_leaves.push_back(frame.page);
-      } else {
-        ++stats->internal_accesses;
-        stats->accessed_internals.push_back(frame.page);
-      }
-    }
-
-    scan.Load(node);
+    BW_ASSIGN_OR_RETURN(pages::Page * page,
+                        VisitNode(frame.page, stats, pool, degraded));
+    if (page == nullptr) continue;  // skipped subtree (degraded mode).
+    const NodeView node(page);
     if (node.IsLeaf()) {
-      extension_->PointDistanceBatch(scan.scratch, query);
+      scan.ScanLeaf(node, *extension_, query);
       for (size_t i = 0; i < scan.count(); ++i) {
         candidates.Offer(Neighbor{static_cast<Rid>(scan.payloads[i]),
                                   scan.scratch.distances[i], frame.page});
@@ -264,17 +183,15 @@ Result<std::vector<Neighbor>> Tree::KnnSearchDfs(
       continue;
     }
 
-    // The candidate bound cannot tighten inside this loop (only leaves
-    // offer candidates), so filtering after the batch call prunes the
-    // same children the per-entry scalar loop would.
-    extension_->BpMinDistanceBatch(scan.scratch, query);
-    std::vector<Frame> children;
-    children.reserve(scan.count());
+    // The candidate bound cannot tighten inside this scan (only leaves
+    // offer candidates), so pushing it down prunes exactly the children
+    // the per-entry scalar loop would.
+    scan.ScanInternal(node, *extension_, query, candidates.Bound());
+    children.clear();
     for (size_t i = 0; i < scan.count(); ++i) {
-      const double bound = scan.scratch.distances[i];
-      if (bound <= candidates.Bound()) {
-        children.push_back(
-            Frame{bound, static_cast<pages::PageId>(scan.payloads[i])});
+      if (scan.scratch.consistent[i]) {
+        children.push_back(Frame{scan.scratch.distances[i],
+                                 static_cast<pages::PageId>(scan.payloads[i])});
       }
     }
     std::sort(children.begin(), children.end(),

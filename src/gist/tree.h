@@ -25,6 +25,11 @@ struct Neighbor {
   pages::PageId leaf = pages::kInvalidPageId;  // leaf that held the entry.
 };
 
+/// The one result order of every search: by distance, ties by rid.
+inline bool NeighborLess(const Neighbor& a, const Neighbor& b) {
+  return a.distance != b.distance ? a.distance < b.distance : a.rid < b.rid;
+}
+
 /// Tree construction options.
 struct TreeOptions {
   /// Minimum fill fraction enforced by splits and deletes.
@@ -70,27 +75,33 @@ inline bool IsDegradableReadError(const Status& status) {
 /// set_buffer_pool) so experiments can model memory residency; when no
 /// reader is attached, every node visit costs one PageStore read.
 ///
-/// Node scans are batched: each visited node is staged once into a
-/// NodeScanBuffer and handed to the extension's batch API — one virtual
+/// Node scans are batched (gist/node_scan.h): a leaf is decoded in one
+/// pass straight from its page records into exact point distances; an
+/// internal node is handed to the extension's batch API — one virtual
 /// call per node instead of per entry, and zero per-entry allocation.
 /// The batch contract (extension.h) guarantees results bit-identical to
 /// the per-entry scalar methods.
 ///
+/// Every search returns its neighbors in one order, NeighborLess:
+/// distance, ties by rid.
+///
 /// Thread-safety contract (audited for the concurrent query service):
-/// the search methods (RangeSearch, KnnSearch, KnnSearchDfs) and the
-/// cursor fetch path are const and mutate no tree, extension, or node
-/// state — the only mutation on a default search is I/O accounting in
-/// the attached reader or the PageStore, both shared. Concurrent
-/// searches over one tree are therefore safe if and only if every
-/// caller passes its own per-call PageReader (a pages::ResidentReader,
-/// which reads the resident store through its const PeekNoIo path) via
-/// the `pool` parameter, which overrides both the attached reader and
-/// the direct PageStore::Read path. Insert/Delete and set_buffer_pool
-/// require exclusive access. Extension consistency methods
-/// (BpMinDistance and its batch variants, BpConsistentRange,
-/// DecodePoint) are const and draw nothing from the extension Rng (the
-/// Rng feeds only the non-const build-side methods), so one Extension
-/// instance safely serves concurrent readers.
+/// the search methods (RangeSearch, KnnSearch, KnnSearchDfs) and
+/// VisitNode, the cursor's fetch path, are const and mutate no tree,
+/// extension, or node state — the only mutation on a default search is
+/// I/O accounting in the attached reader or the PageStore, both shared.
+/// All other search state (node frontier, candidates, scan scratch) is
+/// local to the call or the cursor: no search keeps static or
+/// thread-local scratch. Concurrent searches over one tree are
+/// therefore safe if and only if every caller passes its own per-call
+/// PageReader (a pages::ResidentReader, which reads the resident store
+/// through its const PeekNoIo path) via the `pool` parameter, which
+/// overrides both the attached reader and the direct PageStore::Read
+/// path. Insert/Delete and set_buffer_pool require exclusive access.
+/// Extension consistency methods (BpMinDistance and its batch variants,
+/// BpConsistentRange, DecodePoint) are const and draw nothing from the
+/// extension Rng (the Rng feeds only the non-const build-side methods),
+/// so one Extension instance safely serves concurrent readers.
 class Tree {
  public:
   Tree(pages::PageStore* file, std::unique_ptr<Extension> extension,
@@ -124,7 +135,8 @@ class Tree {
   Status Delete(const geom::Vec& point, Rid rid);
 
   /// SEARCH with an expanding-sphere predicate: all RIDs whose point lies
-  /// within `radius` of `query`. A non-null `pool` overrides the tree's
+  /// within `radius` of `query`, in NeighborLess order. A non-null `pool`
+  /// overrides the tree's
   /// read path for this call only (see the thread-safety contract above).
   /// A non-null `degraded` enables degraded-mode traversal: unreadable
   /// subtrees are skipped (within budget) and recorded instead of
@@ -136,8 +148,23 @@ class Tree {
                                             DegradedRead* degraded =
                                                 nullptr) const;
 
-  /// Best-first k-nearest-neighbor search (Hjaltason-Samet). Exact given
-  /// an admissible extension MinDistance. Results sorted by distance.
+  /// Best-first k-nearest-neighbor search with a k-bounded candidate
+  /// list. Unexpanded nodes wait in a min-heap by (bound, page id); leaf
+  /// points never enter it but go to a TopK of at most k candidates by
+  /// (distance, rid). The search expands the nearest node until k
+  /// candidates exist and that node's bound exceeds the k-th candidate's
+  /// distance; once k exist, internal nodes are scanned with that
+  /// distance pushed down, and only consistent children are queued.
+  ///
+  /// Returns the k smallest (distance, rid) pairs in NeighborLess order,
+  /// exact given an admissible extension MinDistance. It reads exactly
+  /// the nodes Hjaltason-Samet best-first search reads: with d_k the
+  /// final k-th distance, both expand every reachable node with bound
+  /// <= d_k and none beyond it (a node that reaches the front with
+  /// bound > d_k finds every top-k point already seen, since all their
+  /// ancestors have bounds <= d_k). The `>` of the stop test and the
+  /// `<=` of the push-down decide ties, so bound == d_k is expanded.
+  ///
   /// Under degraded-mode traversal the result is a subset of the true
   /// k-NN set: every returned (rid, distance) is genuine, but neighbors
   /// stored under skipped subtrees are missing.
@@ -149,7 +176,8 @@ class Tree {
 
   /// Depth-first branch-and-bound k-NN (Roussopoulos/Kelley/Vincent
   /// style): children are visited in MinDistance order and pruned
-  /// against the current k-th best candidate. Exact, but accesses a
+  /// against the current k-th best candidate. Returns exactly what
+  /// KnnSearch returns (same pairs, same order), but accesses a
   /// superset of the nodes best-first search touches — extra accesses
   /// happen while the candidate bound is still loose, which makes this
   /// search *far* more sensitive to bounding-predicate quality. This is
@@ -176,14 +204,17 @@ class Tree {
   void ForEachNode(
       const std::function<void(pages::PageId, const NodeView&)>& fn) const;
 
-  /// Fetches a node page through the tree's configured read path
-  /// (buffer pool if attached, counted I/O otherwise); a non-null `pool`
-  /// overrides that path for this call. Used by search cursors; analysis
-  /// code should use the no-I/O iteration hooks.
-  Result<pages::Page*> FetchNode(pages::PageId id,
-                                 pages::PageReader* pool = nullptr) const {
-    return Fetch(id, pool);
-  }
+  /// One node visit of a search: fetches the node page through the
+  /// tree's configured read path (the attached reader if any, counted
+  /// I/O otherwise; a non-null `pool` overrides that path for this
+  /// call), then records the access in `stats` (when non-null). Returns
+  /// nullptr when degraded-mode traversal absorbs the fetch error: the
+  /// subtree at `id` is skipped and recorded in `degraded`, consuming one
+  /// unit of its budget. Every search and cursor reads nodes through
+  /// this; analysis code should use the no-I/O iteration hooks.
+  Result<pages::Page*> VisitNode(pages::PageId id, TraversalStats* stats,
+                                 pages::PageReader* pool,
+                                 DegradedRead* degraded) const;
 
   /// RIDs stored in one leaf (no I/O accounting).
   std::vector<Rid> LeafRids(pages::PageId leaf) const;

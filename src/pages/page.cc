@@ -77,16 +77,6 @@ Status Page::Update(size_t slot, const void* bytes, size_t length) {
   return Status::OK();
 }
 
-const uint8_t* Page::RecordData(size_t slot) const {
-  BW_CHECK_LT(slot, slots_.size());
-  return data_.data() + slots_[slot].offset;
-}
-
-size_t Page::RecordLength(size_t slot) const {
-  BW_CHECK_LT(slot, slots_.size());
-  return slots_[slot].length;
-}
-
 void Page::Clear() {
   slots_.clear();
   record_tail_ = 0;

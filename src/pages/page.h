@@ -57,9 +57,16 @@ class Page {
   /// if the new payload does not fit.
   Status Update(size_t slot, const void* bytes, size_t length);
 
-  /// Read-only view of the record in `slot`.
-  const uint8_t* RecordData(size_t slot) const;
-  size_t RecordLength(size_t slot) const;
+  /// Read-only view of the record in `slot`. Inline: node scans read
+  /// every record of every node they visit.
+  const uint8_t* RecordData(size_t slot) const {
+    BW_CHECK_LT(slot, slots_.size());
+    return data_.data() + slots_[slot].offset;
+  }
+  size_t RecordLength(size_t slot) const {
+    BW_CHECK_LT(slot, slots_.size());
+    return slots_[slot].length;
+  }
 
   /// Drops all records.
   void Clear();

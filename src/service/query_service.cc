@@ -262,8 +262,11 @@ QueryService::StreamCursor::StreamCursor(QueryService* service,
     reader_.set_deadline(start_ + std::chrono::microseconds(static_cast<
                              int64_t>(limits_.deadline_us)));
   }
-  cursor_ = std::make_unique<gist::NnCursor>(
-      *service_->tree_, query_, &traversal_, &reader_, &degraded_);
+  // The cursor reads no further than max_results: it prunes the points
+  // and subtrees that cannot be among them.
+  cursor_ = std::make_unique<gist::NnCursor>(*service_->tree_, query_,
+                                             &traversal_, &reader_,
+                                             &degraded_, limits_.max_results);
 }
 
 QueryService::StreamCursor::~StreamCursor() {
@@ -758,7 +761,7 @@ QueryService::Response QueryService::Execute(Task& task) {
                                 int64_t>(limits.deadline_us)));
       }
       gist::NnCursor cursor(*tree_, task.query, &traversal, &reader,
-                            &degraded);
+                            &degraded, limits.max_results);
       for (;;) {
         if (limits.max_results > 0 &&
             response.neighbors.size() >= limits.max_results) {

@@ -5,7 +5,6 @@
 #include <limits>
 #include <optional>
 #include <queue>
-#include <tuple>
 #include <utility>
 
 namespace bw::shard {
@@ -424,26 +423,32 @@ Result<service::QueryResponse> Router::Knn(
     }
   }
 
-  // Global merge heap: min by key, then by shard index (deterministic).
-  // Unopened shards are keyed by their root bound (a lower bound on
-  // anything they can stream); open shards by their head's exact
-  // distance. The top is therefore always <= every result any shard
-  // can still produce.
+  // Global merge heap. Unopened shards are keyed by their root bound (a
+  // lower bound on anything they can stream); open shards by their
+  // head's exact distance. The top is therefore always <= every result
+  // any shard can still produce. Shards stream in (distance, rid) order
+  // (gist::NeighborLess), and so does the merge: at an equal key an
+  // unopened shard goes first, since it may hold a point at that
+  // distance with a smaller rid; then the head with the smaller rid;
+  // unopened shards among themselves by shard index.
   struct HeapEntry {
     double key;
     size_t shard;
     bool opened;
+    gist::Rid rid;  // the head's rid, when opened.
   };
   struct HeapGreater {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      return std::tie(a.key, a.shard) > std::tie(b.key, b.shard);
+      if (a.key != b.key) return a.key > b.key;
+      if (a.opened != b.opened) return a.opened;
+      return a.opened ? a.rid > b.rid : a.shard > b.shard;
     }
   };
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapGreater> heap;
   for (size_t s = 0; s < shards_.size(); ++s) {
     // An infinite bound means an empty shard: nothing to fetch, ever.
     if (bound[s] < std::numeric_limits<double>::infinity()) {
-      heap.push(HeapEntry{bound[s], s, false});
+      heap.push(HeapEntry{bound[s], s, false, 0});
     }
   }
 
@@ -493,7 +498,7 @@ Result<service::QueryResponse> Router::Knn(
       }
       if (head.has_value()) {
         os->head = *head;
-        heap.push(HeapEntry{head->distance, top.shard, true});
+        heap.push(HeapEntry{head->distance, top.shard, true, head->rid});
       }
       open[top.shard] = std::move(os);
     } else {
@@ -506,7 +511,7 @@ Result<service::QueryResponse> Router::Knn(
       }
       if (head.has_value()) {
         os->head = *head;
-        heap.push(HeapEntry{head->distance, top.shard, true});
+        heap.push(HeapEntry{head->distance, top.shard, true, head->rid});
       }
     }
   }
@@ -604,9 +609,7 @@ Result<service::QueryResponse> Router::Range(const geom::Vec& query,
   }
 
   std::sort(response.neighbors.begin(), response.neighbors.end(),
-            [](const gist::Neighbor& a, const gist::Neighbor& b) {
-              return std::tie(a.distance, a.rid) < std::tie(b.distance, b.rid);
-            });
+            gist::NeighborLess);
   if (fleet_degraded) {
     response.completeness = service::Completeness::kDegraded;
     degraded_queries_.fetch_add(1, std::memory_order_relaxed);

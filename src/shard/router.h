@@ -8,8 +8,9 @@
 // lower bound on everything the shard stores) or an *open* shard keyed
 // by its frontier head's exact distance. Popping the heap therefore
 // always yields the globally smallest candidate; results come out in
-// non-decreasing distance order, exactly like a single index's NN
-// cursor. Shards are opened lazily: an unopened shard is only dialed
+// (distance, rid) order, exactly like a single index's NN cursor (at an
+// equal key an unopened shard pops first, then the smaller head rid).
+// Shards are opened lazily: an unopened shard is only dialed
 // when its root bound reaches the top of the heap, and the query
 // terminates the moment k results exist — every remaining heap key
 // (bound or head) is then >= the k-th distance, so unopened shards are

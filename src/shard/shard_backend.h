@@ -36,8 +36,8 @@
 
 namespace bw::shard {
 
-/// A shard's best-first result stream: non-decreasing distances, one
-/// result per Next(), nullopt at the end. Degraded accounting is valid
+/// A shard's best-first result stream in (distance, rid) order
+/// (gist::NeighborLess), one result per Next(), nullopt at the end. Degraded accounting is valid
 /// once the stream ended (for remote frontiers it arrives with the
 /// terminal frame, fetched by Finish()).
 class ShardFrontier {

@@ -1,23 +1,27 @@
 // Property tests for the batched node-scan API: for every access
-// method, BpMinDistanceBatch / BpConsistentRangeBatch /
-// PointDistanceBatch over random nodes must be bit-identical (exact
-// double equality, not approximate) to the per-entry scalar methods
-// they replace — that is the contract that lets the traversal layer
-// batch unconditionally (gist/extension.h). The node-scan suites pin
-// kernel dispatch to scalar (util::ScopedKernelIsa): exact equality is
-// the SCALAR dispatch contract; the AVX2/FMA variants carry a
-// ULP-bounded contract enforced by tests/kernel_dispatch_test.cc. A
-// traversal-level test additionally checks that batched degraded-mode
-// search (skips under a fault budget) returns exactly the brute-force
-// answer over the surviving points, with exact distances — that one
-// runs under the build's default dispatch on purpose, since leaf/data
-// distances never flow through the dispatched kernels.
+// method, BpMinDistanceBatch / BpConsistentRangeBatch and the leaf scan
+// (gist::NodeScan::ScanLeaf) over random nodes must be bit-identical
+// (exact double equality, not approximate) to the per-entry scalar
+// methods they replace — that is the contract that lets the traversal
+// layer batch unconditionally (gist/extension.h). The node-scan suites
+// pin kernel dispatch to scalar (util::ScopedKernelIsa): exact equality
+// is the SCALAR dispatch contract; the AVX2/FMA variants carry a
+// ULP-bounded contract enforced by tests/kernel_dispatch_test.cc. The
+// push-down contract — BpConsistentRangeBatch's distances of consistent
+// entries equal BpMinDistanceBatch's — holds per dispatch, so it is
+// checked under both. A traversal-level test additionally checks that
+// batched degraded-mode search (skips under a fault budget) returns
+// exactly the brute-force answer over the surviving points, with exact
+// distances — that one runs under the build's default dispatch on
+// purpose, since leaf/data distances never flow through the dispatched
+// kernels.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -26,7 +30,9 @@
 #include "core/durable_index.h"
 #include "core/index_factory.h"
 #include "gist/extension.h"
+#include "gist/node_scan.h"
 #include "gist/tree.h"
+#include "pages/page_file.h"
 #include "pages/resident_reader.h"
 #include "tests/test_helpers.h"
 #include "util/cpu.h"
@@ -115,33 +121,103 @@ TEST_P(BatchKernelTest, ConsistentRangeBatchBitIdentical) {
   }
 }
 
+// The push-down contract the searches rely on: wherever
+// BpConsistentRangeBatch marks an entry consistent, its distance is the
+// double BpMinDistanceBatch writes under the same dispatch, and an entry
+// is consistent exactly when that double is <= radius.
+TEST_P(BatchKernelTest, ConsistentRangeBatchDistancesMatchMinDistanceBatch) {
+  auto ext = MakeExt(GetParam());
+  const auto queries = testing::MakeUniformPoints(8, kDim, 4242);
+  RandomNode node(*ext, 64, 313);
+  for (const bool pin_scalar : {true, false}) {
+    std::optional<util::ScopedKernelIsa> pin;
+    if (pin_scalar) pin.emplace(util::KernelIsa::kScalar);
+    for (const geom::Vec& q : queries) {
+      ext->BpMinDistanceBatch(node.scratch, q);
+      const std::vector<double> bounds = node.scratch.distances;
+      std::vector<double> sorted = bounds;
+      std::sort(sorted.begin(), sorted.end());
+      // Radii at exact entry bounds (forced ties), between them, and
+      // beyond all of them.
+      const std::vector<double> radii = {0.0, sorted[3], sorted[20],
+                                         sorted[40] + 1e-3, sorted[63],
+                                         1e6};
+      for (const double radius : radii) {
+        ext->BpConsistentRangeBatch(node.scratch, q, radius);
+        for (size_t e = 0; e < bounds.size(); ++e) {
+          EXPECT_EQ(node.scratch.consistent[e] != 0, bounds[e] <= radius)
+              << GetParam() << " entry " << e << " radius " << radius
+              << " scalar " << pin_scalar;
+          if (node.scratch.consistent[e]) {
+            EXPECT_EQ(node.scratch.distances[e], bounds[e])
+                << GetParam() << " entry " << e << " radius " << radius
+                << " scalar " << pin_scalar;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_P(BatchKernelTest, PointDistanceBatchBitIdentical) {
   auto ext = MakeExt(GetParam());
   const auto points = testing::MakeClusteredPoints(80, kDim, 4, 1234);
   const auto queries = testing::MakeUniformPoints(16, kDim, 555);
   std::vector<gist::Bytes> keys;
   keys.reserve(points.size());
-  gist::BatchScratch scratch;
-  for (const geom::Vec& p : points) {
-    keys.push_back(ext->EncodePoint(p));
-    scratch.preds.push_back(gist::ByteSpan(keys.back().data(),
-                                           keys.back().size()));
+  for (const geom::Vec& p : points) keys.push_back(ext->EncodePoint(p));
+  // The leaf scan decodes straight from page records: stage a real leaf.
+  pages::Page page;
+  gist::NodeView leaf(&page);
+  leaf.Format(/*level=*/0);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(leaf.Append(keys[i], 1000 + i).ok());
   }
+  gist::NodeScan scan;
   for (const geom::Vec& q : queries) {
-    ext->PointDistanceBatch(scratch, q);
+    scan.ScanLeaf(leaf, *ext, q);
+    ASSERT_EQ(scan.count(), points.size());
     for (size_t e = 0; e < points.size(); ++e) {
-      const double scalar = q.DistanceTo(ext->DecodePoint(scratch.preds[e]));
-      EXPECT_EQ(scratch.distances[e], scalar) << "entry " << e;
-      EXPECT_EQ(scratch.distances[e],
-                ext->PointDistance(scratch.preds[e], q));
+      EXPECT_EQ(scan.payloads[e], 1000 + e);
+      const double scalar = q.DistanceTo(ext->DecodePoint(keys[e]));
+      EXPECT_EQ(scan.scratch.distances[e], scalar) << "entry " << e;
+      EXPECT_EQ(scan.scratch.distances[e], ext->PointDistance(keys[e], q));
     }
   }
+}
+
+// A leaf record whose key is shorter than dim floats must abort in
+// every build, in the leaf scan every search runs and in the scalar
+// PointDistance, instead of reading past the record.
+TEST(LeafScanDeathTest, ShortKeyAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto ext = MakeExt("xjb");
+  const auto points = testing::MakeClusteredPoints(40, kDim, 2, 99);
+  pages::PageFile file(4096);
+  gist::Tree tree(&file, std::move(ext));
+  for (size_t i = 0; i < points.size(); ++i) {
+    ASSERT_TRUE(tree.Insert(points[i], i).ok());
+  }
+  ASSERT_EQ(tree.height(), 1);
+  auto root = file.Write(tree.root());
+  ASSERT_TRUE(root.ok());
+  gist::NodeView leaf(*root);
+  const gist::Bytes short_key(tree.extension().PointBytes() - sizeof(float),
+                              0);
+  ASSERT_TRUE(leaf.Append(short_key, 7777).ok());
+
+  const geom::Vec& q = points[0];
+  EXPECT_DEATH((void)tree.KnnSearch(q, 5, nullptr), "RecordLength");
+  EXPECT_DEATH((void)tree.KnnSearchDfs(q, 5, nullptr), "RecordLength");
+  EXPECT_DEATH((void)tree.RangeSearch(q, 1.0, nullptr), "RecordLength");
+  EXPECT_DEATH((void)tree.extension().PointDistance(short_key, q),
+               "PointBytes");
 }
 
 /// All RIDs stored under `page` (healthy tree walk).
 void GatherRids(const gist::Tree& tree, pages::PageId page,
                 std::set<gist::Rid>* out) {
-  auto fetched = tree.FetchNode(page);
+  auto fetched = tree.VisitNode(page, nullptr, nullptr, nullptr);
   ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
   const gist::NodeView node(*fetched);
   if (node.IsLeaf()) {

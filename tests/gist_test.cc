@@ -188,7 +188,8 @@ TEST(TreeTest, BestFirstAndDfsKnnAgree) {
     ASSERT_TRUE(b.ok());
     ASSERT_EQ(a->size(), b->size());
     for (size_t i = 0; i < a->size(); ++i) {
-      EXPECT_NEAR((*a)[i].distance, (*b)[i].distance, 1e-9);
+      EXPECT_EQ((*a)[i].rid, (*b)[i].rid);
+      EXPECT_EQ((*a)[i].distance, (*b)[i].distance);
     }
   }
 }

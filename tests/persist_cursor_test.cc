@@ -135,7 +135,8 @@ TEST(NnCursorTest, PrefixMatchesKnnSearch) {
     auto next = cursor.Next();
     ASSERT_TRUE(next.ok());
     ASSERT_TRUE(next->has_value());
-    EXPECT_NEAR((**next).distance, (*batch)[i].distance, 1e-12) << i;
+    EXPECT_EQ((**next).rid, (*batch)[i].rid) << i;
+    EXPECT_EQ((**next).distance, (*batch)[i].distance) << i;
   }
 }
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -204,10 +205,16 @@ TEST(QueryServiceTest, BlockingBackpressureUnblocksOnResume) {
 // Streaming limits
 // ---------------------------------------------------------------------------
 
+// The budget radius ends a stream at the range answer, in (distance,
+// rid) order, on both stream paths. A wire client's k is an unchecked
+// u32, so max_results may also exceed the tree's size: whether the
+// limit prunes (below the size) or cannot (at or above it), the budget
+// radius still decides the answer.
 TEST(QueryServiceTest, StreamBudgetRadiusMatchesRange) {
-  auto built = BuildSmallIndex("rtree", 2500, 13);
+  constexpr size_t kPoints = 2500;
+  auto built = BuildSmallIndex("rtree", kPoints, 13);
   const gist::Tree& tree = built->tree();
-  const auto points = testing::MakeClusteredPoints(2500, 5, 8, 13);
+  const auto points = testing::MakeClusteredPoints(kPoints, 5, 8, 13);
   const geom::Vec& query = points[42];
 
   auto knn = tree.KnnSearch(query, 40, nullptr);
@@ -215,26 +222,41 @@ TEST(QueryServiceTest, StreamBudgetRadiusMatchesRange) {
   const double radius = (*knn)[39].distance;
   auto range = tree.RangeSearch(query, radius, nullptr);
   ASSERT_TRUE(range.ok());
-  auto expected = Rids(*range);
-  std::sort(expected.begin(), expected.end());
+  ASSERT_GE(range->size(), 40u);
 
   ServiceOptions options;
   options.num_workers = 2;
   QueryService service(tree, options);
-  StreamOptions stream;
-  stream.budget_radius = radius;
-  auto future = service.SubmitStream(query, stream);
-  ASSERT_TRUE(future.ok());
-  auto response = future->get();
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_FALSE(response->metrics.truncated);
-  auto got = Rids(response->neighbors);
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, expected);
-  // Nearest-first order within the budget.
-  for (size_t i = 1; i < response->neighbors.size(); ++i) {
-    EXPECT_GE(response->neighbors[i].distance,
-              response->neighbors[i - 1].distance - 1e-12);
+  for (const size_t max_results :
+       {size_t{0}, size_t{200}, kPoints - 1, kPoints, kPoints + 5,
+        size_t{std::numeric_limits<uint32_t>::max()}}) {
+    SCOPED_TRACE(::testing::Message() << "max_results=" << max_results);
+    StreamOptions stream;
+    stream.max_results = max_results;
+    stream.budget_radius = radius;
+
+    auto future = service.SubmitStream(query, stream);
+    ASSERT_TRUE(future.ok());
+    auto response = future->get();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_FALSE(response->metrics.truncated);
+
+    std::vector<gist::Neighbor> streamed;
+    auto cursor = service.OpenCursor(query, stream);
+    for (;;) {
+      auto next = cursor->Next();
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      if (!next->has_value()) break;
+      streamed.push_back(**next);
+    }
+
+    for (const auto* got : {&response->neighbors, &streamed}) {
+      ASSERT_EQ(got->size(), range->size());
+      for (size_t i = 0; i < range->size(); ++i) {
+        EXPECT_EQ((*got)[i].rid, (*range)[i].rid) << "rank " << i;
+        EXPECT_EQ((*got)[i].distance, (*range)[i].distance) << "rank " << i;
+      }
+    }
   }
 }
 

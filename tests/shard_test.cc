@@ -16,7 +16,6 @@
 #include <limits>
 #include <memory>
 #include <set>
-#include <tuple>
 #include <vector>
 
 #include "core/durable_index.h"
@@ -205,6 +204,47 @@ TEST(RouterKnnTest, BitIdenticalToSingleIndexRandomized) {
   EXPECT_EQ(router->stats().queries, 40u);
 }
 
+TEST(RouterKnnTest, TiesBreakByRidLikeSingleIndex) {
+  // Points snapped to a coarse grid: many exact duplicates and equal
+  // distances, spread over shards, so which rids make the cut at the
+  // k-th distance is decided by the merge's tie order alone.
+  auto corpus = testing::MakeClusteredPoints(1500, kDim, 6, 77);
+  const auto snap = [](geom::Vec& v) {
+    for (size_t d = 0; d < v.dim(); ++d) {
+      v[d] = 4.0f * std::round(v[d] / 4.0f);
+    }
+  };
+  for (geom::Vec& p : corpus) snap(p);
+  auto single = BuildSingleIndex(corpus);
+  ASSERT_NE(single, nullptr);
+  auto fleet = BuildFleet(corpus, "ties", 4, 1);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  Router* router = (*fleet)->router();
+
+  Rng rng(31);
+  auto queries = testing::MakeUniformPoints(10, kDim, 12);
+  for (geom::Vec& q : queries) snap(q);
+  for (int i = 0; i < 10; ++i) {
+    queries.push_back(corpus[rng.NextBelow(corpus.size())]);
+  }
+  for (size_t q = 0; q < queries.size(); ++q) {
+    for (const size_t k : {size_t{1}, size_t{7}, size_t{25}, size_t{90}}) {
+      StreamOptions stream;
+      stream.max_results = k;
+      auto merged = router->Knn(queries[q], stream);
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      const auto truth = TruthKnn(single->tree(), queries[q], k);
+      ASSERT_EQ(merged->neighbors.size(), truth.size());
+      for (size_t i = 0; i < truth.size(); ++i) {
+        EXPECT_EQ(merged->neighbors[i].rid, truth[i].rid)
+            << "query " << q << " k " << k << " position " << i;
+        EXPECT_EQ(merged->neighbors[i].distance, truth[i].distance)
+            << "query " << q << " k " << k << " position " << i;
+      }
+    }
+  }
+}
+
 TEST(RouterKnnTest, RangeMatchesSingleIndex) {
   const auto corpus = testing::MakeClusteredPoints(800, kDim, 6, 53);
   auto single = BuildSingleIndex(corpus);
@@ -221,15 +261,8 @@ TEST(RouterKnnTest, RangeMatchesSingleIndex) {
     gist::TraversalStats stats;
     auto truth = single->tree().RangeSearch(query, radius, &stats);
     ASSERT_TRUE(truth.ok());
-    // The router sorts by (distance, rid); the single index sorts by
-    // distance only, so compare as sets plus per-position distances.
+    // Both sort by (distance, rid).
     ASSERT_EQ(merged->neighbors.size(), truth->size());
-    EXPECT_EQ(RidSet(merged->neighbors), RidSet(*truth));
-    std::sort(truth->begin(), truth->end(),
-              [](const gist::Neighbor& a, const gist::Neighbor& b) {
-                return std::tie(a.distance, a.rid) <
-                       std::tie(b.distance, b.rid);
-              });
     for (size_t i = 0; i < truth->size(); ++i) {
       EXPECT_EQ(merged->neighbors[i].rid, (*truth)[i].rid);
       EXPECT_EQ(merged->neighbors[i].distance, (*truth)[i].distance);
