@@ -4,10 +4,17 @@
 // then served).
 //
 //   bwadmin gen     --dataset blobs.bin --images 4000
-//   bwadmin build   --dataset blobs.bin --index idx.bwix --am xjb --dim 5
-//   bwadmin info    --index idx.bwix
-//   bwadmin query   --dataset blobs.bin --index idx.bwix --blob 17 --k 10
-//   bwadmin analyze --dataset blobs.bin --index idx.bwix --queries 200
+//   bwadmin build   --dataset blobs.bin --index idx --am xjb --dim 5
+//   bwadmin info    --index idx
+//   bwadmin query   --dataset blobs.bin --index idx --blob 17 --k 10
+//   bwadmin analyze --dataset blobs.bin --index idx --queries 200
+//
+// --index PREFIX names a durable index (core/durable_index.h): the base
+// file PREFIX.bwpf and its write-ahead log PREFIX.bwwal, the same pair
+// `bwserver --index PREFIX` serves. info, query and analyze open it
+// through crash recovery, whose closing checkpoint rewrites the base
+// file, so they write to the index files too.
+//
 //   bwadmin stats   --server 127.0.0.1:4821
 //   bwadmin health  --server 127.0.0.1:4821
 //   bwadmin stats   --endpoints 127.0.0.1:4830,127.0.0.1:4831,127.0.0.1:4832
@@ -40,8 +47,7 @@
 #include "amdb/analysis.h"
 #include "blobworld/dataset.h"
 #include "blobworld/pipeline.h"
-#include "core/index_factory.h"
-#include "gist/persist.h"
+#include "core/durable_index.h"
 #include "linalg/reducer.h"
 #include "net/client.h"
 #include "service/snapshot_export.h"
@@ -57,6 +63,12 @@ using bw::StatusCode;
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
+}
+
+// Opens the durable index saved at PREFIX.bwpf + PREFIX.bwwal.
+bw::Result<std::unique_ptr<bw::core::DurableIndex>> OpenIndex(
+    const std::string& prefix) {
+  return bw::core::OpenDurableIndex(prefix + ".bwpf", prefix + ".bwwal");
 }
 
 // Rebuilds the reduced vectors the index was built over (deterministic:
@@ -92,7 +104,7 @@ int CmdGen(bw::Flags& flags, int argc, char** argv) {
 
 int CmdBuild(bw::Flags& flags, int argc, char** argv) {
   std::string* dataset_path = flags.AddString("dataset", "blobs.bin", "");
-  std::string* index_path = flags.AddString("index", "index.bwix", "");
+  std::string* index_path = flags.AddString("index", "index", "");
   std::string* am = flags.AddString("am", "xjb", "");
   int64_t* dim = flags.AddInt64("dim", 5, "");
   int64_t* xjb_x = flags.AddInt64("xjb_x", 0, "0 = auto-select");
@@ -108,25 +120,25 @@ int CmdBuild(bw::Flags& flags, int argc, char** argv) {
   bw::core::IndexBuildOptions options;
   options.am = *am;
   options.xjb_x = static_cast<size_t>(*xjb_x);
-  auto index = bw::core::BuildIndex(*vectors, options);
+  auto index = bw::core::BuildDurableIndex(*vectors, options,
+                                           *index_path + ".bwpf",
+                                           *index_path + ".bwwal");
   if (!index.ok()) return Fail(index.status());
-  Status saved = bw::core::SaveIndex(**index, *index_path);
-  if (!saved.ok()) return Fail(saved);
   const auto shape = (*index)->tree().Shape();
   std::printf("built %s index over %zu vectors in %.1fs "
-              "(height %d, %llu nodes) -> %s\n",
+              "(height %d, %llu nodes) -> %s.bwpf + %s.bwwal\n",
               am->c_str(), vectors->size(), watch.ElapsedSeconds(),
               shape.height, (unsigned long long)shape.TotalNodes(),
-              index_path->c_str());
+              index_path->c_str(), index_path->c_str());
   return 0;
 }
 
 int CmdInfo(bw::Flags& flags, int argc, char** argv) {
-  std::string* index_path = flags.AddString("index", "index.bwix", "");
+  std::string* index_path = flags.AddString("index", "index", "");
   Status parsed = flags.Parse(argc, argv);
   if (!parsed.ok()) return parsed.code() == StatusCode::kNotFound ? 0 : 2;
 
-  auto index = bw::core::LoadIndex(*index_path);
+  auto index = OpenIndex(*index_path);
   if (!index.ok()) return Fail(index.status());
   const auto& tree = (*index)->tree();
   const auto shape = tree.Shape();
@@ -147,7 +159,7 @@ int CmdInfo(bw::Flags& flags, int argc, char** argv) {
 
 int CmdQuery(bw::Flags& flags, int argc, char** argv) {
   std::string* dataset_path = flags.AddString("dataset", "blobs.bin", "");
-  std::string* index_path = flags.AddString("index", "index.bwix", "");
+  std::string* index_path = flags.AddString("index", "index", "");
   int64_t* blob = flags.AddInt64("blob", 0, "query blob id");
   int64_t* k = flags.AddInt64("k", 10, "");
   Status parsed = flags.Parse(argc, argv);
@@ -155,7 +167,7 @@ int CmdQuery(bw::Flags& flags, int argc, char** argv) {
 
   auto dataset = bw::blobworld::BlobDataset::LoadFrom(*dataset_path);
   if (!dataset.ok()) return Fail(dataset.status());
-  auto index = bw::core::LoadIndex(*index_path);
+  auto index = OpenIndex(*index_path);
   if (!index.ok()) return Fail(index.status());
   auto vectors = ReducedVectors(*dataset, (*index)->tree().extension().dim());
   if (!vectors.ok()) return Fail(vectors.status());
@@ -164,9 +176,8 @@ int CmdQuery(bw::Flags& flags, int argc, char** argv) {
   }
 
   bw::gist::TraversalStats stats;
-  auto neighbors =
-      (*index)->Knn((*vectors)[static_cast<size_t>(*blob)],
-                    static_cast<size_t>(*k), &stats);
+  auto neighbors = (*index)->tree().KnnSearch(
+      (*vectors)[static_cast<size_t>(*blob)], static_cast<size_t>(*k), &stats);
   if (!neighbors.ok()) return Fail(neighbors.status());
   std::printf("%zu nearest blobs to blob %lld:\n", neighbors->size(),
               (long long)*blob);
@@ -183,7 +194,7 @@ int CmdQuery(bw::Flags& flags, int argc, char** argv) {
 
 int CmdAnalyze(bw::Flags& flags, int argc, char** argv) {
   std::string* dataset_path = flags.AddString("dataset", "blobs.bin", "");
-  std::string* index_path = flags.AddString("index", "index.bwix", "");
+  std::string* index_path = flags.AddString("index", "index", "");
   int64_t* queries = flags.AddInt64("queries", 200, "");
   int64_t* k = flags.AddInt64("k", 200, "");
   Status parsed = flags.Parse(argc, argv);
@@ -191,7 +202,7 @@ int CmdAnalyze(bw::Flags& flags, int argc, char** argv) {
 
   auto dataset = bw::blobworld::BlobDataset::LoadFrom(*dataset_path);
   if (!dataset.ok()) return Fail(dataset.status());
-  auto index = bw::core::LoadIndex(*index_path);
+  auto index = OpenIndex(*index_path);
   if (!index.ok()) return Fail(index.status());
   auto vectors = ReducedVectors(*dataset, (*index)->tree().extension().dim());
   if (!vectors.ok()) return Fail(vectors.status());

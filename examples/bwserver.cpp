@@ -1,17 +1,19 @@
 // bwserver: the Blobworld network front end as a standalone binary.
-// Builds (or loads) an index, wraps it in a QueryService, and serves
+// Builds (or opens) an index, wraps it in a QueryService, and serves
 // the wire protocol (src/net/wire.h) over TCP until SIGTERM/SIGINT,
 // then drains in-flight streams and exits cleanly — the deployment
 // shape every downstream scaling direction (sharding, replicas)
 // assumes.
 //
 //   bwserver --port 4821 --blobs 8000 --am xjb --workers 4
-//   bwserver --port 4821 --index idx.bwix
+//   bwserver --port 4821 --index idx
 //   bwserver --port 4821 --durable /tmp/bw --blobs 8000   # writable
 //
-// With --durable PREFIX the index is built durably at PREFIX.bwpf /
-// PREFIX.bwwal and online insert/delete requests are honored; without
-// it the service is read-only and mutations answer InvalidArgument.
+// With --index PREFIX the server opens the durable index `bwadmin build`
+// saved at PREFIX.bwpf / PREFIX.bwwal (crash recovery included) and
+// serves it read-only. With --durable PREFIX the index is built durably
+// there and online insert/delete requests are honored; without it the
+// service is read-only and mutations answer InvalidArgument.
 //
 // With --shards N --shard_index I the server builds and serves only its
 // STR slice of the synthetic corpus, preserving *global* RIDs — the
@@ -63,7 +65,9 @@ int main(int argc, char** argv) {
   int64_t* port = flags.AddInt64("port", 4821, "TCP port (0 = ephemeral)");
   std::string* bind = flags.AddString("bind", "127.0.0.1", "bind address");
   std::string* index_path =
-      flags.AddString("index", "", "serve this saved index ('' = synthetic)");
+      flags.AddString("index", "",
+                      "serve the index saved at PREFIX.bwpf/.bwwal, "
+                      "read-only ('' = synthetic)");
   std::string* durable = flags.AddString(
       "durable", "",
       "build a durable, writable index at PREFIX.bwpf/.bwwal ('' = "
@@ -100,12 +104,13 @@ int main(int argc, char** argv) {
   std::unique_ptr<bw::core::BuiltIndex> built;
   std::unique_ptr<bw::core::DurableIndex> durable_index;
   if (!index_path->empty()) {
-    auto loaded = bw::core::LoadIndex(*index_path);
-    BW_CHECK_MSG(loaded.ok(), loaded.status().ToString());
-    built = std::move(*loaded);
-    std::printf("loaded %s: %llu entries, height %d\n", index_path->c_str(),
-                (unsigned long long)built->tree().size(),
-                built->tree().height());
+    auto opened = bw::core::OpenDurableIndex(*index_path + ".bwpf",
+                                             *index_path + ".bwwal");
+    BW_CHECK_MSG(opened.ok(), opened.status().ToString());
+    durable_index = std::move(*opened);
+    std::printf("opened %s: %llu entries, height %d\n", index_path->c_str(),
+                (unsigned long long)durable_index->tree().size(),
+                durable_index->tree().height());
   } else {
     auto vectors = SyntheticVectors(static_cast<size_t>(*blobs),
                                     static_cast<size_t>(*dim),
@@ -159,7 +164,9 @@ int main(int argc, char** argv) {
   service_options.num_workers = static_cast<size_t>(*workers);
   service_options.queue_capacity = static_cast<size_t>(*queue_depth);
   service_options.fault_budget = static_cast<size_t>(*fault_budget);
-  if (durable_index) service_options.write.enabled = true;
+  // A durable index built here takes writes; one opened with --index is
+  // served read-only.
+  service_options.write.enabled = durable_index && index_path->empty();
   auto service =
       durable_index
           ? std::make_unique<bw::service::QueryService>(

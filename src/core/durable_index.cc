@@ -119,7 +119,8 @@ Status RefreshTreeFromMeta(storage::DurableStore* store, gist::Tree* tree) {
 
 Result<std::unique_ptr<DurableIndex>> CreateDurableIndex(
     const std::string& base_path, const std::string& wal_path, size_t dim,
-    const IndexBuildOptions& options, storage::StoreOptions store_options) {
+    const IndexBuildOptions& options, storage::StoreOptions store_options,
+    size_t num_points_hint) {
   store_options.page_size = options.page_bytes;
   BW_ASSIGN_OR_RETURN(
       std::unique_ptr<storage::DurableStore> store,
@@ -129,7 +130,7 @@ Result<std::unique_ptr<DurableIndex>> CreateDurableIndex(
     return Status::Internal("meta page must be the store's first page");
   }
   BW_ASSIGN_OR_RETURN(std::unique_ptr<gist::Extension> extension,
-                      MakeExtension(dim, options, /*num_points_hint=*/0));
+                      MakeExtension(dim, options, num_points_hint));
   auto tree =
       std::make_unique<gist::Tree>(store->pages(), std::move(extension));
   auto index =
@@ -149,7 +150,7 @@ Result<std::unique_ptr<DurableIndex>> BuildDurableIndex(
   BW_ASSIGN_OR_RETURN(
       std::unique_ptr<DurableIndex> index,
       CreateDurableIndex(base_path, wal_path, vectors[0].dim(), options,
-                         store_options));
+                         store_options, vectors.size()));
   std::vector<gist::Rid> rids(vectors.size());
   std::iota(rids.begin(), rids.end(), 0);
   if (options.bulk_load) {

@@ -84,10 +84,14 @@ class DurableIndex {
 /// Creates an empty durable index: fresh store at (base_path, wal_path),
 /// meta page reserved, extension from `options.am`, initial commit +
 /// checkpoint taken. `dim` is needed up front because no vectors are.
+/// `num_points_hint` is how many points the caller is about to load:
+/// XJB's automatic X (`options.xjb_x == 0`) is chosen for that count,
+/// exactly as BuildIndex chooses it (0 = unknown).
 Result<std::unique_ptr<DurableIndex>> CreateDurableIndex(
     const std::string& base_path, const std::string& wal_path, size_t dim,
     const IndexBuildOptions& options,
-    storage::StoreOptions store_options = storage::StoreOptions());
+    storage::StoreOptions store_options = storage::StoreOptions(),
+    size_t num_points_hint = 0);
 
 /// Builds a durable index over `vectors` (RIDs are vector indices),
 /// bulk- or insertion-loaded per `options`, committed and checkpointed.
@@ -98,9 +102,11 @@ Result<std::unique_ptr<DurableIndex>> BuildDurableIndex(
 
 /// Recovers a durable index from whatever a crash left behind: replays
 /// committed WAL batches, verifies checksums, re-instantiates the access
-/// method recorded in the meta page (`options` supplies tuning values,
-/// as with LoadIndex), and validates the tree. The returned index
-/// carries the recovery summary.
+/// method recorded in the meta page (`options` supplies tuning values
+/// the meta page does not record, such as amap_samples and seed), and
+/// validates the tree. The returned index carries the recovery summary.
+/// Recovery ends with a checkpoint, so opening writes to both files.
+/// NotFound (and no file created) if the base file does not exist.
 Result<std::unique_ptr<DurableIndex>> OpenDurableIndex(
     const std::string& base_path, const std::string& wal_path,
     IndexBuildOptions options = IndexBuildOptions(),

@@ -1,9 +1,6 @@
 #include "core/index_factory.h"
 
 #include <algorithm>
-
-#include "gist/persist.h"
-
 #include <numeric>
 
 #include "am/bulk_load.h"
@@ -13,6 +10,7 @@
 #include "am/sstree.h"
 #include "core/jagged.h"
 #include "core/map_tree.h"
+#include "pages/page_file.h"
 
 namespace bw::core {
 
@@ -98,28 +96,6 @@ Result<std::unique_ptr<BuiltIndex>> BuildIndex(
   }
   file->ResetStats();
   return std::make_unique<BuiltIndex>(std::move(file), std::move(tree));
-}
-
-Status SaveIndex(const BuiltIndex& index, const std::string& path) {
-  return gist::SaveTree(index.tree(), path);
-}
-
-Result<std::unique_ptr<BuiltIndex>> LoadIndex(const std::string& path,
-                                              IndexBuildOptions options) {
-  BW_ASSIGN_OR_RETURN(gist::LoadedIndex loaded, gist::LoadIndexFile(path));
-  options.am = loaded.extension_name;
-  if (options.am == "xjb" && loaded.aux_param != 0) {
-    options.xjb_x = loaded.aux_param;
-  }
-  BW_ASSIGN_OR_RETURN(
-      std::unique_ptr<gist::Extension> extension,
-      MakeExtension(loaded.dim, options, static_cast<size_t>(loaded.size)));
-  // AttachExtension wires the tree to loaded.file; ownership of the file
-  // transfers to the BuiltIndex only afterwards.
-  BW_ASSIGN_OR_RETURN(std::unique_ptr<gist::Tree> tree,
-                      loaded.AttachExtension(std::move(extension)));
-  return std::make_unique<BuiltIndex>(std::move(loaded.file),
-                                      std::move(tree));
 }
 
 const std::vector<std::string>& KnownAccessMethods() {

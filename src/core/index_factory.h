@@ -90,17 +90,6 @@ Result<std::unique_ptr<BuiltIndex>> BuildIndex(
 /// The set of access-method names BuildIndex accepts.
 const std::vector<std::string>& KnownAccessMethods();
 
-/// Persists a built index (pages + tree metadata) to `path`.
-Status SaveIndex(const BuiltIndex& index, const std::string& path);
-
-/// Loads an index saved by SaveIndex. The access method recorded in the
-/// file is re-instantiated; `options` supplies its tuning parameters
-/// (xjb_x, amap_samples, seed) and must agree with the build-time values
-/// for BPs that embed them.
-Result<std::unique_ptr<BuiltIndex>> LoadIndex(const std::string& path,
-                                              IndexBuildOptions options =
-                                                  IndexBuildOptions());
-
 }  // namespace bw::core
 
 #endif  // BLOBWORLD_CORE_INDEX_FACTORY_H_

@@ -71,7 +71,7 @@ Result<std::unique_ptr<core::DurableIndex>> BuildShardIndex(
   BW_ASSIGN_OR_RETURN(
       std::unique_ptr<core::DurableIndex> index,
       core::CreateDurableIndex(base_path, wal_path, points[0].dim(), options,
-                               store_options));
+                               store_options, points.size()));
   if (options.bulk_load) {
     am::BulkLoadOptions load;
     load.fill_fraction = options.fill_fraction;

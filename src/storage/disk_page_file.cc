@@ -35,11 +35,6 @@ constexpr size_t kPageFramesOffset = 2 * kHeaderSlotBytes;
 /// the page_codec image (page_size + 20 worst case) always fits.
 constexpr size_t kFrameOverhead = 32;
 
-/// Frames per ReadFramesBatch call in Open and Scrub: large enough to
-/// keep every async worker busy, small enough to bound the transient
-/// scratch buffer (256 × ~page_size bytes).
-constexpr uint32_t kLoadBatchFrames = 256;
-
 struct HeaderImage {
   uint32_t magic = kBaseMagic;
   uint32_t version = kBaseVersion;
@@ -105,41 +100,6 @@ Status DiskPageFile::ReadWithRetry(uint64_t offset, void* data, size_t n,
   return last;  // kUnavailable: transient faults outlasted the budget.
 }
 
-void DiskPageFile::ReadFramesBatch(const pages::PageId* ids, size_t count,
-                                   uint8_t* frames, Status* statuses) const {
-  const size_t fb = frame_bytes();
-  std::vector<ReadSpan> spans(count);
-  for (size_t i = 0; i < count; ++i) {
-    spans[i].offset = FrameOffset(ids[i]);
-    spans[i].data = frames + i * fb;
-    spans[i].n = fb;
-  }
-  // Attempt 1 for every frame rides one overlapped batch; the injector
-  // ticks once per frame in id order regardless of engine.
-  file_->ReadBatch(spans.data(), count, engine_);
-  // Retries are per-frame and sequential, with ReadWithRetry's exact
-  // backoff/jitter/accounting schedule. Deliberately NOT re-batched:
-  // transient faults arrive in bursts of consecutive reads, and a
-  // frame's best way through a burst is consecutive attempts of its
-  // own — interleaving other frames' retries into the burst window can
-  // starve a frame out of its whole budget.
-  const int attempts = retry_.max_attempts < 1 ? 1 : retry_.max_attempts;
-  for (size_t i = 0; i < count; ++i) {
-    statuses[i] = spans[i].status;
-    for (int attempt = 2; attempt <= attempts && IsRetryable(statuses[i]);
-         ++attempt) {
-      uint64_t backoff = static_cast<uint64_t>(retry_.backoff_us)
-                         << (attempt - 2);
-      if (backoff > retry_.max_backoff_us) backoff = retry_.max_backoff_us;
-      backoff += DeterministicJitter(retry_.jitter_seed, ids[i], attempt,
-                                     static_cast<uint32_t>(backoff / 2 + 1));
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff));
-      read_retries_.fetch_add(1, std::memory_order_relaxed);
-      statuses[i] = file_->ReadAt(spans[i].offset, spans[i].data, fb);
-    }
-  }
-}
-
 Status DiskPageFile::CheckFrame(const uint8_t* frame, size_t frame_len,
                                 pages::Page* scratch) const {
   uint32_t encoded_len;
@@ -166,7 +126,6 @@ Result<std::unique_ptr<DiskPageFile>> DiskPageFile::Create(
   std::unique_ptr<DiskPageFile> store(
       new DiskPageFile(std::move(file), page_size));
   store->retry_ = options.read_retry;
-  store->engine_ = ResolveIoEngine(options.engine);
   BW_RETURN_IF_ERROR(store->CommitHeader(/*checkpoint_lsn=*/0));
   return store;
 }
@@ -200,43 +159,27 @@ Result<std::unique_ptr<DiskPageFile>> DiskPageFile::Open(
   std::unique_ptr<DiskPageFile> store(
       new DiskPageFile(std::move(file), header.page_size));
   store->retry_ = options.read_retry;
-  store->engine_ = ResolveIoEngine(options.engine);
   store->checkpoint_lsn_ = header.checkpoint_lsn;
   store->header_epoch_ = header.epoch;
   store->active_header_slot_ = slot_found;
 
-  // Load all frames as batched reads (kLoadBatchFrames per batch keeps
-  // scratch memory bounded): the thread-pool engine overlaps the cold
-  // reads, and the injector is ticked once per frame in id order
-  // regardless of engine, so a chaos plan armed over Open unrolls
-  // identically on the sync and thread-pool paths.
-  const size_t fb = store->frame_bytes();
-  const uint32_t page_count = header.page_count;
-  std::vector<uint8_t> frames;
-  std::vector<Status> statuses;
-  std::vector<pages::PageId> ids;
-  for (uint32_t base = 0; base < page_count; base += kLoadBatchFrames) {
-    const uint32_t n = std::min<uint32_t>(kLoadBatchFrames, page_count - base);
-    frames.resize(static_cast<size_t>(n) * fb);
-    statuses.assign(n, Status::OK());
-    ids.resize(n);
-    for (uint32_t j = 0; j < n; ++j) ids[j] = base + j;
-    store->ReadFramesBatch(ids.data(), n, frames.data(), statuses.data());
-    for (uint32_t j = 0; j < n; ++j) {
-      const pages::PageId id = base + j;
-      auto page = std::make_unique<pages::Page>(header.page_size);
-      const bool intact =
-          statuses[j].ok() &&
-          store->CheckFrame(frames.data() + static_cast<size_t>(j) * fb, fb,
-                            page.get())
-              .ok();
-      if (!intact) {
-        page->Clear();
-        store->suspect_.insert(id);
-        store->health_.Quarantine(id);
-      }
-      store->pages_.push_back(std::move(page));
+  // Load every frame in id order, one ReadWithRetry each: a frame's
+  // retries follow its own first attempt, so it meets a burst of
+  // transient faults with consecutive attempts of its own.
+  std::vector<uint8_t> frame(store->frame_bytes());
+  for (pages::PageId id = 0; id < header.page_count; ++id) {
+    auto page = std::make_unique<pages::Page>(header.page_size);
+    const bool intact =
+        store->ReadWithRetry(store->FrameOffset(id), frame.data(),
+                             frame.size(), /*jitter_stream=*/id)
+            .ok() &&
+        store->CheckFrame(frame.data(), frame.size(), page.get()).ok();
+    if (!intact) {
+      page->Clear();
+      store->suspect_.insert(id);
+      store->health_.Quarantine(id);
     }
+    store->pages_.push_back(std::move(page));
   }
   return store;
 }
@@ -434,36 +377,16 @@ Status DiskPageFile::VerifyFrame(pages::PageId id) {
 
 Status DiskPageFile::Scrub(ScrubReport* report) {
   ScrubReport local;
-  std::vector<pages::PageId> ids;
   for (pages::PageId id = 0; id < pages_.size(); ++id) {
     ++local.frames_checked;
     if (health_.IsQuarantined(id)) continue;  // already awaiting repair.
-    ids.push_back(id);
-  }
-  // Same batched read path as Open: the verdict per frame (quarantine
-  // on DataLoss, unreadable on an outlasted transient) is identical to
-  // the sequential VerifyFrame loop — only the read scheduling differs.
-  const size_t fb = frame_bytes();
-  std::vector<uint8_t> frames;
-  std::vector<Status> statuses;
-  pages::Page scratch(page_size_);
-  for (size_t base = 0; base < ids.size(); base += kLoadBatchFrames) {
-    const size_t n = std::min<size_t>(kLoadBatchFrames, ids.size() - base);
-    frames.resize(n * fb);
-    statuses.assign(n, Status::OK());
-    ReadFramesBatch(ids.data() + base, n, frames.data(), statuses.data());
-    for (size_t j = 0; j < n; ++j) {
-      Status status = statuses[j];
-      if (status.ok()) {
-        status = CheckFrame(frames.data() + j * fb, fb, &scratch);
-      }
-      if (status.ok()) continue;
-      if (status.code() == StatusCode::kDataLoss) {
-        health_.Quarantine(ids[base + j]);
-        ++local.frames_quarantined;
-      } else {
-        ++local.frames_unreadable;  // transient; next pass retries.
-      }
+    const Status status = VerifyFrame(id);
+    if (status.ok()) continue;
+    if (status.code() == StatusCode::kDataLoss) {
+      health_.Quarantine(id);
+      ++local.frames_quarantined;
+    } else {
+      ++local.frames_unreadable;  // transient; next pass retries.
     }
   }
   if (report != nullptr) *report = local;

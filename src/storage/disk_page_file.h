@@ -70,11 +70,6 @@ struct ReadRetryPolicy {
 struct DiskPageFileOptions {
   FaultInjector* injector = nullptr;
   ReadRetryPolicy read_retry;
-  /// Engine for batched frame reads (Open's full-file load, Scrub's
-  /// sweep): kAuto defers to BW_IO_ENGINE / the build default. The
-  /// engine changes only scheduling, never results or fault accounting
-  /// (see File::ReadBatch).
-  IoEngineChoice engine = IoEngineChoice::kAuto;
 };
 
 /// What one Scrub() pass over the base file found and did.
@@ -98,6 +93,7 @@ class DiskPageFile final : public pages::PageStore {
   /// Opens an existing store and loads every page frame, verifying
   /// checksums. Frames that fail verification become empty pages listed
   /// in suspect_pages(); DataLoss only if no valid header survives.
+  /// NotFound if `path` does not exist (nothing is created).
   static Result<std::unique_ptr<DiskPageFile>> Open(
       const std::string& path,
       DiskPageFileOptions options = DiskPageFileOptions());
@@ -215,9 +211,6 @@ class DiskPageFile final : public pages::PageStore {
     return read_retries_.load(std::memory_order_relaxed);
   }
 
-  /// The engine actually serving this store's batched frame reads.
-  IoEngineKind io_engine() const { return engine_; }
-
   const std::string& path() const { return file_->path(); }
 
  private:
@@ -234,25 +227,12 @@ class DiskPageFile final : public pages::PageStore {
   Status ReadWithRetry(uint64_t offset, void* data, size_t n,
                        uint64_t jitter_stream) const;
 
-  /// Batched ReadWithRetry over whole frames: reads the frame of
-  /// ids[i] into frames + i * frame_bytes() with per-frame outcomes in
-  /// statuses[i] (same result contract as ReadWithRetry). The first
-  /// attempt for every frame rides one overlapped File::ReadBatch;
-  /// frames that fail transiently are then retried one at a time with
-  /// ReadWithRetry's exact backoff/jitter/accounting schedule —
-  /// per-frame consecutive attempts ride out a fault burst, where
-  /// re-batched retries would let other frames' attempts eat a frame's
-  /// budget inside the burst window.
-  void ReadFramesBatch(const pages::PageId* ids, size_t count,
-                       uint8_t* frames, Status* statuses) const;
-
   /// CRC-checks and decodes one raw frame into `scratch`; OK iff the
   /// frame holds a valid image.
   Status CheckFrame(const uint8_t* frame, size_t frame_len,
                     pages::Page* scratch) const;
 
   ReadRetryPolicy retry_;
-  IoEngineKind engine_ = IoEngineKind::kSync;
   mutable std::atomic<uint64_t> read_retries_{0};
   PageHealth health_;
 

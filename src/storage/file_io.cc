@@ -18,8 +18,8 @@ Status Errno(const std::string& op, const std::string& path) {
   return Status::IoError(op + " '" + path + "': " + std::strerror(errno));
 }
 
-/// The positional read loop shared by ReadAt and the batch engines:
-/// exactly `n` bytes or an error (EINTR restarted, EOF = short read).
+/// The positional read loop behind ReadAt: exactly `n` bytes or an
+/// error (EINTR restarted, EOF = short read).
 Status PreadExact(int fd, const std::string& path, uint64_t offset,
                   void* data, size_t n) {
   uint8_t* bytes = static_cast<uint8_t*>(data);
@@ -45,9 +45,12 @@ Status PreadExact(int fd, const std::string& path, uint64_t offset,
 Result<std::unique_ptr<File>> File::Open(const std::string& path,
                                          bool truncate,
                                          FaultInjector* injector) {
-  int flags = O_RDWR | O_CREAT | O_CLOEXEC;
-  if (truncate) flags |= O_TRUNC;
+  int flags = O_RDWR | O_CLOEXEC;
+  if (truncate) flags |= O_CREAT | O_TRUNC;
   const int fd = ::open(path.c_str(), flags, 0644);
+  if (fd < 0 && errno == ENOENT && !truncate) {
+    return Status::NotFound("open '" + path + "': no such file");
+  }
   if (fd < 0) return Errno("open", path);
   struct stat st;
   if (::fstat(fd, &st) != 0) {
@@ -173,54 +176,6 @@ Status File::ReadAt(uint64_t offset, void* data, size_t n) const {
   // rot on the read path (bad cable, flaky DMA) that a retry can clear.
   if (flip_bit) bytes[n / 2] ^= 0x10;
   return Status::OK();
-}
-
-void File::ReadBatch(ReadSpan* spans, size_t count,
-                     IoEngineKind engine) const {
-  // One OnRead tick per span, on the calling thread, in span order and
-  // before any physical read: the fault schedule is a function of the
-  // batch alone, never of engine scheduling, so chaos plans unroll
-  // identically on every engine.
-  std::vector<FaultInjector::ReadDecision> decisions;
-  if (injector_ != nullptr) {
-    decisions.resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      decisions[i] = injector_->OnRead(spans[i].n);
-    }
-  }
-  const auto serve = [&](size_t i) {
-    ReadSpan& span = spans[i];
-    bool flip_bit = false;
-    if (!decisions.empty()) {
-      const FaultInjector::ReadDecision& decision = decisions[i];
-      if (decision.delay_us > 0) {
-        // A hung I/O: slept on whichever worker serves this span, so
-        // batched hangs overlap instead of summing; the caller's
-        // watchdog, not this loop, bounds the total.
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(decision.delay_us));
-      }
-      if (decision.fail_transient) {
-        span.status = Status::Unavailable(
-            "simulated transient read fault on '" + path_ + "' at offset " +
-            std::to_string(span.offset));
-        return;
-      }
-      flip_bit = decision.flip_bit && span.n > 0;
-    }
-    span.status = PreadExact(fd_, path_, span.offset, span.data, span.n);
-    if (span.status.ok() && flip_bit) {
-      static_cast<uint8_t*>(span.data)[span.n / 2] ^= 0x10;
-    }
-  };
-  switch (engine) {
-    case IoEngineKind::kSync:
-      for (size_t i = 0; i < count; ++i) serve(i);
-      return;
-    case IoEngineKind::kThreadPool:
-      ReadThreadPool::Instance().RunBatch(count, serve);
-      return;
-  }
 }
 
 Status File::Sync() {

@@ -29,29 +29,17 @@
 #include <string>
 #include <vector>
 
-#include "storage/async_io.h"
 #include "storage/fault_injector.h"
 #include "util/status.h"
 
 namespace bw::storage {
 
-/// One byte range of a batched read, with its per-span outcome. The
-/// ranges of one batch must not overlap (each span's buffer is written
-/// by exactly one engine worker).
-struct ReadSpan {
-  uint64_t offset = 0;
-  void* data = nullptr;
-  size_t n = 0;
-  /// Out: same contract as File::ReadAt — OK, Unavailable (transient,
-  /// retryable), or IoError.
-  Status status;
-};
-
 class File {
  public:
-  /// Opens `path` read-write, creating it if missing; truncates existing
-  /// contents when `truncate` is set. The injector (may be null) is
-  /// consulted before every physical write and sync.
+  /// Opens `path` read-write. With `truncate` set the file is created if
+  /// missing and emptied if not; without it the file must already
+  /// exist (NotFound otherwise, and nothing is created). The injector
+  /// (may be null) is consulted before every physical write and sync.
   static Result<std::unique_ptr<File>> Open(const std::string& path,
                                             bool truncate,
                                             FaultInjector* injector = nullptr);
@@ -76,21 +64,6 @@ class File {
   /// armed injector may also delay the read or flip one bit of the
   /// returned buffer (the bytes on disk stay intact).
   Status ReadAt(uint64_t offset, void* data, size_t n) const;
-
-  /// Reads every span of the batch, overlapping the physical reads on
-  /// the chosen engine (see async_io.h); per-span outcomes land in
-  /// spans[i].status with ReadAt's exact semantics.
-  ///
-  /// Fault-injection contract: the injector is consulted exactly once
-  /// per span, on the calling thread, in span order, *before* any
-  /// physical read is issued — so an armed ReadFaultPlan unrolls the
-  /// same deterministic schedule whichever engine serves the batch, and
-  /// a batch of N spans advances the schedule exactly as N sequential
-  /// ReadAt calls would. Each span's decision (delay, transient
-  /// failure, bit flip) is then applied by whichever worker serves that
-  /// span; injected delays overlap across spans instead of summing.
-  void ReadBatch(ReadSpan* spans, size_t count,
-                 IoEngineKind engine = ResolveIoEngine()) const;
 
   uint64_t size() const { return size_; }
 
@@ -124,7 +97,8 @@ class File {
   bool fail_stopped_ = false;
 };
 
-/// Reads the entire file at `path` into `out`. IoError if unreadable.
+/// Reads the entire file at `path` into `out`. NotFound if missing,
+/// IoError if unreadable.
 Status ReadFile(const std::string& path, std::vector<uint8_t>* out);
 
 }  // namespace bw::storage

@@ -254,7 +254,8 @@ Result<std::unique_ptr<Wal>> Wal::Continue(const std::string& base,
     return Continue(base, options, replay.valid_bytes, next_lsn);
   }
   if (replay.last_segment_seq == 0 && options.segment_bytes == 0) {
-    return Continue(base, options, replay.valid_bytes, next_lsn);
+    // No log on disk at all (replay read nothing): start one empty.
+    return Create(base, options, next_lsn);
   }
 
   // Segmented (or empty-and-rotation-requested) log. Drop segments past

@@ -385,15 +385,5 @@ TEST(ChaosSoakTest, SeededSweep) {
   }
 }
 
-// The same soak with batched frame reads forced onto the thread-pool
-// engine: the one-tick-per-span injector contract (File::ReadBatch)
-// must keep the chaos schedule and every quarantine/repair/metrics
-// invariant identical to the sync engine's.
-TEST(ChaosSoakTest, ThreadPoolEngineSeed) {
-  ::setenv("BW_IO_ENGINE", "threads", 1);
-  RunSeed(1001);
-  ::unsetenv("BW_IO_ENGINE");
-}
-
 }  // namespace
 }  // namespace bw

@@ -306,6 +306,85 @@ TEST(FileIoTest, FailedFsyncCannotBeRetriedIntoDurability) {
   EXPECT_FALSE((*file)->Sync().ok());
 }
 
+/// The byte a pattern file holds at `offset`.
+uint8_t PatternByte(size_t offset) {
+  return static_cast<uint8_t>((offset * 131) & 0xff);
+}
+
+/// A fresh file of `bytes` bytes whose byte at offset i is PatternByte(i).
+std::string MakePatternFile(const std::string& name, size_t bytes) {
+  const std::string path = TempPath(name);
+  auto file = File::Open(path, /*truncate=*/true);
+  EXPECT_TRUE(file.ok());
+  std::vector<uint8_t> data(bytes);
+  for (size_t i = 0; i < bytes; ++i) data[i] = PatternByte(i);
+  EXPECT_TRUE((*file)->WriteAt(0, data.data(), data.size()).ok());
+  EXPECT_TRUE((*file)->Sync().ok());
+  return path;
+}
+
+TEST(FileIoTest, ReadFlipsTickOncePerReadInOrder) {
+  constexpr size_t kReads = 8;
+  constexpr size_t kBytes = 512;
+  const std::string path = MakePatternFile("read_flips.bin", kReads * kBytes);
+  FaultInjector injector;
+  FaultInjector::ReadFaultPlan plan;
+  plan.flip_every_n = 3;  // reads 3 and 6 of 8.
+  injector.ArmReads(plan);
+  auto file = File::Open(path, /*truncate=*/false, &injector);
+  ASSERT_TRUE(file.ok());
+
+  for (size_t i = 0; i < kReads; ++i) {
+    std::vector<uint8_t> buf(kBytes);
+    ASSERT_TRUE((*file)->ReadAt(i * kBytes, buf.data(), kBytes).ok());
+    const bool flipped = i + 1 == 3 || i + 1 == 6;
+    for (size_t b = 0; b < kBytes; ++b) {
+      const uint8_t flip = flipped && b == kBytes / 2 ? 0x10 : 0x00;
+      ASSERT_EQ(buf[b], PatternByte(i * kBytes + b) ^ flip)
+          << "read " << i + 1 << ", byte " << b;
+    }
+  }
+  EXPECT_EQ(injector.reads_seen(), kReads);
+  EXPECT_EQ(injector.read_flips(), 2u);
+}
+
+TEST(FileIoTest, TransientReadBurstsFailThePredictedReads) {
+  constexpr size_t kReads = 10;
+  constexpr size_t kBytes = 256;
+  const std::string path = MakePatternFile("read_bursts.bin", kReads * kBytes);
+  FaultInjector injector;
+  FaultInjector::ReadFaultPlan plan;
+  plan.transient_every_n = 3;
+  plan.transient_burst = 2;  // reads 3,4 then 6,7 then 9,10 fail.
+  injector.ArmReads(plan);
+  auto file = File::Open(path, /*truncate=*/false, &injector);
+  ASSERT_TRUE(file.ok());
+
+  for (size_t i = 0; i < kReads; ++i) {
+    const size_t tick = i + 1;
+    const bool should_fail = tick >= 3 && (tick % 3 == 0 || tick % 3 == 1);
+    std::vector<uint8_t> buf(kBytes);
+    const Status status = (*file)->ReadAt(i * kBytes, buf.data(), kBytes);
+    if (should_fail) {
+      EXPECT_EQ(status.code(), StatusCode::kUnavailable) << "read " << tick;
+    } else {
+      ASSERT_TRUE(status.ok()) << "read " << tick << ": " << status.ToString();
+      EXPECT_EQ(buf[kBytes / 2], PatternByte(i * kBytes + kBytes / 2));
+    }
+  }
+  EXPECT_EQ(injector.reads_seen(), kReads);
+  EXPECT_EQ(injector.transient_read_faults(), 6u);
+}
+
+TEST(FileIoTest, OpenWithoutTruncateNeverCreates) {
+  const std::string path = TempPath("file_missing.bin");
+  EXPECT_EQ(File::Open(path, /*truncate=*/false).status().code(),
+            StatusCode::kNotFound);
+  std::vector<uint8_t> bytes;
+  EXPECT_EQ(storage::ReadFile(path, &bytes).code(), StatusCode::kNotFound);
+  EXPECT_EQ(std::fopen(path.c_str(), "rb"), nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // WAL
 // ---------------------------------------------------------------------------
@@ -1118,6 +1197,23 @@ TEST(ReadRetryTest, TransientOpenFaultsAbsorbedByBackoffRetry) {
   EXPECT_GT((*disk)->read_retries(), 0u);
   EXPECT_GT(injector.transient_read_faults(), 0u);
   EXPECT_EQ((*disk)->PeekNoIo(2)->slot_count(), 1u);
+
+  // The same bursts over a rotted frame: each frame's retries follow its
+  // own first attempt, so every burst is absorbed (one retry per fault)
+  // and only the rotted frame is suspect and quarantined.
+  FlipByteAt(path, 128 + (1024 + 32) + 5);
+  FaultInjector rot_injector;
+  rot_injector.ArmReads(plan);
+  options.injector = &rot_injector;
+  auto rotted = DiskPageFile::Open(path, options);
+  ASSERT_TRUE(rotted.ok()) << rotted.status().ToString();
+  EXPECT_EQ((*rotted)->suspect_pages(), std::vector<pages::PageId>{1});
+  EXPECT_EQ((*rotted)->health().Quarantined(),
+            std::vector<pages::PageId>{1});
+  EXPECT_GT(rot_injector.transient_read_faults(), 0u);
+  EXPECT_EQ((*rotted)->read_retries(), rot_injector.transient_read_faults());
+  EXPECT_EQ((*rotted)->PeekNoIo(0)->slot_count(), 1u);
+  EXPECT_EQ((*rotted)->PeekNoIo(2)->slot_count(), 1u);
 }
 
 TEST(ReadRetryTest, ExhaustedRetryBudgetIsUnavailable) {
@@ -1165,7 +1261,11 @@ TEST(PageHealthTest, RegistryGatesCountsAndReleases) {
 
 TEST(SelfHealTest, ScrubQuarantinesRotAndRepairFromMemoryHeals) {
   const std::string path = TempPath("scrub_repair.bwpf");
-  auto disk = DiskPageFile::Create(path, 1024);
+  FaultInjector injector;
+  storage::DiskPageFileOptions options;
+  options.injector = &injector;
+  options.read_retry = FastRetry();
+  auto disk = DiskPageFile::Create(path, 1024, options);
   ASSERT_TRUE(disk.ok());
   for (int i = 0; i < 3; ++i) {
     const pages::PageId id = (*disk)->Allocate();
@@ -1185,6 +1285,19 @@ TEST(SelfHealTest, ScrubQuarantinesRotAndRepairFromMemoryHeals) {
   EXPECT_EQ((*disk)->health().Quarantined(), std::vector<pages::PageId>{1});
   EXPECT_FALSE((*disk)->memory_invalid(1));
   EXPECT_EQ((*disk)->VerifyFrame(1).code(), StatusCode::kDataLoss);
+
+  // Every read failing: the healthy frames outlast their retry budget
+  // and count as unreadable (quarantined page 1 is skipped), and nothing
+  // is newly quarantined.
+  FaultInjector::ReadFaultPlan plan;
+  plan.transient_every_n = 1;
+  injector.ArmReads(plan);
+  ASSERT_TRUE((*disk)->Scrub(&report).ok());
+  EXPECT_EQ(report.frames_checked, 3u);
+  EXPECT_EQ(report.frames_quarantined, 0u);
+  EXPECT_EQ(report.frames_unreadable, 2u);
+  EXPECT_EQ((*disk)->health().Quarantined(), std::vector<pages::PageId>{1});
+  injector.DisarmReads();
 
   ASSERT_TRUE((*disk)->RepairFromMemory(1).ok());
   EXPECT_EQ((*disk)->health().quarantined_count(), 0u);
