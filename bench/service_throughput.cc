@@ -139,7 +139,7 @@ struct MixedOutcome {
 // k-NN query and an online insert. Writes submitted while the service
 // sheds (queue full or read-only) count as admission rejects; admitted
 // writes are waited to their ack, so write latency covers queue wait +
-// apply + group-commit fsync.
+// apply + the batch's commit fsync.
 MixedOutcome RunMixedLoop(bw::core::DurableIndex* index,
                           const std::vector<bw::geom::Vec>& vectors,
                           const std::vector<bw::geom::Vec>& queries, size_t k,
@@ -615,7 +615,6 @@ int main(int argc, char** argv) {
     const std::string dbase = scratch + ".bwpf";
     const std::string dwal = scratch + ".bwwal";
     bw::storage::StoreOptions store_options;
-    store_options.wal_segment_bytes = 4ull << 20;
     store_options.checkpoint_every_commits = 64;
     watch.Restart();
     auto durable = bw::core::BuildDurableIndex(data.vectors, build, dbase,
@@ -658,18 +657,10 @@ int main(int argc, char** argv) {
     json.Set("writes_rejected", static_cast<double>(s.writes_rejected));
     json.Set("writes_failed", static_cast<double>(s.writes_failed));
     json.Set("commit_batches", static_cast<double>(s.commit_batches));
-    json.Set("wal_segments_created",
-             static_cast<double>(s.wal_segments_created));
 
     durable->reset();
     std::remove(dbase.c_str());
     std::remove(dwal.c_str());
-    for (uint64_t seq = 1; seq <= s.wal_segments_created + 1; ++seq) {
-      char suffix[16];
-      std::snprintf(suffix, sizeof(suffix), ".%06llu",
-                    static_cast<unsigned long long>(seq));
-      std::remove((dwal + suffix).c_str());
-    }
   }
 
   if (!json_out->empty()) {

@@ -36,7 +36,6 @@
 #include "net/server.h"
 #include "service/query_service.h"
 #include "shard/partitioner.h"
-#include "storage/store.h"
 #include "util/flags.h"
 
 namespace {
@@ -129,11 +128,9 @@ int main(int argc, char** argv) {
       const bw::shard::Partition partition = bw::shard::PartitionByStr(
           *vectors, static_cast<size_t>(*shards));
       const size_t s = static_cast<size_t>(*shard_index);
-      bw::storage::StoreOptions store_options;
-      store_options.wal_segment_bytes = 8ull << 20;
       auto index = bw::shard::BuildShardIndex(
           partition.points[s], partition.rids[s], build, *durable + ".bwpf",
-          *durable + ".bwwal", store_options);
+          *durable + ".bwwal");
       BW_CHECK_MSG(index.ok(), index.status().ToString());
       durable_index = std::move(*index);
       std::printf("built %s shard %lld/%lld: %zu of %lld blobs (durable)\n",
@@ -144,11 +141,8 @@ int main(int argc, char** argv) {
       BW_CHECK_MSG(index.ok(), index.status().ToString());
       built = std::move(*index);
     } else {
-      bw::storage::StoreOptions store_options;
-      store_options.wal_segment_bytes = 8ull << 20;
       auto index = bw::core::BuildDurableIndex(
-          *vectors, build, *durable + ".bwpf", *durable + ".bwwal",
-          store_options);
+          *vectors, build, *durable + ".bwpf", *durable + ".bwwal");
       BW_CHECK_MSG(index.ok(), index.status().ToString());
       durable_index = std::move(*index);
     }

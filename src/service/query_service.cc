@@ -435,10 +435,6 @@ bool QueryService::FreeSpaceOk() const {
 void QueryService::MirrorWalStats() {
   const storage::Wal* wal = mutable_durable_->store().wal();
   wal_live_bytes_.store(wal->live_bytes(), std::memory_order_relaxed);
-  wal_segments_created_.store(wal->segments_created(),
-                              std::memory_order_relaxed);
-  wal_segments_retired_.store(wal->segments_retired(),
-                              std::memory_order_relaxed);
 }
 
 void QueryService::ApplyBatch(std::vector<Mutation>* todo) {
@@ -846,8 +842,7 @@ Result<WalTail> QueryService::ReadWalTail(uint64_t after_tag,
         "replica catch-up requires a durable index");
   }
   // commit_mutex_ pins the log: no commit can advance it and — more
-  // importantly — no checkpoint can retire the segment files out from
-  // under the scan.
+  // importantly — no checkpoint can truncate it under the scan.
   std::lock_guard<std::mutex> commit_lock(commit_mutex_);
   const storage::DurableStore& store = durable_->store();
   WalTail tail;
@@ -859,10 +854,9 @@ Result<WalTail> QueryService::ReadWalTail(uint64_t after_tag,
     return tail;
   }
   if (mutable_durable_ != nullptr) {
-    // Buffered-but-unsynced commit records are invisible to the file
-    // scan; sync so the log read matches last_commit_tag exactly —
-    // otherwise an equal-position replica would poll forever for a
-    // batch it can never see.
+    // Every acknowledged commit is already synced; this fsync fails on
+    // a fail-stopped log, whose last commit record may sit in the file
+    // without ever having been made durable, so it is never shipped.
     BW_RETURN_IF_ERROR(mutable_durable_->store().wal()->Sync());
   }
   BW_ASSIGN_OR_RETURN(
@@ -1093,10 +1087,6 @@ ServiceSnapshot QueryService::Snapshot() const {
   snap.commit_batches = commit_batches_.load(std::memory_order_relaxed);
   snap.generation = generation_.load(std::memory_order_acquire);
   snap.wal_live_bytes = wal_live_bytes_.load(std::memory_order_relaxed);
-  snap.wal_segments_created =
-      wal_segments_created_.load(std::memory_order_relaxed);
-  snap.wal_segments_retired =
-      wal_segments_retired_.load(std::memory_order_relaxed);
   snap.catchup_batches_applied =
       catchup_batches_applied_.load(std::memory_order_relaxed);
   snap.snapshot_chunks_applied =

@@ -312,10 +312,8 @@ struct ServiceSnapshot {
   /// Reader-visible snapshot handoffs: incremented once per applied
   /// batch, under the writer's exclusive lock.
   uint64_t generation = 0;
-  /// WAL rotation, mirrored after each commit (0 in single-file mode).
+  /// Bytes in the WAL file, mirrored after each commit.
   uint64_t wal_live_bytes = 0;
-  uint64_t wal_segments_created = 0;
-  uint64_t wal_segments_retired = 0;
   /// Catch-up: shipped WAL batches / snapshot chunks this replica has
   /// applied, and whether a snapshot restore is in flight right now
   /// (queries are shed while it is).
@@ -604,7 +602,7 @@ class QueryService {
   /// Fails every queued + pending mutation with `status` (used on
   /// kFailed and on shutdown while degraded).
   void ShedAllWrites(const Status& status);
-  /// Mirrors WAL rotation counters into atomics Snapshot can read
+  /// Mirrors the WAL's live bytes into an atomic Snapshot can read
   /// without racing the writer.
   void MirrorWalStats();
 
@@ -653,8 +651,8 @@ class QueryService {
   std::thread writer_;
 
   /// Serializes every WAL-touching operation: the writer's commit, WAL
-  /// tail reads (which sync and then scan the segment files — a
-  /// concurrent checkpoint would retire them mid-read), shipped-batch
+  /// tail reads (which sync and then scan the log file — a concurrent
+  /// checkpoint would truncate it mid-read), shipped-batch
   /// applies, snapshot chunk reads, and tree checksums. Always acquired
   /// before tree_mutex_ when both are needed; the writer's tree apply
   /// takes tree_mutex_ alone, so the order cannot invert.
@@ -687,8 +685,6 @@ class QueryService {
   std::atomic<uint64_t> commit_batches_{0};
   std::atomic<uint64_t> generation_{0};
   std::atomic<uint64_t> wal_live_bytes_{0};
-  std::atomic<uint64_t> wal_segments_created_{0};
-  std::atomic<uint64_t> wal_segments_retired_{0};
   std::atomic<uint64_t> catchup_batches_applied_{0};
   std::atomic<uint64_t> snapshot_chunks_applied_{0};
   std::chrono::steady_clock::time_point start_time_;

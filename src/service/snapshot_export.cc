@@ -54,10 +54,6 @@ std::vector<std::pair<std::string, double>> ExportSnapshotFields(
   add("commit_batches", static_cast<double>(snap.commit_batches));
   add("generation", static_cast<double>(snap.generation));
   add("wal_live_bytes", static_cast<double>(snap.wal_live_bytes));
-  add("wal_segments_created",
-      static_cast<double>(snap.wal_segments_created));
-  add("wal_segments_retired",
-      static_cast<double>(snap.wal_segments_retired));
   // Replica catch-up.
   add("catchup_batches_applied",
       static_cast<double>(snap.catchup_batches_applied));

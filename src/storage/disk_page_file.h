@@ -33,9 +33,9 @@
 //    only a WAL redo image can repair it), and a frame that fails
 //    verification during Scrub() (disk rot under a still-valid memory
 //    copy — RepairFromMemory rewrites the frame and releases the page).
-//  - ReadHealth(id) is the serving path's gate: pages::BufferPool asks
-//    it before trusting the memory-resident page, so quarantine turns
-//    into degraded (partial-but-flagged) query answers upstream.
+//  - ReadHealth(id) is the serving path's gate: pages::ResidentReader
+//    asks it before trusting the memory-resident page, so quarantine
+//    turns into degraded (partial-but-flagged) query answers upstream.
 
 #ifndef BLOBWORLD_STORAGE_DISK_PAGE_FILE_H_
 #define BLOBWORLD_STORAGE_DISK_PAGE_FILE_H_

@@ -30,8 +30,10 @@
 // that fail *cleanly* with ENOSPC semantics (nothing persisted — the
 // kernel refused the allocation up front); every eio_every_n-th write
 // fails with EIO (a hard device error: bytes in an unknown state, the
-// fd must fail-stop); the sync_fail_at-th fsync fails (fsyncgate: dirty
-// pages may have been dropped, the fd must fail-stop — see file_io.h).
+// fd must fail-stop); the sync_fail_at-th fsync fails (fsyncgate: File
+// cuts the file back to its length at the last good fsync, as if the
+// kernel dropped the dirty pages, and fail-stops the fd — see
+// file_io.h).
 //
 // Thread-safety: the write path is single-threaded (mutation side of
 // every store), but reads happen concurrently at serve time (scrubber,

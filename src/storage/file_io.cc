@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -184,8 +185,12 @@ Status File::Sync() {
     // Fsyncgate: after a failed fsync the kernel may already have
     // dropped the dirty pages, so retrying the sync and reporting clean
     // would acknowledge writes that never reached the platter. The only
-    // safe continuation is fail-stop.
+    // safe continuation is fail-stop. The simulation drops them: every
+    // byte appended since the last good fsync is gone.
     fail_stopped_ = true;
+    if (::ftruncate(fd_, static_cast<off_t>(synced_size_)) == 0) {
+      size_ = synced_size_;
+    }
     return Status::IoError("simulated fsync failure on '" + path_ +
                            "'; fd fail-stopped");
   }
@@ -193,6 +198,7 @@ Status File::Sync() {
     fail_stopped_ = true;
     return Errno("fsync", path_);
   }
+  synced_size_ = size_;
   return Status::OK();
 }
 
@@ -202,6 +208,7 @@ Status File::Truncate(uint64_t new_size) {
     return Errno("ftruncate", path_);
   }
   size_ = new_size;
+  synced_size_ = std::min(synced_size_, new_size);
   return Status::OK();
 }
 

@@ -70,7 +70,10 @@ class File {
   /// fsync. Fails after a simulated crash. A failed fsync (simulated or
   /// real) fail-stops the fd: this and every later mutation on it keeps
   /// failing — the sync is never retried in a way that could report a
-  /// lost write as durable (fsyncgate semantics).
+  /// lost write as durable (fsyncgate semantics). An injected failure
+  /// also models the loss itself: the file is cut back to the length it
+  /// had at its last successful fsync, as if the kernel had dropped
+  /// every dirty page written since.
   Status Sync();
 
   /// True once a failed write or fsync has fail-stopped this fd (the
@@ -84,12 +87,16 @@ class File {
 
  private:
   File(int fd, uint64_t size, std::string path, FaultInjector* injector)
-      : fd_(fd), size_(size), path_(std::move(path)), injector_(injector) {}
+      : fd_(fd), size_(size), synced_size_(size), path_(std::move(path)),
+        injector_(injector) {}
 
   Status CheckAlive() const;
 
   int fd_;
   uint64_t size_;
+  /// Length at the last successful fsync (or at open): what an injected
+  /// fsync failure cuts the file back to.
+  uint64_t synced_size_;
   std::string path_;
   FaultInjector* injector_;
   /// Set by the first failed write or fsync; makes every later mutation

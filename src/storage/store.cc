@@ -72,9 +72,6 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Create(
       std::unique_ptr<DiskPageFile> disk,
       DiskPageFile::Create(base_path, options.page_size, disk_options));
   WalOptions wal_options;
-  wal_options.sync_every_records = options.wal_sync_every_records;
-  wal_options.segment_bytes = options.wal_segment_bytes;
-  wal_options.archive_sealed = options.wal_archive_sealed;
   wal_options.injector = options.injector;
   BW_ASSIGN_OR_RETURN(std::unique_ptr<Wal> wal,
                       Wal::Create(wal_path, wal_options));
@@ -102,9 +99,12 @@ Status DurableStore::AppendBatchRecords(
   }
   uint8_t tag_bytes[8];
   std::memcpy(tag_bytes, &tag, sizeof(tag));
-  return wal_->Append(WalRecordType::kCommit, pages::kInvalidPageId, tag_bytes,
-                      sizeof(tag_bytes))
-      .status();
+  BW_RETURN_IF_ERROR(wal_->Append(WalRecordType::kCommit,
+                                  pages::kInvalidPageId, tag_bytes,
+                                  sizeof(tag_bytes))
+                         .status());
+  // The batch's one fsync: the commit is acknowledged only after it.
+  return wal_->Sync();
 }
 
 Status DurableStore::CommitBatch(uint64_t tag) {
@@ -112,8 +112,9 @@ Status DurableStore::CommitBatch(uint64_t tag) {
   const std::vector<pages::PageId> dirty = disk_->TakeDirtySinceCommit();
   const Status appended = AppendBatchRecords(allocs, dirty, tag);
   if (appended.code() == StatusCode::kResourceExhausted) {
-    // Clean out-of-space: no byte of the batch is durable (at worst a
-    // committed-record-free prefix that recovery discards). Re-arm the
+    // Clean out-of-space: the batch has no kCommit in the log (at worst
+    // a prefix of its records, which recovery either discards or
+    // overwrites with the retry's identical images). Re-arm the
     // tracking so the next CommitBatch re-logs the same changes; the
     // tree's in-memory state is untouched and stays servable.
     disk_->RestoreCommitTracking(allocs, dirty);
@@ -258,7 +259,6 @@ Result<std::unique_ptr<DurableStore>> RecoveryManager::Recover(
   out.records_discarded = pending_records;
   out.wal_tail_truncated = replay.tail_truncated;
   out.recovered_lsn = std::max(checkpoint_lsn, replay.last_lsn);
-  out.wal_segments_replayed = replay.segments;
 
   // Every suspect frame must have been repaired by a replayed image;
   // a survivor means the base file rotted outside any redo window.
@@ -283,13 +283,11 @@ Result<std::unique_ptr<DurableStore>> RecoveryManager::Recover(
   disk->MarkAllDirtyForCheckpoint();
 
   WalOptions wal_options;
-  wal_options.sync_every_records = options.wal_sync_every_records;
-  wal_options.segment_bytes = options.wal_segment_bytes;
-  wal_options.archive_sealed = options.wal_archive_sealed;
   wal_options.injector = options.injector;
   const uint64_t next_lsn = out.recovered_lsn + 1;
-  BW_ASSIGN_OR_RETURN(std::unique_ptr<Wal> wal,
-                      Wal::Continue(wal_path, wal_options, replay, next_lsn));
+  BW_ASSIGN_OR_RETURN(
+      std::unique_ptr<Wal> wal,
+      Wal::Continue(wal_path, wal_options, replay.valid_bytes, next_lsn));
 
   auto store = std::make_unique<DurableStore>(std::move(disk), std::move(wal),
                                               options, out.committed_batches,

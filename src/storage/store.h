@@ -37,16 +37,6 @@ namespace bw::storage {
 
 struct StoreOptions {
   size_t page_size = pages::kDefaultPageSize;
-  /// Group-commit batch size forwarded to the WAL (records per fsync).
-  size_t wal_sync_every_records = 1;
-  /// WAL segment rotation cap (bytes), forwarded to WalOptions. 0 (the
-  /// default) keeps the single-file log; > 0 bounds the live log to
-  /// roughly segment_bytes x (commits between checkpoints / rotation
-  /// cadence) — sealed segments are retired at each checkpoint.
-  uint64_t wal_segment_bytes = 0;
-  /// Archive (rename) sealed WAL segments at checkpoint instead of
-  /// deleting them. Forwarded to WalOptions::archive_sealed.
-  bool wal_archive_sealed = false;
   /// Run a fuzzy checkpoint automatically every N committed batches;
   /// 0 = checkpoint only on explicit Checkpoint() calls.
   size_t checkpoint_every_commits = 0;
@@ -92,8 +82,8 @@ class CheckpointManager {
 /// A durable page store: the PageStore any index builds onto, plus the
 /// commit/checkpoint surface that makes its state crash-recoverable.
 /// Single-threaded on the mutation side, like every PageStore; the
-/// concurrent read path (PeekNoIo through per-worker BufferPools) is
-/// unchanged.
+/// concurrent read path (pages::ResidentReader over the resident
+/// pages) is unchanged.
 class DurableStore {
  public:
   /// Creates a fresh store (truncating both files).
@@ -118,15 +108,18 @@ class DurableStore {
 
   /// Logs everything changed since the previous commit (allocations,
   /// then full post-write page images) as one atomic WAL batch closed by
-  /// a kCommit record carrying `tag`. Durability follows the WAL's
-  /// group-commit cadence; a batch is recovered all-or-nothing. The tag
+  /// a kCommit record carrying `tag`, then makes it durable with one WAL
+  /// fsync before returning; a batch is recovered all-or-nothing. The tag
   /// of the newest durable batch is reported by recovery, so callers can
   /// use it to identify how much logical work survived a crash.
-  /// A *clean* out-of-space failure (kResourceExhausted: no log byte
-  /// landed, or only a prefix that recovery discards as an uncommitted
-  /// tail) puts the drained dirty/allocation tracking back, so the same
-  /// changes are re-logged by the next CommitBatch once space returns —
-  /// the store stays consistent and retryable. Any other failure means
+  /// A *clean* out-of-space failure (kResourceExhausted: the failing
+  /// record landed nothing, and the batch's earlier records form a
+  /// prefix with no kCommit) puts the drained dirty/allocation tracking
+  /// back, so the same changes are re-logged by the next CommitBatch
+  /// once space returns — the store stays consistent and retryable.
+  /// Recovery either discards that prefix as an uncommitted tail or
+  /// applies it ahead of the retried batch's identical images (page
+  /// images are absolute, allocations idempotent). Any other failure means
   /// the log's fd has fail-stopped and only crash recovery can continue.
   Status CommitBatch(uint64_t tag);
   Status CommitBatch() { return CommitBatch(committed_batches_ + 1); }
@@ -182,8 +175,9 @@ class DurableStore {
   }
 
  private:
-  /// Appends the batch's alloc/image/commit records; factored out so
-  /// CommitBatch can restore the drained tracking on a clean failure.
+  /// Appends the batch's alloc/image/commit records and syncs them;
+  /// factored out so CommitBatch can restore the drained tracking on a
+  /// clean failure.
   Status AppendBatchRecords(const std::vector<pages::PageId>& allocs,
                             const std::vector<pages::PageId>& dirty,
                             uint64_t tag);
@@ -209,7 +203,6 @@ class RecoveryManager {
     bool wal_tail_truncated = false;  // torn tail detected and dropped.
     uint64_t recovered_lsn = 0;       // durable state as of this LSN.
     uint64_t pages_quarantined = 0;   // unrepaired suspects (tolerant mode).
-    uint64_t wal_segments_replayed = 0;  // 0 = legacy single-file log.
   };
 
   /// Replays committed WAL batches over the checkpointed base, verifies

@@ -1,44 +1,26 @@
-// Append-only write-ahead log with LSN-stamped, CRC-framed records,
-// fsync batching (group commit), and size-capped segment rotation. The
-// durability half of the ARIES-lite protocol: every page mutation is
-// logged as a full-page redo image before it may reach the base file,
-// so recovery is a pure redo replay.
+// Append-only write-ahead log with LSN-stamped, CRC-framed records in
+// one file. The durability half of the ARIES-lite protocol: every page
+// mutation is logged as a full-page redo image before it may reach the
+// base file, so recovery is a pure redo replay. Append writes each
+// record through to the file and never fsyncs; Sync is the one fsync
+// that makes everything appended so far durable (DurableStore calls it
+// once per commit batch, after the batch's kCommit record).
 //
 // On-disk record frame (little-endian):
 //
 //   [u32 magic][u32 type][u64 lsn][u32 page_id][u32 payload_len]
 //   [payload_len bytes][u32 crc32 over header+payload]
 //
-// Segmented layout (WalOptions::segment_bytes > 0): the log is a series
-// of files `<base>.NNNNNN` (decimal segment sequence number, starting
-// at 000001), each opening with a 20-byte CRC'd segment header:
-//
-//   [u32 seg_magic][u32 version][u64 seq][u32 crc32 over the first 16 B]
-//
-// Appends go to the highest-numbered (active) segment; once a Sync()
-// leaves it at or above segment_bytes it is *sealed* (fully synced,
-// never written again) and a fresh segment is opened. Sealed segments
-// are retired — archived (renamed to `<seg>.archived`) or deleted —
-// only by Reset(), i.e. only after a checkpoint has made their records
-// redundant, so the live log size is bounded by the checkpoint cadence,
-// not the store's lifetime. With segment_bytes == 0 (the default) the
-// log is a single file at `<base>`, exactly the pre-rotation format;
-// replay auto-detects which layout is on disk.
-//
 // Replay distinguishes the failure shapes the crash-injection harness
 // produces:
-//  - a *truncated* trailing record (crash or torn write mid-append) in
-//    the FINAL segment is benign: the scan stops at the last intact
-//    record and reports tail_truncated, exactly the contract fsync
-//    gives us — likewise a final segment whose header never finished
-//    (crash mid-rotation);
-//  - a torn record or header in a SEALED (non-final) segment is
-//    DataLoss: sealing synced the segment, so a tear there means the
-//    disk lost acknowledged bytes;
-//  - a *complete* record whose CRC does not match (bit rot) is DataLoss
-//    anywhere: the log cannot be trusted past a silent corruption;
-//  - a gap in the segment sequence is DataLoss: retirement always
-//    removes oldest-first, so a hole means a whole segment vanished.
+//  - a *truncated* trailing record (crash or torn write mid-append) is
+//    benign: the scan stops at the last intact record and reports
+//    tail_truncated, exactly the contract fsync gives us;
+//  - a *complete* record whose CRC does not match (bit rot) is DataLoss:
+//    the log cannot be trusted past a silent corruption;
+//  - a segment file `<path>.NNNNNN` beside the log (the size-capped
+//    layout older builds wrote) is NotSupported: its records may be the
+//    only copy of acknowledged batches, so it is refused, never ignored.
 
 #ifndef BLOBWORLD_STORAGE_WAL_H_
 #define BLOBWORLD_STORAGE_WAL_H_
@@ -61,88 +43,55 @@ enum class WalRecordType : uint32_t {
 };
 
 struct WalOptions {
-  /// Group commit: buffered records are physically written and fsynced
-  /// once this many have accumulated (and on explicit Sync()). 1 makes
-  /// every record durable immediately; larger values trade the
-  /// durability window for fewer fsyncs (see bench/wal_throughput).
-  size_t sync_every_records = 1;
-  /// Size cap that seals the active segment: after a Sync() that leaves
-  /// it at or above this many bytes, a fresh segment is opened. 0 (the
-  /// default) disables rotation — single-file log at `<base>`, the
-  /// pre-rotation on-disk format.
-  uint64_t segment_bytes = 0;
-  /// What Reset() does with sealed segments: false deletes them, true
-  /// renames them to `<segment>.archived` (an audit trail the replay
-  /// path ignores; shipping them off-box is the operator's job).
-  bool archive_sealed = false;
   FaultInjector* injector = nullptr;
 };
 
-/// Statistics returned by ReplayWal; also the handle Wal::Continue needs
-/// to resume appending after recovery (it records where the intact
-/// prefix of the final segment ends).
+/// Statistics returned by ReplayWal; also what Wal::Continue needs to
+/// resume appending after recovery (where the intact prefix ends).
 struct WalReplayStats {
   uint64_t records = 0;
   uint64_t commits = 0;
   uint64_t last_lsn = 0;
-  /// Byte length of the intact prefix of the FINAL segment (including
-  /// its header in segmented mode) — where Continue truncates.
+  /// Byte length of the log's intact prefix — where Continue truncates.
   uint64_t valid_bytes = 0;
-  /// A trailing partial record (or a final segment with a torn header)
-  /// was found and discarded.
+  /// A trailing partial record was found and discarded.
   bool tail_truncated = false;
-  /// Segment files with a valid header that were scanned; 0 = the log
-  /// is (or would be) in legacy single-file layout.
-  uint64_t segments = 0;
-  /// Sequence number of the final valid segment (0 in legacy layout).
-  uint64_t last_segment_seq = 0;
 };
 
 class Wal {
  public:
-  /// Creates a fresh log rooted at `base`: truncates the legacy file
-  /// and removes any stale `<base>.NNNNNN` segments, then (in segmented
-  /// mode) opens segment 000001. LSNs start at `first_lsn`.
-  static Result<std::unique_ptr<Wal>> Create(const std::string& base,
+  /// Creates a fresh, empty log at `path` (truncating any old one and
+  /// removing stale `<path>.NNNNNN` segment files). LSNs start at
+  /// `first_lsn`.
+  static Result<std::unique_ptr<Wal>> Create(const std::string& path,
                                              WalOptions options,
                                              uint64_t first_lsn = 1);
 
-  /// Continues appending to an existing log after recovery, using the
-  /// stats ReplayWal returned: the final segment is truncated to its
-  /// intact prefix (dropping any torn tail), segments past it (torn
-  /// rotation leftovers) are removed, and LSNs resume from `next_lsn`.
-  /// A log that replayed as legacy single-file keeps that layout even
-  /// if `options.segment_bytes` asks for rotation (upgrades happen at
-  /// the next Create, not mid-log).
-  static Result<std::unique_ptr<Wal>> Continue(const std::string& base,
-                                               WalOptions options,
-                                               const WalReplayStats& replay,
-                                               uint64_t next_lsn);
-
-  /// Legacy-layout convenience overload (pre-rotation callers/tests).
-  static Result<std::unique_ptr<Wal>> Continue(const std::string& base,
+  /// Continues appending to an existing log after recovery: the file is
+  /// truncated to `valid_bytes` (ReplayWal's intact prefix, dropping any
+  /// torn tail) and LSNs resume from `next_lsn`. A missing file starts
+  /// an empty log, as Create does.
+  static Result<std::unique_ptr<Wal>> Continue(const std::string& path,
                                                WalOptions options,
                                                uint64_t valid_bytes,
                                                uint64_t next_lsn);
 
-  /// Appends one record, returning its LSN. The record is buffered;
-  /// it becomes durable at the next group-commit boundary or Sync().
-  /// A clean ResourceExhausted failure (out of disk space, nothing
-  /// persisted) discards the buffered records — the enclosing commit
-  /// batch is aborted and must be re-logged in full later — but leaves
-  /// the log consistent and appendable; any other failure means the
-  /// underlying fd has fail-stopped.
+  /// Appends one record, written through to the file, and returns its
+  /// LSN. It is durable only after the next Sync(). A clean
+  /// ResourceExhausted failure (out of disk space) leaves nothing of
+  /// the record in the file and the log appendable — the enclosing
+  /// commit batch is aborted and must be re-logged in full later; any
+  /// other failure means the underlying fd has fail-stopped.
   Result<uint64_t> Append(WalRecordType type, pages::PageId page_id,
                           const void* payload, size_t payload_len);
 
-  /// Flushes buffered records, fsyncs, and rotates the active segment
-  /// if it reached the size cap. Same failure contract as Append.
+  /// The fsync: makes every appended record durable and advances
+  /// durable_lsn(). A failure fail-stops the fd (see file_io.h).
   Status Sync();
 
-  /// Empties the log after a checkpoint has made its records redundant:
-  /// sealed segments are retired (deleted or archived, oldest first)
-  /// and the active segment is truncated back to its header. LSNs keep
-  /// increasing across resets.
+  /// Empties the log after a checkpoint has made its records redundant
+  /// (truncates the file to zero bytes). LSNs keep increasing across
+  /// resets.
   Status Reset();
 
   /// LSN of the last appended record (first_lsn - 1 if none).
@@ -153,51 +102,19 @@ class Wal {
   uint64_t appended_records() const { return appended_; }
   uint64_t sync_count() const { return syncs_; }
 
-  /// Rotation observability (all zero in legacy single-file mode).
-  uint64_t segments_created() const { return segments_created_; }
-  uint64_t segments_sealed() const { return sealed_.size(); }
-  uint64_t segments_retired() const { return segments_retired_; }
-  uint64_t active_segment_seq() const { return active_seq_; }
-  /// Bytes currently live in the log: sealed segments + active segment.
-  uint64_t live_bytes() const { return sealed_bytes_ + file_->size(); }
+  /// Bytes currently in the log file.
+  uint64_t live_bytes() const { return file_->size(); }
 
-  /// Base path of the log (what Create/Continue/ReplayWal take). In
-  /// segmented mode no file exists at this exact path.
-  const std::string& path() const { return base_path_; }
+  /// Path of the log file (what Create/Continue/ReplayWal take).
+  const std::string& path() const { return file_->path(); }
 
  private:
-  struct SealedSegment {
-    uint64_t seq = 0;
-    std::string path;
-    uint64_t bytes = 0;
-  };
+  Wal(std::unique_ptr<File> file, uint64_t next_lsn)
+      : file_(std::move(file)), next_lsn_(next_lsn),
+        durable_lsn_(next_lsn - 1) {}
 
-  Wal(std::string base_path, std::unique_ptr<File> file, WalOptions options,
-      uint64_t next_lsn, bool segmented, uint64_t active_seq)
-      : base_path_(std::move(base_path)), file_(std::move(file)),
-        options_(options), segmented_(segmented), active_seq_(active_seq),
-        next_lsn_(next_lsn), durable_lsn_(next_lsn - 1) {}
-
-  /// Writes the buffer to the file without fsync.
-  Status Flush();
-
-  /// Seals the active segment and opens the next one (segmented mode).
-  Status Rotate();
-
-  /// Deletes or archives one retired segment (injector-crash guarded).
-  Status RetireSegment(const SealedSegment& segment);
-
-  std::string base_path_;
-  std::unique_ptr<File> file_;  // the active segment (or legacy file).
-  WalOptions options_;
-  bool segmented_ = false;
-  uint64_t active_seq_ = 0;  // 0 in legacy mode.
-  std::vector<SealedSegment> sealed_;  // oldest first.
-  uint64_t sealed_bytes_ = 0;
-  uint64_t segments_created_ = 0;
-  uint64_t segments_retired_ = 0;
-  std::vector<uint8_t> buffer_;
-  size_t buffered_records_ = 0;
+  std::unique_ptr<File> file_;
+  std::vector<uint8_t> frame_;  // scratch for the record being appended.
   uint64_t next_lsn_;
   uint64_t durable_lsn_;
   uint64_t appended_ = 0;
@@ -214,15 +131,13 @@ struct WalRecordView {
   size_t payload_len = 0;
 };
 
-/// Scans the log rooted at `base`, calling `fn` for every intact record
-/// in order — across segment boundaries in seq order when the log is
-/// segmented (a commit batch may legally span a rotation). Missing
-/// file(s) = empty log. A torn tail in the final segment ends the scan
-/// cleanly; a torn or corrupt record anywhere else, a bad segment
-/// header (except a torn final one), or a gap in the segment sequence
-/// returns DataLoss; a non-OK status from `fn` aborts the scan.
+/// Scans the log at `path`, calling `fn` for every intact record in
+/// order. A missing file is an empty log. A torn tail ends the scan
+/// cleanly; a torn or corrupt record before it returns DataLoss; a
+/// segment file `<path>.NNNNNN` beside the log returns NotSupported
+/// before any record is read; a non-OK status from `fn` aborts the scan.
 Result<WalReplayStats> ReplayWal(
-    const std::string& base,
+    const std::string& path,
     const std::function<Status(const WalRecordView&)>& fn);
 
 }  // namespace bw::storage

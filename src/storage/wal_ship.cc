@@ -21,7 +21,7 @@ void PutU64(std::vector<uint8_t>* out, uint64_t v) {
 
 }  // namespace
 
-Result<WalShipReadout> ReadWalBatchesAfter(const std::string& base,
+Result<WalShipReadout> ReadWalBatchesAfter(const std::string& path,
                                            uint64_t after_tag,
                                            size_t max_batches,
                                            size_t max_bytes) {
@@ -32,7 +32,7 @@ Result<WalShipReadout> ReadWalBatchesAfter(const std::string& base,
   // The full scan is fine: the live log is bounded by the checkpoint
   // cadence, and budgets only bound what is *returned* per pull.
   const Status scanned =
-      ReplayWal(base, [&](const WalRecordView& record) -> Status {
+      ReplayWal(path, [&](const WalRecordView& record) -> Status {
         if (record.type != WalRecordType::kCommit) {
           ShippedRecord shipped;
           shipped.type = record.type;
@@ -66,15 +66,6 @@ Result<WalShipReadout> ReadWalBatchesAfter(const std::string& base,
       }).status();
   BW_RETURN_IF_ERROR(scanned);
   return out;
-}
-
-Result<WalReplayStats> ReplayWalFrom(
-    const std::string& base, uint64_t from_lsn,
-    const std::function<Status(const WalRecordView&)>& fn) {
-  return ReplayWal(base, [&](const WalRecordView& record) -> Status {
-    if (record.lsn < from_lsn) return Status::OK();
-    return fn(record);
-  });
 }
 
 size_t ShippedBatchWireSize(const ShippedBatch& batch) {

@@ -55,26 +55,19 @@ struct WalShipReadout {
   uint64_t last_tag = 0;
 };
 
-/// Reads the committed batches with tag > after_tag out of the log
-/// rooted at `base` (across segment rotations), stopping early once
-/// max_batches batches or ~max_bytes of payload have been collected.
-/// The caller must ensure no concurrent Reset()/rotation (hold the
-/// owning service's commit lock); concurrent appends are harmless — an
-/// uncommitted or torn tail is simply not a batch yet. Batches already
+/// Reads the committed batches with tag > after_tag out of the log at
+/// `path`, stopping early once max_batches batches or ~max_bytes of
+/// payload have been collected. The caller must ensure no concurrent
+/// Reset() (hold the owning service's commit lock); concurrent appends
+/// are harmless — an uncommitted or torn tail is simply not a batch
+/// yet. Batches already
 /// folded by a checkpoint are gone from the log; detecting that (the
 /// snapshot horizon) is the caller's job via the store's checkpoint
 /// tag.
-Result<WalShipReadout> ReadWalBatchesAfter(const std::string& base,
+Result<WalShipReadout> ReadWalBatchesAfter(const std::string& path,
                                            uint64_t after_tag,
                                            size_t max_batches,
                                            size_t max_bytes);
-
-/// Like ReplayWal, but surfaces only records with lsn >= from_lsn —
-/// the literal "tail from an LSN" read (kept alongside the tag-indexed
-/// batch reader above, which is what catch-up consumes).
-Result<WalReplayStats> ReplayWalFrom(
-    const std::string& base, uint64_t from_lsn,
-    const std::function<Status(const WalRecordView&)>& fn);
 
 /// Flat little-endian wire encoding of one shipped batch:
 ///   [u64 tag][u32 record_count]

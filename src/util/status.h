@@ -123,7 +123,7 @@ class Status {
   /// operational verdict about the machine. Not retryable by in-line
   /// retry loops — backoff does not free disk space — but sheddable at
   /// admission: submitters may resubmit after capacity is restored (the
-  /// watchdog clears, segments are archived, an operator intervenes).
+  /// watchdog clears, space is freed, an operator intervenes).
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }

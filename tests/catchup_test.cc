@@ -1,6 +1,6 @@
 // Tests for replica catch-up (DESIGN.md §13), layer by layer: the
-// storage tier's WAL shipping (tag-indexed batch reads across segment
-// rotation, the wire codec), the service tier's catch-up surface (WAL
+// storage tier's WAL shipping (tag-indexed batch reads, the wire
+// codec), the service tier's catch-up surface (WAL
 // path, snapshot path, idempotent re-apply, query shedding mid-restore,
 // checksum handshake), and the router's state machine — a kStale
 // replica streams what it missed from a healthy sibling, verifies
@@ -140,32 +140,6 @@ TEST(WalShipTest, ReadsCommittedBatchesAfterTagOldestFirst) {
   EXPECT_EQ(capped->batches.size(), 2u);
   EXPECT_TRUE(capped->more);
   EXPECT_EQ(capped->batches[1].tag, base_tag + 2);
-}
-
-TEST(WalShipTest, ReadsSpanSegmentRotation) {
-  const auto points = testing::MakeClusteredPoints(40, kDim, 3, 13);
-  std::vector<gist::Rid> rids(points.size());
-  for (size_t i = 0; i < rids.size(); ++i) rids[i] = i;
-  storage::StoreOptions store;
-  store.wal_segment_bytes = 4096;  // rotate every few page images.
-  const std::string stem = TempDir("walrot") + "/a";
-  auto index = shard::BuildShardIndex(points, rids, TestBuild(), stem + ".idx",
-                                      stem + ".wal", store);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-
-  const uint64_t base_tag = (*index)->store().last_commit_tag();
-  for (uint64_t i = 0; i < 12; ++i) {
-    ASSERT_TRUE((*index)->tree().Insert(MakePoint(300.0f + i), 2000 + i).ok());
-    ASSERT_TRUE((*index)->Commit(base_tag + 1 + i).ok());
-  }
-
-  auto all = storage::ReadWalBatchesAfter(stem + ".wal", base_tag, 100,
-                                          64u << 20);
-  ASSERT_TRUE(all.ok()) << all.status().ToString();
-  ASSERT_EQ(all->batches.size(), 12u);
-  for (size_t i = 0; i < 12; ++i) {
-    EXPECT_EQ(all->batches[i].tag, base_tag + 1 + i);
-  }
 }
 
 TEST(WalShipTest, ShippedBatchCodecRoundTripsAndRejectsTruncation) {

@@ -77,14 +77,12 @@ BuildOutcome BuildInsertByInsert(const std::string& base,
                                  const std::string& wal,
                                  FaultInjector* injector,
                                  size_t checkpoint_every_commits,
-                                 uint64_t wal_segment_bytes = 0,
                                  size_t n_points = kNumPoints) {
   std::remove(base.c_str());
   std::remove(wal.c_str());
   storage::StoreOptions store_options;
   store_options.injector = injector;
   store_options.checkpoint_every_commits = checkpoint_every_commits;
-  store_options.wal_segment_bytes = wal_segment_bytes;
 
   BuildOutcome out;
   auto created = core::CreateDurableIndex(base, wal, kDim, IndexOpts(),
@@ -156,13 +154,11 @@ void ExpectIdenticalAnswers(const gist::Tree& got, const gist::Tree& want,
 size_t CrashRecoverCompare(const std::string& base, const std::string& wal,
                            FaultInjector::Fault fault, uint64_t crash_at,
                            size_t checkpoint_every_commits,
-                           bool durable_count_is_exact,
-                           uint64_t wal_segment_bytes = 0) {
+                           bool durable_count_is_exact) {
   FaultInjector injector;
   injector.Arm(fault, crash_at);
   BuildOutcome crashed =
-      BuildInsertByInsert(base, wal, &injector, checkpoint_every_commits,
-                          wal_segment_bytes);
+      BuildInsertByInsert(base, wal, &injector, checkpoint_every_commits);
   const std::string context =
       "crash at write " + std::to_string(crash_at) +
       (checkpoint_every_commits != 0 ? " (checkpointing)" : "");
@@ -197,14 +193,12 @@ size_t CrashRecoverCompare(const std::string& base, const std::string& wal,
 /// Writes performed before the first insert (store creation + initial
 /// meta commit + initial checkpoint); sweeps start after this prefix so
 /// every crash lands in insert/commit/checkpoint traffic.
-uint64_t CreatePhaseWrites(const std::string& base, const std::string& wal,
-                           uint64_t wal_segment_bytes = 0) {
+uint64_t CreatePhaseWrites(const std::string& base, const std::string& wal) {
   std::remove(base.c_str());
   std::remove(wal.c_str());
   FaultInjector counter;  // disarmed: counts the write schedule only.
   storage::StoreOptions store_options;
   store_options.injector = &counter;
-  store_options.wal_segment_bytes = wal_segment_bytes;
   auto created =
       core::CreateDurableIndex(base, wal, kDim, IndexOpts(), store_options);
   BW_CHECK(created.ok());
@@ -289,65 +283,24 @@ TEST(CrashRecoverySweepTest, CrashesDuringCheckpointsRecover) {
   }
 }
 
-TEST(CrashRecoverySweepTest, CrashesWithSegmentRotationRecover) {
-  const std::string base = TempPath("sweep_seg.bwpf");
-  const std::string wal = TempPath("sweep_seg.wal");
-  constexpr uint64_t kSegmentBytes = 512;
-  constexpr size_t kCheckpointEvery = 80;
-
-  FaultInjector dry;
-  BuildOutcome full =
-      BuildInsertByInsert(base, wal, &dry, kCheckpointEvery, kSegmentBytes);
-  ASSERT_NE(full.index, nullptr);
-  ASSERT_EQ(full.committed, kNumPoints);
-  full.index.reset();
-  // Rotation really happened: the live log spans several segment files,
-  // so every recovery below stitches batches across segment boundaries.
-  auto replay = storage::ReplayWal(
-      wal, [](const storage::WalRecordView&) { return Status::OK(); });
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  ASSERT_GE(replay->segments, 3u);
-
-  const uint64_t total_writes = dry.writes_seen();
-  const uint64_t first = CreatePhaseWrites(base, wal, kSegmentBytes) + 1;
-  ASSERT_GT(total_writes, first);
-
-  // The sweep crosses segment-header writes (crash mid-rotation), the
-  // checkpoint protocol, and ordinary record appends alike.
-  const uint64_t step = std::max<uint64_t>(1, (total_writes - first) / 25);
-  for (uint64_t crash_at = first; crash_at <= total_writes;
-       crash_at += step) {
-    CrashRecoverCompare(base, wal, FaultInjector::Fault::kCrash, crash_at,
-                        kCheckpointEvery, /*durable_count_is_exact=*/false,
-                        kSegmentBytes);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Targeted crashes inside one checkpoint
 // ---------------------------------------------------------------------------
 
 /// Crashes at every physical write inside one explicit Checkpoint() —
-/// the dirty-frame flushes, the ping-pong header flip, and (in
-/// segmented mode) the segment-seal/truncate boundary — and requires
-/// recovery to surface every acknowledged insert each time.
-void SweepCheckpointCrashes(const std::string& base, const std::string& wal,
-                            uint64_t wal_segment_bytes) {
+/// the dirty-frame flushes, the ping-pong header flip, and the WAL
+/// truncation — and requires recovery to surface every acknowledged
+/// insert each time.
+TEST(CrashRecoveryTest, CrashAtEveryWriteInsideACheckpointRecovers) {
+  const std::string base = TempPath("ckpt_flip.bwpf");
+  const std::string wal = TempPath("ckpt_flip.wal");
   constexpr size_t kSmall = 60;
 
   // Dry run: count the writes one explicit checkpoint performs.
   FaultInjector counter;
-  BuildOutcome dry = BuildInsertByInsert(base, wal, &counter, 0,
-                                         wal_segment_bytes, kSmall);
+  BuildOutcome dry = BuildInsertByInsert(base, wal, &counter, 0, kSmall);
   ASSERT_NE(dry.index, nullptr);
   ASSERT_EQ(dry.committed, kSmall);
-  if (wal_segment_bytes > 0) {
-    auto replay = storage::ReplayWal(
-        wal, [](const storage::WalRecordView&) { return Status::OK(); });
-    ASSERT_TRUE(replay.ok());
-    ASSERT_GE(replay->segments, 2u)
-        << "segment cap too large: the checkpoint would retire nothing";
-  }
   const uint64_t before = counter.writes_seen();
   ASSERT_TRUE(dry.index->Checkpoint().ok());
   const uint64_t during = counter.writes_seen() - before;
@@ -356,8 +309,8 @@ void SweepCheckpointCrashes(const std::string& base, const std::string& wal,
 
   for (uint64_t k = 1; k <= during; ++k) {
     FaultInjector injector;
-    BuildOutcome victim = BuildInsertByInsert(base, wal, &injector, 0,
-                                              wal_segment_bytes, kSmall);
+    BuildOutcome victim =
+        BuildInsertByInsert(base, wal, &injector, 0, kSmall);
     ASSERT_NE(victim.index, nullptr);
     ASSERT_EQ(victim.committed, kSmall);
     injector.Arm(FaultInjector::Fault::kCrash, k);  // count restarts here.
@@ -374,20 +327,6 @@ void SweepCheckpointCrashes(const std::string& base, const std::string& wal,
     ExpectIdenticalAnswers((*recovered)->tree(), *reference.tree,
                            "checkpoint crash k=" + std::to_string(k));
   }
-}
-
-TEST(CrashRecoveryTest, CrashAtEveryWriteInsideACheckpointRecovers) {
-  SweepCheckpointCrashes(TempPath("ckpt_flip.bwpf"),
-                         TempPath("ckpt_flip.wal"),
-                         /*wal_segment_bytes=*/0);
-}
-
-TEST(CrashRecoveryTest, CrashInsideSegmentSealAndTruncateRecovers) {
-  // Same sweep over a segmented log: the checkpoint's WAL reset now
-  // retires sealed segments and truncates the active one, and a crash
-  // in there must leave a contiguous suffix of segments replay accepts.
-  SweepCheckpointCrashes(TempPath("ckpt_seg.bwpf"), TempPath("ckpt_seg.wal"),
-                         /*wal_segment_bytes=*/4096);
 }
 
 // ---------------------------------------------------------------------------
@@ -438,6 +377,58 @@ TEST(CrashRecoveryTest, BitFlippedWalRecordIsDetected) {
   auto recovered = core::OpenDurableIndex(base, wal, IndexOpts());
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
+}
+
+// ---------------------------------------------------------------------------
+// A segment file of the old size-capped WAL layout is refused, not ignored
+// ---------------------------------------------------------------------------
+
+std::vector<uint8_t> Bytes(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  EXPECT_TRUE(storage::ReadFile(path, &bytes).ok()) << path;
+  return bytes;
+}
+
+TEST(CrashRecoveryTest, SegmentFileBesideTheLogIsRefused) {
+  const std::string base = TempPath("segmented.bwpf");
+  const std::string wal = TempPath("segmented.wal");
+  const std::string segment = wal + ".000002";
+  BuildOutcome full = BuildInsertByInsert(base, wal, nullptr, 0, 20);
+  ASSERT_NE(full.index, nullptr);
+  full.index.reset();  // no checkpoint: the log holds acked batches.
+  {
+    // Acked batches of an older build that rotated its log: replaying
+    // the single file alone and checkpointing would silently drop them.
+    const std::string stale = "BWSG segment bytes";
+    std::FILE* f = std::fopen(segment.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(stale.data(), 1, stale.size(), f), stale.size());
+    std::fclose(f);
+  }
+  const std::vector<uint8_t> base_before = Bytes(base);
+  const std::vector<uint8_t> wal_before = Bytes(wal);
+  const std::vector<uint8_t> segment_before = Bytes(segment);
+  ASSERT_FALSE(wal_before.empty());
+
+  auto replay = storage::ReplayWal(
+      wal, [](const storage::WalRecordView&) { return Status::OK(); });
+  ASSERT_FALSE(replay.ok());
+  EXPECT_EQ(replay.status().code(), StatusCode::kNotSupported);
+  EXPECT_NE(replay.status().message().find(segment), std::string::npos)
+      << replay.status().ToString();
+
+  auto opened = core::OpenDurableIndex(base, wal, IndexOpts());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kNotSupported);
+  // Nothing was replayed, truncated or checkpointed.
+  EXPECT_EQ(Bytes(base), base_before);
+  EXPECT_EQ(Bytes(wal), wal_before);
+  EXPECT_EQ(Bytes(segment), segment_before);
+
+  // A fresh log at that path clears the stale segment away.
+  auto fresh = storage::Wal::Create(wal, storage::WalOptions());
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(std::fopen(segment.c_str(), "rb"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

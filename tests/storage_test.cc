@@ -1,7 +1,8 @@
 // Unit tests for the durable storage engine's parts: CRC32, the page
-// codec, fault-injected file I/O, the WAL (framing, group commit, torn
-// tails, corruption), the checksummed base file (DiskPageFile), and the
-// DurableStore commit/checkpoint/recover protocol. End-to-end crash
+// codec, fault-injected file I/O, the WAL (framing, write-through
+// appends and one fsync per Sync, torn tails, corruption), the
+// checksummed base file (DiskPageFile), and the DurableStore
+// commit/checkpoint/recover protocol (one fsync per commit). End-to-end crash
 // sweeps over a real index live in crash_recovery_test.cc.
 
 #include <gtest/gtest.h>
@@ -401,7 +402,9 @@ TEST(WalTest, AppendReplayRoundTrip) {
       (*wal)->Append(WalRecordType::kCommit, pages::kInvalidPageId, &tag, 8)
           .ok());
   EXPECT_EQ((*wal)->last_lsn(), 3u);
-  EXPECT_EQ((*wal)->durable_lsn(), 3u);  // sync_every_records == 1.
+  EXPECT_EQ((*wal)->durable_lsn(), 0u);  // written through, not yet synced.
+  ASSERT_TRUE((*wal)->Sync().ok());
+  EXPECT_EQ((*wal)->durable_lsn(), 3u);
 
   std::vector<std::tuple<WalRecordType, pages::PageId, std::string>> seen;
   auto replay = storage::ReplayWal(path, [&](const WalRecordView& r) {
@@ -497,38 +500,21 @@ TEST(WalTest, CorruptRecordIsDataLoss) {
 
 TEST(WalTest, GroupCommitBatchesFsyncs) {
   const std::string path = TempPath("group_commit.wal");
-  WalOptions options;
-  options.sync_every_records = 4;
-  auto wal = Wal::Create(path, options);
+  auto wal = Wal::Create(path, WalOptions());
   ASSERT_TRUE(wal.ok());
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(
         (*wal)->Append(WalRecordType::kAlloc, i, nullptr, 0).ok());
   }
+  // Appends write through but never fsync...
   EXPECT_EQ((*wal)->sync_count(), 0u);
-  EXPECT_EQ((*wal)->durable_lsn(), 0u);  // still buffered, not on disk.
-  ASSERT_TRUE((*wal)->Append(WalRecordType::kAlloc, 3, nullptr, 0).ok());
-  EXPECT_EQ((*wal)->sync_count(), 1u);  // fourth record triggered it.
+  EXPECT_EQ((*wal)->durable_lsn(), 0u);
+  EXPECT_EQ((*wal)->appended_records(), 4u);
+  // ...and one Sync() makes all of them durable at once.
+  ASSERT_TRUE((*wal)->Sync().ok());
+  EXPECT_EQ((*wal)->sync_count(), 1u);
   EXPECT_EQ((*wal)->durable_lsn(), 4u);
-}
-
-TEST(WalTest, UnsyncedRecordsDieWithTheProcess) {
-  const std::string path = TempPath("unsynced.wal");
-  WalOptions options;
-  options.sync_every_records = 100;
-  {
-    auto wal = Wal::Create(path, options);
-    ASSERT_TRUE(wal.ok());
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(
-          (*wal)->Append(WalRecordType::kAlloc, i, nullptr, 0).ok());
-    }
-    // Dropped without Sync: the buffered records were never written.
-  }
-  auto replay = storage::ReplayWal(
-      path, [](const WalRecordView&) { return Status::OK(); });
-  ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(replay->records, 0u);
+  EXPECT_EQ((*wal)->durable_lsn(), (*wal)->last_lsn());
 }
 
 TEST(WalTest, ResetEmptiesLogButLsnsKeepRising) {
@@ -536,7 +522,9 @@ TEST(WalTest, ResetEmptiesLogButLsnsKeepRising) {
   auto wal = Wal::Create(path, WalOptions());
   ASSERT_TRUE(wal.ok());
   ASSERT_TRUE((*wal)->Append(WalRecordType::kAlloc, 0, nullptr, 0).ok());
+  ASSERT_GT((*wal)->live_bytes(), 0u);
   ASSERT_TRUE((*wal)->Reset().ok());
+  EXPECT_EQ((*wal)->live_bytes(), 0u);
   ASSERT_TRUE((*wal)->Append(WalRecordType::kAlloc, 1, nullptr, 0).ok());
 
   std::vector<uint64_t> lsns;
@@ -547,193 +535,6 @@ TEST(WalTest, ResetEmptiesLogButLsnsKeepRising) {
   ASSERT_TRUE(replay.ok());
   ASSERT_EQ(lsns.size(), 1u);
   EXPECT_EQ(lsns[0], 2u);  // the pre-reset record is gone, its LSN is not.
-}
-
-// ---------------------------------------------------------------------------
-// WAL segment rotation
-// ---------------------------------------------------------------------------
-
-std::string SegPath(const std::string& base, uint64_t seq) {
-  char suffix[16];
-  std::snprintf(suffix, sizeof(suffix), ".%06llu",
-                static_cast<unsigned long long>(seq));
-  return base + suffix;
-}
-
-bool FileExists(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fclose(f);
-  return true;
-}
-
-// Every record below is 24 (header) + 10 (payload) + 4 (crc) = 38 bytes;
-// the segment header is 20 bytes. With segment_bytes = 128 the active
-// segment seals after its third record (20 + 3*38 = 134 >= 128).
-WalOptions RotatingOptions() {
-  WalOptions options;
-  options.segment_bytes = 128;
-  return options;
-}
-
-TEST(WalRotationTest, RotationSealsSegmentsAndReplaySpansThem) {
-  const std::string base = TempPath("rotating.wal");
-  auto wal = Wal::Create(base, RotatingOptions());
-  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(
-        (*wal)->Append(WalRecordType::kPageImage, i, "0123456789", 10).ok());
-  }
-  EXPECT_EQ((*wal)->segments_created(), 4u);  // 3+3+3+1 records.
-  EXPECT_EQ((*wal)->segments_sealed(), 3u);
-  EXPECT_EQ((*wal)->active_segment_seq(), 4u);
-  EXPECT_FALSE(FileExists(base));  // segmented mode: no legacy file.
-  for (uint64_t seq = 1; seq <= 4; ++seq) {
-    EXPECT_TRUE(FileExists(SegPath(base, seq))) << seq;
-  }
-
-  std::vector<uint64_t> lsns;
-  auto replay = storage::ReplayWal(base, [&](const WalRecordView& r) {
-    lsns.push_back(r.lsn);
-    return Status::OK();
-  });
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  EXPECT_EQ(replay->records, 10u);
-  EXPECT_EQ(replay->segments, 4u);
-  EXPECT_EQ(replay->last_segment_seq, 4u);
-  EXPECT_FALSE(replay->tail_truncated);
-  ASSERT_EQ(lsns.size(), 10u);
-  for (size_t i = 0; i < lsns.size(); ++i) {
-    EXPECT_EQ(lsns[i], i + 1);  // seq order across segment boundaries.
-  }
-}
-
-TEST(WalRotationTest, TornTailInFinalSegmentIsBenignAndContinuable) {
-  const std::string base = TempPath("rotating_torn.wal");
-  {
-    auto wal = Wal::Create(base, RotatingOptions());
-    ASSERT_TRUE(wal.ok());
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(
-          (*wal)->Append(WalRecordType::kPageImage, i, "0123456789", 10).ok());
-    }
-  }
-  // Tear 3 bytes off the single record of the active (4th) segment: the
-  // benign crash-mid-append shape, even though earlier segments exist.
-  TruncateTo(SegPath(base, 4), 20 + 38 - 3);
-  auto torn = storage::ReplayWal(
-      base, [](const WalRecordView&) { return Status::OK(); });
-  ASSERT_TRUE(torn.ok()) << torn.status().ToString();
-  EXPECT_EQ(torn->records, 9u);
-  EXPECT_TRUE(torn->tail_truncated);
-  EXPECT_EQ(torn->last_lsn, 9u);
-  EXPECT_EQ(torn->last_segment_seq, 4u);
-
-  // Continue truncates the torn tail and appends into the same segment.
-  auto cont = Wal::Continue(base, RotatingOptions(), *torn,
-                            torn->last_lsn + 1);
-  ASSERT_TRUE(cont.ok()) << cont.status().ToString();
-  ASSERT_TRUE(
-      (*cont)->Append(WalRecordType::kPageImage, 99, "resumed!!!", 10).ok());
-  auto resumed = storage::ReplayWal(
-      base, [](const WalRecordView&) { return Status::OK(); });
-  ASSERT_TRUE(resumed.ok());
-  EXPECT_EQ(resumed->records, 10u);
-  EXPECT_EQ(resumed->last_lsn, 10u);
-  EXPECT_FALSE(resumed->tail_truncated);
-}
-
-TEST(WalRotationTest, TornSealedSegmentIsDataLoss) {
-  const std::string base = TempPath("rotating_sealed_tear.wal");
-  {
-    auto wal = Wal::Create(base, RotatingOptions());
-    ASSERT_TRUE(wal.ok());
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(
-          (*wal)->Append(WalRecordType::kPageImage, i, "0123456789", 10).ok());
-    }
-  }
-  // The same 3-byte tear, but in a SEALED segment: sealing synced it, so
-  // a short file there means the disk lost acknowledged bytes.
-  TruncateTo(SegPath(base, 2), 20 + 2 * 38 + 35);
-  auto replay = storage::ReplayWal(
-      base, [](const WalRecordView&) { return Status::OK(); });
-  ASSERT_FALSE(replay.ok());
-  EXPECT_EQ(replay.status().code(), StatusCode::kDataLoss);
-}
-
-TEST(WalRotationTest, SegmentSequenceGapIsDataLoss) {
-  const std::string base = TempPath("rotating_gap.wal");
-  {
-    auto wal = Wal::Create(base, RotatingOptions());
-    ASSERT_TRUE(wal.ok());
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(
-          (*wal)->Append(WalRecordType::kPageImage, i, "0123456789", 10).ok());
-    }
-  }
-  // Retirement removes oldest-first, so a missing MIDDLE segment can
-  // only mean a whole file of acknowledged records vanished.
-  ASSERT_EQ(std::remove(SegPath(base, 2).c_str()), 0);
-  auto replay = storage::ReplayWal(
-      base, [](const WalRecordView&) { return Status::OK(); });
-  ASSERT_FALSE(replay.ok());
-  EXPECT_EQ(replay.status().code(), StatusCode::kDataLoss);
-}
-
-TEST(WalRotationTest, ResetRetiresSealedSegmentsAndBoundsLiveBytes) {
-  const std::string base = TempPath("rotating_reset.wal");
-  auto wal = Wal::Create(base, RotatingOptions());
-  ASSERT_TRUE(wal.ok());
-  for (int i = 0; i < 7; ++i) {  // 2 sealed segments + 1 record active.
-    ASSERT_TRUE(
-        (*wal)->Append(WalRecordType::kPageImage, i, "0123456789", 10).ok());
-  }
-  ASSERT_EQ((*wal)->segments_sealed(), 2u);
-  const uint64_t before = (*wal)->live_bytes();
-  ASSERT_GT(before, 3 * 20u);
-
-  ASSERT_TRUE((*wal)->Reset().ok());
-  EXPECT_EQ((*wal)->segments_retired(), 2u);
-  EXPECT_EQ((*wal)->segments_sealed(), 0u);
-  EXPECT_EQ((*wal)->live_bytes(), 20u);  // just the active header.
-  EXPECT_FALSE(FileExists(SegPath(base, 1)));
-  EXPECT_FALSE(FileExists(SegPath(base, 2)));
-
-  // The log keeps working after the reset; LSNs keep rising.
-  ASSERT_TRUE(
-      (*wal)->Append(WalRecordType::kPageImage, 8, "afterreset", 10).ok());
-  std::vector<uint64_t> lsns;
-  auto replay = storage::ReplayWal(base, [&](const WalRecordView& r) {
-    lsns.push_back(r.lsn);
-    return Status::OK();
-  });
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  ASSERT_EQ(lsns.size(), 1u);
-  EXPECT_EQ(lsns[0], 8u);
-}
-
-TEST(WalRotationTest, ArchivedSegmentsAreKeptButIgnoredByReplay) {
-  const std::string base = TempPath("rotating_archive.wal");
-  WalOptions options = RotatingOptions();
-  options.archive_sealed = true;
-  auto wal = Wal::Create(base, options);
-  ASSERT_TRUE(wal.ok());
-  for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(
-        (*wal)->Append(WalRecordType::kPageImage, i, "0123456789", 10).ok());
-  }
-  ASSERT_TRUE((*wal)->Reset().ok());
-  EXPECT_EQ((*wal)->segments_retired(), 2u);
-  // Retired segments were renamed, not deleted: an audit trail replay
-  // must not mistake for live log.
-  EXPECT_FALSE(FileExists(SegPath(base, 1)));
-  EXPECT_TRUE(FileExists(SegPath(base, 1) + ".archived"));
-  EXPECT_TRUE(FileExists(SegPath(base, 2) + ".archived"));
-  auto replay = storage::ReplayWal(
-      base, [](const WalRecordView&) { return Status::OK(); });
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  EXPECT_EQ(replay->records, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -898,6 +699,31 @@ TEST(DurableStoreTest, CommittedBatchesSurviveACrash) {
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(summary.last_commit_tag, 3u);
   EXPECT_EQ((*again)->pages()->PeekNoIo(1)->slot_count(), 2u);
+}
+
+TEST(DurableStoreTest, CommitBatchIsOneFsync) {
+  const std::string base = TempPath("store_one_fsync.bwpf");
+  const std::string wal = TempPath("store_one_fsync.wal");
+  auto store = DurableStore::Create(base, wal, SmallStore());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  for (int i = 0; i < 3; ++i) (*store)->pages()->Allocate();
+  ASSERT_TRUE((*store)->CommitBatch(1).ok());
+
+  // One batch of 1 allocation + 4 page images (the new page and 3
+  // existing ones) + the commit record: 6 records, one fsync.
+  const pages::PageId fresh = (*store)->pages()->Allocate();
+  for (pages::PageId id = 0; id <= fresh; ++id) {
+    auto page = (*store)->pages()->Write(id);
+    ASSERT_TRUE(page.ok());
+    ASSERT_TRUE((*page)->Insert("dirty", 5).ok());
+  }
+  const Wal& log = *(*store)->wal();
+  const uint64_t syncs = log.sync_count();
+  const uint64_t records = log.appended_records();
+  ASSERT_TRUE((*store)->CommitBatch(2).ok());
+  EXPECT_EQ(log.appended_records() - records, 6u);
+  EXPECT_EQ(log.sync_count() - syncs, 1u);
+  EXPECT_EQ(log.durable_lsn(), log.last_lsn());
 }
 
 TEST(DurableStoreTest, UncommittedWalTailIsDiscarded) {
@@ -1086,67 +912,6 @@ TEST(DurableStoreTest, FailedFsyncCommitNeverReportsDurable) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(summary.last_commit_tag, 1u);  // batch 2 was never durable.
   EXPECT_EQ((*recovered)->pages()->PeekNoIo(0)->slot_count(), 1u);
-}
-
-TEST(DurableStoreTest, SegmentedWalRotatesAndCheckpointRetiresSegments) {
-  const std::string base = TempPath("store_segmented.bwpf");
-  const std::string wal = TempPath("store_segmented.wal");
-  StoreOptions options = SmallStore();
-  options.wal_segment_bytes = 512;  // a handful of commit batches each.
-  {
-    auto store = DurableStore::Create(base, wal, options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    for (int i = 0; i < 24; ++i) {
-      const pages::PageId id = (*store)->pages()->Allocate();
-      auto page = (*store)->pages()->Write(id);
-      ASSERT_TRUE(page.ok());
-      ASSERT_TRUE((*page)->Insert(&i, sizeof(i)).ok());
-      ASSERT_TRUE((*store)->CommitBatch(i + 1).ok());
-    }
-    ASSERT_GT((*store)->wal()->segments_created(), 2u);
-    // The checkpoint folds the log into the base and retires every
-    // sealed segment: the live log shrinks back to one header.
-    ASSERT_TRUE((*store)->Checkpoint().ok());
-    EXPECT_GT((*store)->wal()->segments_retired(), 0u);
-    EXPECT_EQ((*store)->wal()->segments_sealed(), 0u);
-    EXPECT_EQ((*store)->wal()->live_bytes(), 20u);
-  }
-  RecoveryManager::Summary summary;
-  auto recovered = RecoveryManager::Recover(base, wal, options, &summary);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  ASSERT_EQ((*recovered)->pages()->page_count(), 24u);
-}
-
-TEST(DurableStoreTest, RecoveryReplaysAcrossSegmentBoundaries) {
-  const std::string base = TempPath("store_segspan.bwpf");
-  const std::string wal = TempPath("store_segspan.wal");
-  StoreOptions options = SmallStore();
-  options.wal_segment_bytes = 512;
-  uint64_t segments_written = 0;
-  {
-    auto store = DurableStore::Create(base, wal, options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    for (int i = 0; i < 16; ++i) {
-      const pages::PageId id = (*store)->pages()->Allocate();
-      auto page = (*store)->pages()->Write(id);
-      ASSERT_TRUE(page.ok());
-      ASSERT_TRUE((*page)->Insert(&i, sizeof(i)).ok());
-      ASSERT_TRUE((*store)->CommitBatch(i + 1).ok());
-    }
-    segments_written = (*store)->wal()->segments_created();
-    ASSERT_GE(segments_written, 3u);
-    // "Crash": no checkpoint — recovery must stitch every batch back
-    // together across all the segment files.
-  }
-  RecoveryManager::Summary summary;
-  auto recovered = RecoveryManager::Recover(base, wal, options, &summary);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(summary.last_commit_tag, 16u);
-  EXPECT_EQ(summary.wal_segments_replayed, segments_written);
-  ASSERT_EQ((*recovered)->pages()->page_count(), 16u);
-  for (pages::PageId id = 0; id < 16; ++id) {
-    EXPECT_EQ((*recovered)->pages()->PeekNoIo(id)->slot_count(), 1u);
-  }
 }
 
 // ---------------------------------------------------------------------------
