@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   {
     bw::TablePrinter table({"AM", "fig13-nibble leaf I/O", "maxvol leaf I/O",
                             "improvement"});
-    for (const std::string& am : {"jb", "xjb"}) {
+    for (const char* am : {"jb", "xjb"}) {
       const Cell nibble = RunOne(data, *config, am, "nibble", false);
       const Cell maxvol = RunOne(data, *config, am, "maxvol", false);
       table.AddRow({am, bw::TablePrinter::Num(nibble.leaf_per_query, 2),
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   {
     bw::TablePrinter table({"AM", "best-first leaf I/O", "DFS leaf I/O",
                             "best-first total I/O", "DFS total I/O"});
-    for (const std::string& am : {"rtree", "amap", "jb", "xjb"}) {
+    for (const char* am : {"rtree", "amap", "jb", "xjb"}) {
       const Cell bf = RunOne(data, *config, am, "maxvol", false);
       const Cell dfs = RunOne(data, *config, am, "maxvol", true);
       table.AddRow({am, bw::TablePrinter::Num(bf.leaf_per_query, 2),

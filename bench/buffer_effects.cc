@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   }
   bw::TablePrinter table(std::move(header));
 
-  for (const std::string& am : {"rtree", "amap", "jb", "xjb"}) {
+  for (const char* am : {"rtree", "amap", "jb", "xjb"}) {
     bw::core::IndexBuildOptions options;
     options.am = am;
     options.page_bytes = static_cast<size_t>(config->page_bytes);

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   bw::TablePrinter table({"AM", "index pages", "pages touched/query",
                           "fraction (1 in N)", "AM ms/query", "scan ms/query",
                           "speedup"});
-  for (const std::string& am :
+  for (const char* am :
        {"rtree", "srtree", "sstree", "amap", "jb", "xjb"}) {
     bw::core::IndexBuildOptions options;
     options.am = am;

@@ -10,8 +10,8 @@
 // cannot speed it up. Flags accept hyphenated spellings as well
 // (--write-fraction == --write_fraction), like every bench binary.
 // `--json_out=PATH` records the sweep as a flat JSON object. The exit
-// status is nonzero if any concurrent answer differs from serial
-// execution.
+// status is nonzero if any concurrent answer, in process or over the
+// wire (`--net`), differs from serial execution.
 
 #include <unistd.h>
 
@@ -580,6 +580,9 @@ int main(int argc, char** argv) {
     const double net_ratio = qps_at_4 > 0 ? wire.qps / qps_at_4 : 0.0;
     const double pipeline_speedup =
         serial_conn.qps > 0 ? piped.qps / serial_conn.qps : 0.0;
+    const bool net_identical =
+        wire.identical && piped.identical && serial_conn.identical;
+    all_identical = all_identical && net_identical;
     std::printf(
         "net front end (loopback, 4 workers, %lld dispatch):\n"
         "  closed loop over %zu connections: %.1f QPS (%.2fx in-process), "
@@ -588,10 +591,7 @@ int main(int argc, char** argv) {
         "-> pipelining %.2fx (target >= 1.5x)\n\n",
         (long long)nopts.dispatch_threads,
         std::max<size_t>(*clients, 4), wire.qps, net_ratio, wire.p50_us,
-        wire.p99_us,
-        (wire.identical && piped.identical && serial_conn.identical)
-            ? "yes"
-            : "NO",
+        wire.p99_us, net_identical ? "yes" : "NO",
         (long long)*pipeline_window, piped.qps, serial_conn.qps,
         pipeline_speedup);
     json.Set("qps_net_4w", wire.qps);
@@ -602,10 +602,7 @@ int main(int argc, char** argv) {
     json.Set("qps_net_pipelined_1conn", piped.qps);
     json.Set("qps_net_sequential_1conn", serial_conn.qps);
     json.Set("net_pipelining_speedup", pipeline_speedup);
-    json.Set("net_identical",
-             (wire.identical && piped.identical && serial_conn.identical)
-                 ? 1.0
-                 : 0.0);
+    json.Set("net_identical", net_identical ? 1.0 : 0.0);
   }
 
   if (*write_fraction > 0) {

@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   bw::Flags flags;
   int64_t* x = flags.AddInt64("x", 10, "XJB bite count");
   int64_t* max_dim = flags.AddInt64("max_dim", 8, "largest dimensionality");
-  int exit_code = 0;
   bw::Status parsed = flags.Parse(argc, argv);
   if (!parsed.ok()) {
     if (parsed.code() == bw::StatusCode::kNotFound) return 0;

@@ -4,8 +4,8 @@
 // this). No root, tc, or iptables needed:
 //
 //   bwserver --port 4830 ... &
-//   bwchaos --listen_port 4840 --target 127.0.0.1:4830 \
-//           --seed 42 --delay_prob 0.2 --delay_ms 10 \
+//   bwchaos --listen_port 4840 --target 127.0.0.1:4830
+//           --seed 42 --delay_prob 0.2 --delay_ms 10
 //           --drop_frame_prob 0.02 --blackhole_prob 0.01 &
 //   net_smoke --port 4840        # every byte now crosses the chaos
 //

@@ -10,7 +10,7 @@
 //   bwserver --port 4830 --durable /tmp/s0 --blobs 8000 --shards 3 --shard_index 0
 //   bwserver --port 4831 --durable /tmp/s1 --blobs 8000 --shards 3 --shard_index 1
 //   bwserver --port 4832 --durable /tmp/s2 --blobs 8000 --shards 3 --shard_index 2
-//   bwrouter --port 4821 --blobs 8000 \
+//   bwrouter --port 4821 --blobs 8000
 //            --endpoints "127.0.0.1:4830;127.0.0.1:4831;127.0.0.1:4832"
 //
 // --endpoints groups replicas with ',' inside a shard and separates
@@ -23,7 +23,7 @@
 // Local fleet — no endpoints: the router builds the whole sharded
 // deployment in-process under --durable (demo / single-box mode):
 //
-//   bwrouter --port 4821 --blobs 8000 --local_shards 3 --replicas 2 \
+//   bwrouter --port 4821 --blobs 8000 --local_shards 3 --replicas 2
 //            --durable /tmp/bwfleet
 
 #include <csignal>

@@ -63,16 +63,9 @@ bool ResultRateLimiter::Admit(std::chrono::steady_clock::time_point now) {
   return tokens_ > 0;
 }
 
-bool Connection::EnqueueLocked(std::string frame, size_t max_bytes) {
-  if (doomed || closed) return false;
-  if (outbox_bytes + frame.size() > max_bytes) {
-    doomed = true;
-    close_reason = CloseReason::kOutboxOverflow;
-    return false;
-  }
-  outbox_bytes += frame.size();
-  outbox.push_back(std::move(frame));
-  return true;
+void Connection::DoomLocked(CloseReason reason) {
+  doomed = true;
+  if (close_reason == CloseReason::kNone) close_reason = reason;
 }
 
 }  // namespace bw::net

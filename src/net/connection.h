@@ -1,12 +1,13 @@
 // Per-connection state for the network front end, kept separate from
 // the epoll machinery in server.cc so the pure byte-stream logic (frame
-// reassembly, quota accounting, bounded outbox) is directly testable —
+// reassembly, quota accounting) is directly testable —
 // the frame fuzzer in tests/net_test.cc drives FrameParser with hostile
 // byte sequences without a socket in sight.
 //
 // A connection is a little state machine:
 //
-//   reading --> (complete frame) --> dispatch --> response in outbox
+//   reading --> (complete frame) --> dispatch --> reply sent
+//      |                                          (remainder in outbox)
 //      |                                              |
 //      +--- integrity failure ----> doomed <--- outbox overflow
 //
@@ -15,9 +16,9 @@
 // be resynchronized, so the server sends one kWireBadFrame terminal
 // frame (best effort) and closes after flushing. Semantic failures
 // (unknown request type, malformed payload) answer with an error frame
-// and keep reading. A slow reader that lets its outbox exceed
-// max_outbox_bytes is also doomed — worker threads never block on a
-// client's socket buffer.
+// and keep reading. A slow reader whose next reply would push its
+// outbox past max_outbox_bytes is doomed too, and closed at once —
+// worker threads never block on a client's socket buffer.
 
 #ifndef BLOBWORLD_NET_CONNECTION_H_
 #define BLOBWORLD_NET_CONNECTION_H_
@@ -109,7 +110,7 @@ enum class CloseReason {
   kNone,
   kClientEof,     // orderly shutdown from the peer.
   kReadError,
-  kBadFrame,      // framing integrity failure.
+  kBadFrame,      // framing integrity failure; closes once flushed.
   kOutboxOverflow,  // slow reader exceeded the write-buffer cap.
   kIdleTimeout,
   kServerShutdown,
@@ -125,25 +126,31 @@ struct Connection {
   // --- I/O-thread-only state -------------------------------------------
   int fd;
   FrameParser parser;
+  // Last read, or last send by the I/O thread's flush. Write-through
+  // sends leave it alone, so a reply's idle clock runs from its
+  // request's read.
   std::chrono::steady_clock::time_point last_activity;
   bool want_write = false;   // EPOLLOUT currently armed.
   bool read_paused = false;  // EPOLLIN dropped due to outbox pressure.
 
   // --- Shared state (guarded by mutex) ---------------------------------
+  // Every send to `fd` happens under `mutex` after checking `closed`, so
+  // no thread writes to a closed (and possibly reused) fd number.
   std::mutex mutex;
-  std::deque<std::string> outbox;  // encoded frames awaiting write.
-  size_t outbox_bytes = 0;
+  // Reply remainders the socket refused, oldest first; only the I/O
+  // thread's flush sends from here.
+  std::deque<std::string> outbox;
+  size_t outbox_bytes = 0;   // unsent bytes in outbox.
   size_t outbox_offset = 0;  // bytes of outbox.front() already written.
-  size_t inflight = 0;       // dispatched, terminal frame not yet queued.
+  size_t inflight = 0;       // dispatched, reply not yet built.
   ResultRateLimiter limiter;
-  bool doomed = false;  // close after flushing whatever is queued.
+  bool doomed = false;  // no more replies; close (see CloseReason).
   bool closed = false;  // fd is gone; dispatch results are dropped.
   CloseReason close_reason = CloseReason::kNone;
 
-  /// Queues an encoded frame for writing. Returns false (and dooms the
-  /// connection) if that would push the outbox past `max_bytes`.
-  /// Caller must hold `mutex`.
-  bool EnqueueLocked(std::string frame, size_t max_bytes);
+  /// Dooms the connection; the first reason sticks. Caller must hold
+  /// `mutex`.
+  void DoomLocked(CloseReason reason);
 };
 
 }  // namespace bw::net

@@ -18,8 +18,59 @@ namespace {
 constexpr int kEpollBatch = 64;
 constexpr int kEpollWaitMs = 50;
 
+// The I/O loop the calling thread runs (null off the loops): Reply()
+// flushes in place there instead of kicking its own loop.
+thread_local const void* tls_io_loop = nullptr;
+
 uint16_t WireCodeFor(const Status& status) {
   return StatusCodeToWire(status.code());
+}
+
+// One terminal reply frame.
+std::string FinalFrame(MsgType type, uint64_t request_id,
+                       std::string_view payload, uint16_t wire_status = 0) {
+  FrameHeader h;
+  h.type = type;
+  h.flags = kFlagFinal;
+  h.status = wire_status;
+  h.request_id = request_id;
+  return EncodeFrame(h, payload);
+}
+
+// The terminal frame of a request that failed with `wire_status`.
+std::string ErrorFinal(uint64_t request_id, uint16_t wire_status,
+                       const std::string& message) {
+  FinalInfo info;
+  info.message = message;
+  std::string payload;
+  EncodeFinalInfo(info, &payload);
+  return FinalFrame(MsgType::kFinal, request_id, payload, wire_status);
+}
+
+std::string InvalidArgumentFinal(uint64_t request_id,
+                                 const std::string& message) {
+  return ErrorFinal(request_id,
+                    StatusCodeToWire(StatusCode::kInvalidArgument), message);
+}
+
+// Sends `bytes` until the socket refuses more (EAGAIN) or fails; never
+// blocks. Returns the bytes sent; `*failed` is set on a send error (the
+// peer is gone).
+size_t SendAvailable(int fd, std::string_view bytes, bool* failed) {
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    *failed = true;
+    break;
+  }
+  return sent;
 }
 
 }  // namespace
@@ -192,6 +243,7 @@ NetStats Server::stats() const {
   s.closed_error = closed_error_.load();
   s.bytes_in = bytes_in_.load();
   s.bytes_out = bytes_out_.load();
+  s.deferred_replies = deferred_replies_.load();
   return s;
 }
 
@@ -214,6 +266,7 @@ std::vector<std::pair<std::string, double>> Server::StatsFields() const {
       {"net.closed_error", static_cast<double>(s.closed_error)},
       {"net.bytes_in", static_cast<double>(s.bytes_in)},
       {"net.bytes_out", static_cast<double>(s.bytes_out)},
+      {"net.deferred_replies", static_cast<double>(s.deferred_replies)},
   };
 }
 
@@ -223,6 +276,7 @@ std::vector<std::pair<std::string, double>> Server::StatsFields() const {
 
 void Server::IoLoopMain(size_t index) {
   IoLoop& loop = *loops_[index];
+  tls_io_loop = &loop;
   epoll_event events[kEpollBatch];
   while (!stop_.load()) {
     const int n = ::epoll_wait(loop.epoll_fd, events, kEpollBatch,
@@ -263,14 +317,7 @@ void Server::IoLoopMain(size_t index) {
       kicks.swap(loop.kicks);
     }
     for (int fd : pending_fds) AdoptConnection(loop, index, fd);
-    for (const auto& conn : kicks) {
-      bool closed;
-      {
-        std::lock_guard<std::mutex> lock(conn->mutex);
-        closed = conn->closed;
-      }
-      if (!closed) FlushConnection(loop, conn);
-    }
+    for (const auto& conn : kicks) FlushConnection(loop, conn);
 
     // Idle/read-timeout reaping.
     const auto now = std::chrono::steady_clock::now();
@@ -369,13 +416,10 @@ void Server::ReadReady(IoLoop& loop, size_t index,
       if (!intact) {
         // Framing integrity failure: best-effort error frame, then
         // close once it (and anything queued before it) flushes.
-        QueueErrorFinal(conn, 0, kWireBadFrame, conn->parser.error());
+        Reply(index, conn, ErrorFinal(0, kWireBadFrame, conn->parser.error()));
         {
           std::lock_guard<std::mutex> lock(conn->mutex);
-          conn->doomed = true;
-          if (conn->close_reason == CloseReason::kNone) {
-            conn->close_reason = CloseReason::kBadFrame;
-          }
+          conn->DoomLocked(CloseReason::kBadFrame);
         }
         FlushConnection(loop, conn);
         return;
@@ -403,32 +447,29 @@ void Server::HandleFrame(IoLoop& loop, size_t index,
     // Semantic error: the frame boundary is sound, so answer and keep
     // the connection.
     bad_requests_.fetch_add(1);
-    QueueErrorFinal(conn, h.request_id,
-                    StatusCodeToWire(StatusCode::kNotSupported),
-                    "unknown request type " +
-                        std::to_string(static_cast<unsigned>(h.type)));
-    FlushConnection(loop, conn);
+    Reply(index, conn,
+          ErrorFinal(h.request_id,
+                     StatusCodeToWire(StatusCode::kNotSupported),
+                     "unknown request type " +
+                         std::to_string(static_cast<unsigned>(h.type))));
     return;
   }
   if (draining_.load()) {
     shed_shutdown_.fetch_add(1);
-    QueueErrorFinal(conn, h.request_id, kWireShuttingDown,
-                    "server shutting down");
-    FlushConnection(loop, conn);
+    Reply(index, conn,
+          ErrorFinal(h.request_id, kWireShuttingDown, "server shutting down"));
     return;
   }
   if (h.type == MsgType::kStats) {
-    QueueStatsReply(conn, h.request_id);
-    FlushConnection(loop, conn);
+    Reply(index, conn, StatsFrame(h.request_id));
     return;
   }
   if (h.type == MsgType::kHealth) {
-    QueueHealthReply(conn, h.request_id);
-    FlushConnection(loop, conn);
+    Reply(index, conn, HealthFrame(h.request_id));
     return;
   }
   if (h.type == MsgType::kHello) {
-    HandleHello(loop, conn, frame);
+    HandleHello(loop, index, conn, frame);
     return;
   }
 
@@ -449,8 +490,8 @@ void Server::HandleFrame(IoLoop& loop, size_t index,
   }
   if (!quota_ok) {
     shed_quota_.fetch_add(1);
-    QueueErrorFinal(conn, h.request_id, kWireQuotaExceeded, quota_reason);
-    FlushConnection(loop, conn);
+    Reply(index, conn,
+          ErrorFinal(h.request_id, kWireQuotaExceeded, quota_reason));
     return;
   }
   inflight_total_.fetch_add(1);
@@ -463,10 +504,10 @@ void Server::HandleFrame(IoLoop& loop, size_t index,
       lock.unlock();
       shed_dispatch_.fetch_add(1);
       FinishRequest(conn, 0);
-      QueueErrorFinal(conn, h.request_id,
-                      StatusCodeToWire(StatusCode::kResourceExhausted),
-                      "dispatch queue full");
-      FlushConnection(loop, conn);
+      Reply(index, conn,
+            ErrorFinal(h.request_id,
+                       StatusCodeToWire(StatusCode::kResourceExhausted),
+                       "dispatch queue full"));
       return;
     }
     DispatchTask task;
@@ -478,7 +519,7 @@ void Server::HandleFrame(IoLoop& loop, size_t index,
   dispatch_cv_.notify_one();
 }
 
-void Server::HandleHello(IoLoop& loop,
+void Server::HandleHello(IoLoop& loop, size_t index,
                          const std::shared_ptr<Connection>& conn,
                          const FrameParser::Frame& frame) {
   HelloRequest req;
@@ -486,10 +527,9 @@ void Server::HandleHello(IoLoop& loop,
     // Semantic failure: the framing is sound, so answer and keep the
     // connection (a pre-handshake client never sends kHello at all).
     bad_requests_.fetch_add(1);
-    QueueErrorFinal(conn, frame.header.request_id,
-                    StatusCodeToWire(StatusCode::kInvalidArgument),
-                    "malformed hello payload");
-    FlushConnection(loop, conn);
+    Reply(index, conn,
+          InvalidArgumentFinal(frame.header.request_id,
+                               "malformed hello payload"));
     return;
   }
   HelloReply reply;
@@ -500,82 +540,20 @@ void Server::HandleHello(IoLoop& loop,
   const bool mismatch = req.major != kWireVersionMajor;
   std::string payload;
   EncodeHelloReply(reply, &payload);
-  FrameHeader h;
-  h.type = MsgType::kHelloReply;
-  h.flags = kFlagFinal;
-  h.status = mismatch ? kWireVersionMismatch : 0;
-  h.request_id = frame.header.request_id;
-  Enqueue(conn, EncodeFrame(h, payload));
-  responses_.fetch_add(1);
+  Reply(index, conn,
+        FinalFrame(MsgType::kHelloReply, frame.header.request_id, payload,
+                   mismatch ? kWireVersionMismatch : 0));
   if (mismatch) {
     // Incompatible peers exchange exactly one frame pair: the reply
     // (carrying our version so the client can report what it hit)
     // flushes, then the connection closes.
     bad_requests_.fetch_add(1);
-    std::lock_guard<std::mutex> lock(conn->mutex);
-    conn->doomed = true;
-    if (conn->close_reason == CloseReason::kNone) {
-      conn->close_reason = CloseReason::kBadFrame;
+    {
+      std::lock_guard<std::mutex> lock(conn->mutex);
+      conn->DoomLocked(CloseReason::kBadFrame);
     }
+    FlushConnection(loop, conn);
   }
-  FlushConnection(loop, conn);
-}
-
-void Server::QueueErrorFinal(const std::shared_ptr<Connection>& conn,
-                             uint64_t request_id, uint16_t wire_status,
-                             const std::string& message) {
-  FinalInfo info;
-  info.message = message;
-  std::string payload;
-  EncodeFinalInfo(info, &payload);
-  FrameHeader h;
-  h.type = MsgType::kFinal;
-  h.flags = kFlagFinal;
-  h.status = wire_status;
-  h.request_id = request_id;
-  Enqueue(conn, EncodeFrame(h, payload));
-  responses_.fetch_add(1);
-}
-
-void Server::QueueQueryResponse(const std::shared_ptr<Connection>& conn,
-                                uint64_t request_id,
-                                const service::QueryResponse& response,
-                                size_t batch_size) {
-  const auto& neighbors = response.neighbors;
-  for (size_t begin = 0; begin < neighbors.size(); begin += batch_size) {
-    const size_t count = std::min(batch_size, neighbors.size() - begin);
-    std::string payload;
-    EncodeResultBatch(neighbors, begin, count, &payload);
-    FrameHeader h;
-    h.type = MsgType::kResultBatch;
-    h.request_id = request_id;
-    if (!Enqueue(conn, EncodeFrame(h, payload))) return;  // doomed.
-  }
-  FinalInfo info;
-  info.total_results = neighbors.size();
-  info.pages_skipped = response.metrics.pages_skipped;
-  info.server_latency_us = response.metrics.latency_us;
-  std::string payload;
-  EncodeFinalInfo(info, &payload);
-  FrameHeader h;
-  h.type = MsgType::kFinal;
-  h.flags = kFlagFinal;
-  if (response.degraded()) h.flags |= kFlagDegraded;
-  if (response.metrics.truncated) h.flags |= kFlagTruncated;
-  h.request_id = request_id;
-  Enqueue(conn, EncodeFrame(h, payload));
-  responses_.fetch_add(1);
-}
-
-bool Server::Enqueue(const std::shared_ptr<Connection>& conn,
-                     std::string frame) {
-  const size_t bytes = frame.size();
-  std::lock_guard<std::mutex> lock(conn->mutex);
-  if (!conn->EnqueueLocked(std::move(frame), options_.max_outbox_bytes)) {
-    return false;
-  }
-  outbox_total_.fetch_add(bytes);
-  return true;
 }
 
 void Server::FinishRequest(const std::shared_ptr<Connection>& conn,
@@ -588,6 +566,48 @@ void Server::FinishRequest(const std::shared_ptr<Connection>& conn,
   inflight_total_.fetch_sub(1);
 }
 
+void Server::Reply(size_t io_index, const std::shared_ptr<Connection>& conn,
+                   std::string bytes) {
+  responses_.fetch_add(1);
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(conn->mutex);
+    if (conn->closed || conn->doomed) return;
+    if (conn->outbox_bytes + bytes.size() > options_.max_outbox_bytes) {
+      // Judged per reply, before any byte leaves: the kernel's socket
+      // buffer would otherwise absorb megabytes for a stalled reader.
+      conn->DoomLocked(CloseReason::kOutboxOverflow);
+      wake = true;
+    } else {
+      size_t sent = 0;
+      bool failed = false;
+      if (conn->outbox.empty()) {
+        sent = SendAvailable(conn->fd, bytes, &failed);
+        bytes_out_.fetch_add(sent);
+      }
+      if (failed) {
+        conn->DoomLocked(CloseReason::kReadError);
+        wake = true;
+      } else if (sent < bytes.size()) {
+        const size_t remaining = bytes.size() - sent;
+        if (conn->outbox.empty()) conn->outbox_offset = sent;
+        conn->outbox.push_back(std::move(bytes));
+        conn->outbox_bytes += remaining;
+        outbox_total_.fetch_add(remaining);
+        deferred_replies_.fetch_add(1);
+        wake = true;
+      }
+    }
+  }
+  if (!wake) return;
+  IoLoop& loop = *loops_[io_index];
+  if (tls_io_loop == &loop) {
+    FlushConnection(loop, conn);
+  } else {
+    KickIo(io_index, conn);
+  }
+}
+
 void Server::FlushConnection(IoLoop& loop,
                              const std::shared_ptr<Connection>& conn) {
   bool want_write = false;
@@ -596,42 +616,45 @@ void Server::FlushConnection(IoLoop& loop,
   {
     std::lock_guard<std::mutex> lock(conn->mutex);
     if (conn->closed) return;
-    while (!conn->outbox.empty()) {
+    // An overflow or send-error doom closes at once: a stalled reader
+    // would never let its outbox flush. A bad-frame doom first flushes
+    // its final frame.
+    if (conn->doomed && conn->close_reason != CloseReason::kBadFrame) {
+      close_now = true;
+      reason = conn->close_reason;
+    }
+    while (!close_now && !conn->outbox.empty()) {
       const std::string& front = conn->outbox.front();
-      const ssize_t n =
-          ::send(conn->fd, front.data() + conn->outbox_offset,
-                 front.size() - conn->outbox_offset, MSG_NOSIGNAL);
+      bool failed = false;
+      const size_t n = SendAvailable(
+          conn->fd, std::string_view(front).substr(conn->outbox_offset),
+          &failed);
       if (n > 0) {
-        bytes_out_.fetch_add(static_cast<uint64_t>(n));
-        outbox_total_.fetch_sub(static_cast<size_t>(n));
-        conn->outbox_offset += static_cast<size_t>(n);
+        bytes_out_.fetch_add(n);
+        outbox_total_.fetch_sub(n);
+        conn->outbox_bytes -= n;
+        conn->outbox_offset += n;
         conn->last_activity = std::chrono::steady_clock::now();
-        if (conn->outbox_offset == front.size()) {
-          conn->outbox_bytes -= front.size();
-          conn->outbox.pop_front();
-          conn->outbox_offset = 0;
-        }
-        continue;
       }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (failed) {
+        // Broken pipe / reset: nothing more to deliver.
+        close_now = true;
+        reason = CloseReason::kReadError;
+      } else if (conn->outbox_offset < front.size()) {
         want_write = true;
         break;
+      } else {
+        conn->outbox.pop_front();
+        conn->outbox_offset = 0;
       }
-      // Broken pipe / reset: nothing more to deliver.
-      close_now = true;
-      reason = CloseReason::kReadError;
-      break;
     }
     if (!close_now && conn->outbox.empty() && conn->doomed) {
       close_now = true;
-      reason = conn->close_reason != CloseReason::kNone
-                   ? conn->close_reason
-                   : CloseReason::kBadFrame;
+      reason = conn->close_reason;
     }
     if (!close_now) {
       // Read backpressure: stop pulling requests off a connection whose
-      // responses the client is not draining.
+      // replies the client is not draining.
       if (conn->outbox_bytes > options_.max_outbox_bytes / 2) {
         conn->read_paused = true;
       } else if (conn->outbox_bytes < options_.max_outbox_bytes / 4) {
@@ -731,37 +754,35 @@ void Server::DispatchLoopMain() {
       std::lock_guard<std::mutex> lock(task.conn->mutex);
       gone = task.conn->closed || task.conn->doomed;
     }
-    if (gone) {
-      FinishRequest(task.conn, 0);
-    } else {
+    double results = 0;  // charged to the connection's rate quota.
+    std::string reply;
+    if (!gone) {
       switch (task.frame.header.type) {
         case MsgType::kKnn:
         case MsgType::kRange:
-          ExecuteQuery(task);
+          reply = ExecuteQuery(task, &results);
           break;
         case MsgType::kInsert:
         case MsgType::kDelete:
-          ExecuteMutation(task);
+          reply = ExecuteMutation(task, &results);
           break;
-        case MsgType::kWalPull:
-        case MsgType::kWalApply:
-        case MsgType::kSnapshotPull:
-        case MsgType::kSnapshotApply:
-        case MsgType::kTreeSum:
-        case MsgType::kCatchupPos:
-          ExecuteCatchup(task);
-          break;
-        default:  // unreachable: HandleFrame only dispatches the above.
-          FinishRequest(task.conn, 0);
+        default:  // HandleFrame dispatches nothing else.
+          reply = ExecuteCatchup(task);
           break;
       }
     }
+    FinishRequest(task.conn, results);
+    if (!reply.empty()) Reply(task.io_index, task.conn, std::move(reply));
     executing_.fetch_sub(1);
   }
 }
 
-void Server::ExecuteQuery(const DispatchTask& task) {
+std::string Server::ExecuteQuery(const DispatchTask& task, double* results) {
   const FrameHeader& h = task.frame.header;
+  const auto invalid = [&](const std::string& message) {
+    bad_requests_.fetch_add(1);
+    return InvalidArgumentFinal(h.request_id, message);
+  };
   geom::Vec query;
   service::StreamOptions stream;
   size_t batch_size = options_.results_per_frame;
@@ -771,13 +792,7 @@ void Server::ExecuteQuery(const DispatchTask& task) {
   if (h.type == MsgType::kKnn) {
     KnnRequest req;
     if (!DecodeKnnRequest(task.frame.payload, &req)) {
-      bad_requests_.fetch_add(1);
-      FinishRequest(task.conn, 0);
-      QueueErrorFinal(task.conn, h.request_id,
-                      StatusCodeToWire(StatusCode::kInvalidArgument),
-                      "malformed k-NN request payload");
-      KickIo(task.io_index, task.conn);
-      return;
+      return invalid("malformed k-NN request payload");
     }
     query = std::move(req.query);
     stream.max_results = req.k;
@@ -788,28 +803,15 @@ void Server::ExecuteQuery(const DispatchTask& task) {
   } else {
     RangeRequest req;
     if (!DecodeRangeRequest(task.frame.payload, &req)) {
-      bad_requests_.fetch_add(1);
-      FinishRequest(task.conn, 0);
-      QueueErrorFinal(task.conn, h.request_id,
-                      StatusCodeToWire(StatusCode::kInvalidArgument),
-                      "malformed range request payload");
-      KickIo(task.io_index, task.conn);
-      return;
+      return invalid("malformed range request payload");
     }
     query = std::move(req.query);
     radius = req.radius;
     use_range = true;
   }
   if (query.dim() != tree_dim_) {
-    bad_requests_.fetch_add(1);
-    FinishRequest(task.conn, 0);
-    QueueErrorFinal(task.conn, h.request_id,
-                    StatusCodeToWire(StatusCode::kInvalidArgument),
-                    "query dimensionality " + std::to_string(query.dim()) +
-                        " != index dimensionality " +
-                        std::to_string(tree_dim_));
-    KickIo(task.io_index, task.conn);
-    return;
+    return invalid("query dimensionality " + std::to_string(query.dim()) +
+                   " != index dimensionality " + std::to_string(tree_dim_));
   }
   stream.deadline_us = static_cast<double>(h.deadline_us);
 
@@ -817,37 +819,26 @@ void Server::ExecuteQuery(const DispatchTask& task) {
       use_range ? backend_->Range(query, radius, h.deadline_us)
                 : backend_->Knn(query, stream);
   if (!response.ok()) {
-    FinishRequest(task.conn, 0);
-    QueueErrorFinal(task.conn, h.request_id, WireCodeFor(response.status()),
-                    response.status().message());
-    KickIo(task.io_index, task.conn);
-    return;
+    return ErrorFinal(h.request_id, WireCodeFor(response.status()),
+                      response.status().message());
   }
-  FinishRequest(task.conn, static_cast<double>(response->neighbors.size()));
-  QueueQueryResponse(task.conn, h.request_id, *response, batch_size);
-  KickIo(task.io_index, task.conn);
+  *results = static_cast<double>(response->neighbors.size());
+  return EncodeQueryReply(h.request_id, *response, batch_size);
 }
 
-void Server::ExecuteMutation(const DispatchTask& task) {
+std::string Server::ExecuteMutation(const DispatchTask& task,
+                                    double* results) {
   const FrameHeader& h = task.frame.header;
   MutateRequest req;
   if (!DecodeMutateRequest(task.frame.payload, &req)) {
     bad_requests_.fetch_add(1);
-    FinishRequest(task.conn, 0);
-    QueueErrorFinal(task.conn, h.request_id,
-                    StatusCodeToWire(StatusCode::kInvalidArgument),
-                    "malformed mutation request payload");
-    KickIo(task.io_index, task.conn);
-    return;
+    return InvalidArgumentFinal(h.request_id,
+                                "malformed mutation request payload");
   }
   if (req.point.dim() != tree_dim_) {
     bad_requests_.fetch_add(1);
-    FinishRequest(task.conn, 0);
-    QueueErrorFinal(task.conn, h.request_id,
-                    StatusCodeToWire(StatusCode::kInvalidArgument),
-                    "point dimensionality mismatch");
-    KickIo(task.io_index, task.conn);
-    return;
+    return InvalidArgumentFinal(h.request_id,
+                                "point dimensionality mismatch");
   }
   // This is where the write-state machine reaches the wire: kReadOnly
   // -> kResourceExhausted (retry later), kFailed -> kIoError
@@ -855,51 +846,30 @@ void Server::ExecuteMutation(const DispatchTask& task) {
   Result<service::MutationOutcome> outcome =
       h.type == MsgType::kInsert ? backend_->Insert(req.point, req.rid)
                                  : backend_->Remove(req.point, req.rid);
-  FinishRequest(task.conn, outcome.ok() ? 1 : 0);
   if (!outcome.ok()) {
-    QueueErrorFinal(task.conn, h.request_id, WireCodeFor(outcome.status()),
-                    outcome.status().message());
-    KickIo(task.io_index, task.conn);
-    return;
+    return ErrorFinal(h.request_id, WireCodeFor(outcome.status()),
+                      outcome.status().message());
   }
+  *results = 1;
   FinalInfo info;
   info.mutation_tag = outcome->tag;
   info.server_latency_us = outcome->apply_us;
   std::string payload;
   EncodeFinalInfo(info, &payload);
-  FrameHeader reply;
-  reply.type = MsgType::kMutateAck;
-  reply.flags = kFlagFinal;
-  reply.request_id = h.request_id;
-  Enqueue(task.conn, EncodeFrame(reply, payload));
-  responses_.fetch_add(1);
-  KickIo(task.io_index, task.conn);
+  return FinalFrame(MsgType::kMutateAck, h.request_id, payload);
 }
 
-void Server::ExecuteCatchup(const DispatchTask& task) {
+std::string Server::ExecuteCatchup(const DispatchTask& task) {
   const FrameHeader& h = task.frame.header;
   const auto fail = [&](const std::string& msg) {
     bad_requests_.fetch_add(1);
-    FinishRequest(task.conn, 0);
-    QueueErrorFinal(task.conn, h.request_id,
-                    StatusCodeToWire(StatusCode::kInvalidArgument), msg);
-    KickIo(task.io_index, task.conn);
+    return InvalidArgumentFinal(h.request_id, msg);
   };
   const auto error = [&](const Status& status) {
-    FinishRequest(task.conn, 0);
-    QueueErrorFinal(task.conn, h.request_id, WireCodeFor(status),
-                    status.message());
-    KickIo(task.io_index, task.conn);
+    return ErrorFinal(h.request_id, WireCodeFor(status), status.message());
   };
   const auto reply = [&](MsgType type, const std::string& payload) {
-    FinishRequest(task.conn, 0);
-    FrameHeader rh;
-    rh.type = type;
-    rh.flags = kFlagFinal;
-    rh.request_id = h.request_id;
-    Enqueue(task.conn, EncodeFrame(rh, payload));
-    responses_.fetch_add(1);
-    KickIo(task.io_index, task.conn);
+    return FinalFrame(type, h.request_id, payload);
   };
   // Replies must fit the smaller of our outgoing cap and the protocol
   // cap a default client enforces; the slack covers codec framing.
@@ -1008,35 +978,23 @@ void Server::ExecuteCatchup(const DispatchTask& task) {
   }
 }
 
-void Server::QueueStatsReply(const std::shared_ptr<Connection>& conn,
-                             uint64_t request_id) {
+std::string Server::StatsFrame(uint64_t request_id) {
   auto fields = backend_->StatsFields();
   auto net_fields = StatsFields();
   fields.insert(fields.end(), net_fields.begin(), net_fields.end());
   std::string payload;
   EncodeStatsReply(fields, &payload);
-  FrameHeader h;
-  h.type = MsgType::kStatsReply;
-  h.flags = kFlagFinal;
-  h.request_id = request_id;
-  Enqueue(conn, EncodeFrame(h, payload));
-  responses_.fetch_add(1);
+  return FinalFrame(MsgType::kStatsReply, request_id, payload);
 }
 
-void Server::QueueHealthReply(const std::shared_ptr<Connection>& conn,
-                              uint64_t request_id) {
+std::string Server::HealthFrame(uint64_t request_id) {
   HealthReply reply = backend_->Health();
   reply.uptime_seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start_time_)
                              .count();
   std::string payload;
   EncodeHealthReply(reply, &payload);
-  FrameHeader h;
-  h.type = MsgType::kHealthReply;
-  h.flags = kFlagFinal;
-  h.request_id = request_id;
-  Enqueue(conn, EncodeFrame(h, payload));
-  responses_.fetch_add(1);
+  return FinalFrame(MsgType::kHealthReply, request_id, payload);
 }
 
 }  // namespace bw::net

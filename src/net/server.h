@@ -7,14 +7,16 @@
 //
 // Threading model (TerraServer-style thin gateway):
 //
-//   [accept + epoll I/O threads]  -- never block, never run a query:
-//     read bytes -> FrameParser -> validate -> quota check -> dispatch
-//     queue; flush outboxes; enforce idle timeouts and write-buffer
-//     backpressure.
+//   [accept + epoll I/O threads]  -- never block on a client, never run
+//     a query: read bytes -> FrameParser -> validate -> quota check ->
+//     dispatch queue; flush reply remainders; enforce idle timeouts and
+//     write-buffer backpressure.
 //   [dispatch threads]            -- the only place that waits on the
 //     service: decode the request, submit it through QueryService's
-//     admission control, wait for the future, encode the streamed
-//     response into the connection's bounded outbox, wake the I/O
+//     admission control, wait for the future, encode the whole reply
+//     into one buffer and send it straight to the socket (write-through)
+//     when the connection has nothing queued. Only bytes the socket
+//     refuses go to the connection's bounded outbox and wake the I/O
 //     thread.
 //
 // Load-shedding layers, outermost first, each with a distinct wire
@@ -30,11 +32,12 @@
 //   5. writes:   kReadOnly write path -> kResourceExhausted; kFailed ->
 //                kIoError (fail-stop: do not retry this process).
 //
-// A slow or malicious client can never stall a worker: dispatch threads
-// append to a bounded outbox and doom the connection on overflow
-// instead of blocking; I/O threads stop reading a connection whose
-// outbox passes the backpressure watermark; idle/read timeouts reap
-// connections that stop making progress.
+// A slow or malicious client can never stall a worker: every send is
+// non-blocking, a reply that would push the outbox past its bound dooms
+// the connection instead of queueing, and the I/O thread closes an
+// overflow-doomed connection at once; I/O threads stop reading a
+// connection whose outbox passes the backpressure watermark; idle/read
+// timeouts reap connections that stop making progress.
 //
 // Shutdown() is graceful: the listener closes, new requests are
 // answered kWireShuttingDown, in-flight requests drain and their
@@ -103,7 +106,7 @@ struct NetStats {
   uint64_t refused = 0;  // over max_connections.
   uint64_t active_connections = 0;
   uint64_t requests = 0;        // complete frames parsed.
-  uint64_t responses = 0;       // terminal frames queued.
+  uint64_t responses = 0;       // replies handed to Reply().
   uint64_t shed_quota = 0;      // kWireQuotaExceeded verdicts.
   uint64_t shed_dispatch = 0;   // dispatch queue full.
   uint64_t shed_shutdown = 0;   // arrived while draining.
@@ -115,6 +118,9 @@ struct NetStats {
   uint64_t closed_error = 0;
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
+  /// Replies the socket did not take whole: their remaining bytes went
+  /// to the outbox for the I/O thread to flush.
+  uint64_t deferred_replies = 0;
 };
 
 class Server {
@@ -166,7 +172,7 @@ class Server {
     // Connections owned by this loop, keyed by fd (loop-thread only).
     std::unordered_map<int, std::shared_ptr<Connection>> conns;
     // Cross-thread inbox, guarded by mutex: freshly accepted fds and
-    // connections with new outbox data ("kicks").
+    // connections with a queued reply remainder or a doom ("kicks").
     std::mutex mutex;
     std::vector<int> pending_fds;
     std::vector<std::shared_ptr<Connection>> kicks;
@@ -184,48 +190,45 @@ class Server {
   void HandleFrame(IoLoop& loop, size_t index,
                    const std::shared_ptr<Connection>& conn,
                    FrameParser::Frame frame);
-  /// Encodes a terminal error frame for `request_id` straight into the
-  /// outbox (I/O thread or dispatch thread; takes the conn mutex).
-  void QueueErrorFinal(const std::shared_ptr<Connection>& conn,
-                       uint64_t request_id, uint16_t wire_status,
-                       const std::string& message);
-  /// Streams a completed query response into the outbox as result-batch
-  /// frames plus a terminal frame.
-  void QueueQueryResponse(const std::shared_ptr<Connection>& conn,
-                          uint64_t request_id,
-                          const service::QueryResponse& response,
-                          size_t batch_size);
+  /// The one way a reply's bytes reach the socket outside
+  /// FlushConnection, from any thread. Under the conn mutex: drops the
+  /// reply if the connection is closed or doomed; dooms it
+  /// (kOutboxOverflow) if the reply would push the outbox past
+  /// max_outbox_bytes; sends it write-through if the outbox is empty;
+  /// queues whatever the socket refused. Wakes `io_index`'s loop only for
+  /// a queued remainder or a doom (flushing in place when called on that
+  /// loop's own thread).
+  void Reply(size_t io_index, const std::shared_ptr<Connection>& conn,
+             std::string bytes);
   /// Flushes as much outbox as the socket accepts; arms/disarms
-  /// EPOLLOUT and applies read backpressure. Loop thread only.
+  /// EPOLLOUT and applies read backpressure; closes a doomed connection
+  /// (an overflow or send-error doom at once, a bad-frame doom once its
+  /// final frame has flushed). Loop thread only.
   void FlushConnection(IoLoop& loop, const std::shared_ptr<Connection>& conn);
   void CloseConnection(IoLoop& loop, const std::shared_ptr<Connection>& conn,
                        CloseReason reason);
-  /// Wakes `io_index`'s loop to flush `conn` (dispatch threads call
-  /// this after queueing response frames).
+  /// Wakes `io_index`'s loop to flush or close `conn`.
   void KickIo(size_t io_index, const std::shared_ptr<Connection>& conn);
 
-  void ExecuteQuery(const DispatchTask& task);
-  void ExecuteMutation(const DispatchTask& task);
+  /// Each runs one dispatched request and returns its encoded reply;
+  /// `results` receives the result count charged to the rate quota.
+  std::string ExecuteQuery(const DispatchTask& task, double* results);
+  std::string ExecuteMutation(const DispatchTask& task, double* results);
   /// Replica catch-up requests (kWalPull..kCatchupPos): decode, call
   /// the backend, answer with one terminal reply frame.
-  void ExecuteCatchup(const DispatchTask& task);
-  void QueueStatsReply(const std::shared_ptr<Connection>& conn,
-                       uint64_t request_id);
-  void QueueHealthReply(const std::shared_ptr<Connection>& conn,
-                        uint64_t request_id);
+  std::string ExecuteCatchup(const DispatchTask& task);
+  std::string StatsFrame(uint64_t request_id);
+  std::string HealthFrame(uint64_t request_id);
   /// Answers a kHello handshake on the I/O thread. A major-version
   /// mismatch replies kWireVersionMismatch (still carrying the server's
   /// own version) and dooms the connection once the reply flushes.
-  void HandleHello(IoLoop& loop, const std::shared_ptr<Connection>& conn,
+  void HandleHello(IoLoop& loop, size_t index,
+                   const std::shared_ptr<Connection>& conn,
                    const FrameParser::Frame& frame);
 
-  /// Queues one encoded frame on `conn` with server-wide outbox
-  /// accounting (the drain condition watches outbox_total_). Takes the
-  /// conn mutex. Returns false if the connection is doomed/closed.
-  bool Enqueue(const std::shared_ptr<Connection>& conn, std::string frame);
-  /// Marks one dispatched request answered (terminal frame queued or
-  /// dropped): decrements the conn's in-flight count and the global
-  /// drain counter.
+  /// Marks one dispatched request answered (before its reply is sent, so
+  /// the client's next request sees the freed quota): decrements the
+  /// conn's in-flight count and the global drain counter.
   void FinishRequest(const std::shared_ptr<Connection>& conn,
                      double results_charged);
 
@@ -252,9 +255,9 @@ class Server {
   std::condition_variable dispatch_cv_;
   std::deque<DispatchTask> dispatch_queue_;
   std::atomic<size_t> executing_{0};
-  /// Requests dispatched whose terminal frame is not yet queued.
+  /// Requests dispatched whose reply is not yet built.
   std::atomic<size_t> inflight_total_{0};
-  /// Bytes sitting in connection outboxes, server-wide.
+  /// Unsent bytes sitting in connection outboxes, server-wide.
   std::atomic<size_t> outbox_total_{0};
 
   std::atomic<bool> started_{false};
@@ -278,6 +281,7 @@ class Server {
   std::atomic<uint64_t> closed_error_{0};
   std::atomic<uint64_t> bytes_in_{0};
   std::atomic<uint64_t> bytes_out_{0};
+  std::atomic<uint64_t> deferred_replies_{0};
 };
 
 }  // namespace bw::net

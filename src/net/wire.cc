@@ -1,5 +1,7 @@
 #include "net/wire.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -39,6 +41,31 @@ uint32_t GetU32(const uint8_t* p) {
 uint64_t GetU64(const uint8_t* p) {
   return static_cast<uint64_t>(GetU32(p)) |
          (static_cast<uint64_t>(GetU32(p + 4)) << 32);
+}
+
+// Result-batch payload: a u32 count, then fixed-width (rid, distance)
+// records.
+constexpr size_t kBatchCountBytes = 4;
+constexpr size_t kRecordBytes = 16;
+
+// Fills in the header at `frame` for the `payload_len` payload bytes
+// already written right after it.
+void SealFrame(const FrameHeader& header, uint8_t* frame,
+               size_t payload_len) {
+  const uint8_t* payload = frame + kFrameHeaderBytes;
+  PutU32(frame + 0, kWireMagic);
+  frame[4] = static_cast<uint8_t>(header.type);
+  frame[5] = header.flags;
+  PutU16(frame + 6, header.status);
+  PutU64(frame + 8, header.request_id);
+  PutU32(frame + 16, header.deadline_us);
+  PutU32(frame + 20, static_cast<uint32_t>(payload_len));
+  PutU32(frame + 24, payload_len == 0 ? 0 : Crc32(payload, payload_len));
+  PutU32(frame + 28, Crc32(frame, 28));
+}
+
+uint8_t* Bytes(std::string& buffer, size_t offset) {
+  return reinterpret_cast<uint8_t*>(buffer.data()) + offset;
 }
 
 }  // namespace
@@ -109,24 +136,59 @@ Status WireStatusToStatus(uint16_t status, const std::string& message) {
 }
 
 std::string EncodeFrame(const FrameHeader& header, std::string_view payload) {
-  std::string frame;
-  frame.resize(kFrameHeaderBytes + payload.size());
-  uint8_t* p = reinterpret_cast<uint8_t*>(frame.data());
-  PutU32(p + 0, kWireMagic);
-  p[4] = static_cast<uint8_t>(header.type);
-  p[5] = header.flags;
-  PutU16(p + 6, header.status);
-  PutU64(p + 8, header.request_id);
-  PutU32(p + 16, header.deadline_us);
-  PutU32(p + 20, static_cast<uint32_t>(payload.size()));
-  PutU32(p + 24,
-         payload.empty() ? 0 : Crc32(payload.data(), payload.size()));
-  PutU32(p + 28, Crc32(p, 28));
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + kFrameHeaderBytes, payload.data(),
-                payload.size());
-  }
+  std::string frame(kFrameHeaderBytes, '\0');
+  frame.append(payload);
+  SealFrame(header, Bytes(frame, 0), payload.size());
   return frame;
+}
+
+std::string EncodeQueryReply(uint64_t request_id,
+                             const service::QueryResponse& response,
+                             size_t batch_size) {
+  const std::vector<gist::Neighbor>& neighbors = response.neighbors;
+  const size_t n = neighbors.size();
+  const size_t batches = (n + batch_size - 1) / batch_size;
+  const size_t batch_bytes =
+      batches * (kFrameHeaderBytes + kBatchCountBytes) + n * kRecordBytes;
+  std::string out;
+  // The final frame's payload is 34 bytes plus its (empty) message.
+  out.reserve(batch_bytes + kFrameHeaderBytes + 64);
+  out.resize(batch_bytes);
+
+  FrameHeader batch;
+  batch.type = MsgType::kResultBatch;
+  batch.request_id = request_id;
+  size_t at = 0;
+  for (size_t begin = 0; begin < n; begin += batch_size) {
+    const size_t count = std::min(batch_size, n - begin);
+    uint8_t* frame = Bytes(out, at);
+    uint8_t* payload = frame + kFrameHeaderBytes;
+    PutU32(payload, static_cast<uint32_t>(count));
+    uint8_t* record = payload + kBatchCountBytes;
+    for (size_t i = begin; i < begin + count; ++i, record += kRecordBytes) {
+      PutU64(record, neighbors[i].rid);
+      PutU64(record + 8, std::bit_cast<uint64_t>(neighbors[i].distance));
+    }
+    const size_t payload_len = kBatchCountBytes + count * kRecordBytes;
+    SealFrame(batch, frame, payload_len);
+    at += kFrameHeaderBytes + payload_len;
+  }
+
+  FinalInfo info;
+  info.total_results = n;
+  info.pages_skipped = response.metrics.pages_skipped;
+  info.server_latency_us = response.metrics.latency_us;
+  FrameHeader final_header;
+  final_header.type = MsgType::kFinal;
+  final_header.flags = kFlagFinal;
+  if (response.degraded()) final_header.flags |= kFlagDegraded;
+  if (response.metrics.truncated) final_header.flags |= kFlagTruncated;
+  final_header.request_id = request_id;
+  out.resize(at + kFrameHeaderBytes);
+  EncodeFinalInfo(info, &out);
+  SealFrame(final_header, Bytes(out, at),
+            out.size() - at - kFrameHeaderBytes);
+  return out;
 }
 
 HeaderVerdict DecodeFrameHeader(const uint8_t* bytes, uint32_t max_payload,

@@ -173,6 +173,17 @@ struct FrameHeader {
 /// Serializes header + payload into one contiguous wire frame.
 std::string EncodeFrame(const FrameHeader& header, std::string_view payload);
 
+/// Serializes a whole k-NN/range reply into one buffer: the neighbors as
+/// kResultBatch frames of at most `batch_size` (>= 1) records each, back
+/// to back, then the kFinal frame with the totals and the degraded and
+/// truncated flags. The bytes equal EncodeFrame over each
+/// EncodeResultBatch payload, then over the EncodeFinalInfo payload; the
+/// records are written in place at computed offsets, and each CRC is
+/// taken over the bytes already in the buffer.
+std::string EncodeQueryReply(uint64_t request_id,
+                             const service::QueryResponse& response,
+                             size_t batch_size);
+
 /// Why a header failed to decode (connection-fatal conditions).
 enum class HeaderVerdict {
   kOk,

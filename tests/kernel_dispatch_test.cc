@@ -101,7 +101,9 @@ TEST_P(KernelDispatchTest, RectMinDistUlpBounded) {
     EXPECT_TRUE(WithinUlps(out_scalar[e], out_simd[e], 4 * dim))
         << "entry " << e;
     // Zero is exact on both paths: FMA of zero gaps rounds nothing.
-    if (out_scalar[e] == 0.0) EXPECT_EQ(out_simd[e], 0.0);
+    if (out_scalar[e] == 0.0) {
+      EXPECT_EQ(out_simd[e], 0.0);
+    }
   }
 }
 
@@ -148,7 +150,9 @@ TEST_P(KernelDispatchTest, RectClampMinDistClampBitIdenticalSumUlpBounded) {
   for (size_t e = 0; e < count; ++e) {
     EXPECT_TRUE(WithinUlps(out_scalar[e], out_simd[e], 4 * dim))
         << "entry " << e;
-    if (out_scalar[e] == 0.0) EXPECT_EQ(out_simd[e], 0.0);
+    if (out_scalar[e] == 0.0) {
+      EXPECT_EQ(out_simd[e], 0.0);
+    }
   }
 }
 

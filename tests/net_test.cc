@@ -21,6 +21,7 @@
 #include <random>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -375,6 +376,79 @@ TEST(WireCodec, StatusRegistryIsStableBothWays) {
   EXPECT_EQ(WireStatusToStatus(kWireBadFrame, "b").code(),
             StatusCode::kDataLoss);
   EXPECT_TRUE(WireStatusToStatus(0, "").ok());
+}
+
+// Reference for EncodeQueryReply: one EncodeFrame per EncodeResultBatch
+// payload, then one over the final frame's EncodeFinalInfo payload.
+std::string PerFrameQueryReply(uint64_t id,
+                               const service::QueryResponse& response,
+                               size_t batch_size) {
+  const auto& neighbors = response.neighbors;
+  std::string out;
+  for (size_t begin = 0; begin < neighbors.size(); begin += batch_size) {
+    const size_t count = std::min(batch_size, neighbors.size() - begin);
+    std::string payload;
+    EncodeResultBatch(neighbors, begin, count, &payload);
+    FrameHeader h;
+    h.type = MsgType::kResultBatch;
+    h.request_id = id;
+    out += EncodeFrame(h, payload);
+  }
+  FinalInfo info;
+  info.total_results = neighbors.size();
+  info.pages_skipped = response.metrics.pages_skipped;
+  info.server_latency_us = response.metrics.latency_us;
+  std::string payload;
+  EncodeFinalInfo(info, &payload);
+  FrameHeader h;
+  h.type = MsgType::kFinal;
+  h.flags = kFlagFinal;
+  if (response.degraded()) h.flags |= kFlagDegraded;
+  if (response.metrics.truncated) h.flags |= kFlagTruncated;
+  h.request_id = id;
+  out += EncodeFrame(h, payload);
+  return out;
+}
+
+TEST(WireCodec, QueryReplyEqualsPerFrameEncoding) {
+  for (size_t k : {0, 1, 64, 65, 2000}) {
+    service::QueryResponse response;
+    for (size_t i = 0; i < k; ++i) {
+      response.neighbors.push_back(
+          {(uint64_t{1} << 40) + i * 7919, 0.25 * static_cast<double>(i) +
+                                               1e-9 * static_cast<double>(k),
+           0});
+    }
+    response.metrics.pages_skipped = k % 5;
+    response.metrics.latency_us = 12.5 + static_cast<double>(k);
+    for (size_t batch_size : {1, 64}) {
+      for (bool degraded : {false, true}) {
+        for (bool truncated : {false, true}) {
+          response.completeness = degraded ? service::Completeness::kDegraded
+                                           : service::Completeness::kComplete;
+          response.metrics.truncated = truncated;
+          const uint64_t id = 1000 + k;
+          EXPECT_EQ(EncodeQueryReply(id, response, batch_size),
+                    PerFrameQueryReply(id, response, batch_size))
+              << "k=" << k << " batch=" << batch_size
+              << " degraded=" << degraded << " truncated=" << truncated;
+        }
+      }
+    }
+  }
+
+  // And a receiver splits it back into its frames.
+  service::QueryResponse response;
+  for (uint64_t i = 0; i < 65; ++i) response.neighbors.push_back({i, 1.0, 0});
+  const std::string reply = EncodeQueryReply(9, response, 64);
+  FrameParser parser;
+  std::vector<FrameParser::Frame> frames;
+  ASSERT_TRUE(parser.Feed(reply.data(), reply.size(), &frames));
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[0].header.type, MsgType::kResultBatch);
+  EXPECT_EQ(frames[1].header.type, MsgType::kResultBatch);
+  EXPECT_EQ(frames[2].header.type, MsgType::kFinal);
+  EXPECT_EQ(parser.pending_bytes(), 0u);
 }
 
 TEST(FrameParserTest, ReassemblesAcrossArbitraryChunking) {
@@ -965,6 +1039,108 @@ TEST(NetShedding, SlowReaderIsDoomedWithoutStallingOthers) {
   EXPECT_TRUE(PollUntil(milliseconds(10000), [&] {
     return h.server->stats().closed_overflow >= 1;
   })) << "stalled reader was never doomed";
+}
+
+TEST(NetShedding, OverflowDoomedStalledReaderClosesPromptly) {
+  ServerOptions nopts;
+  nopts.max_outbox_bytes = 1u << 20;
+  nopts.quota.max_inflight = 256;
+  NetHarness h({}, nopts);
+
+  // ~33 KB per reply, ~8 MB in all: about twice what the kernel's socket
+  // buffers (~2.8 MB for a stalled loopback reader on Linux defaults)
+  // and the 1 MiB outbox together hold for a reader that never reads.
+  RawConn stalled(h.server->port(), /*rcvbuf_bytes=*/4096);
+  for (uint64_t id = 1; id <= 240; ++id) {
+    ASSERT_TRUE(stalled.Send(KnnFrame(id, h.vectors[id], 2000)));
+  }
+  // The overflow doom closes the connection at once; it does not wait
+  // for an outbox the reader will never drain.
+  EXPECT_TRUE(PollUntil(milliseconds(2000), [&] {
+    return h.server->stats().closed_overflow >= 1;
+  })) << "overflow-doomed connection was not closed";
+  // Nothing is left to drain, so shutdown does not sit out its timeout.
+  const auto start = steady_clock::now();
+  h.server->Shutdown();
+  EXPECT_LT(steady_clock::now() - start, milliseconds(1000));
+}
+
+// ---------------------------------------------------------------------------
+// Write-through replies
+// ---------------------------------------------------------------------------
+
+TEST(NetWriteThrough, SerialRepliesAreSentWhole) {
+  NetHarness h;
+  auto client = h.Connect();
+  for (size_t q = 0; q < 50; ++q) {
+    auto reply = client->Knn(h.vectors[q * 7], 10);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(reply->ok());
+  }
+  // Each reply went to an empty outbox and a socket with room for it:
+  // the dispatch thread sent it all, and the I/O loop was never woken.
+  EXPECT_EQ(h.server->stats().deferred_replies, 0u);
+}
+
+TEST(NetWriteThrough, PipelinedRemaindersNeverInterleave) {
+  ServerOptions nopts;
+  nopts.quota.max_inflight = 128;
+  NetHarness h({}, nopts);
+  // A small receive window and a reader that waits until every reply is
+  // built: the ~4.2 MB of replies outrun what the kernel's socket
+  // buffers absorb for a stalled loopback reader (~2.8 MB on Linux
+  // defaults), so replies hit EAGAIN part-way and their remainders queue
+  // behind one another.
+  RawConn raw(h.server->port(), /*rcvbuf_bytes=*/4096);
+  constexpr uint64_t kQueries = 128;
+  constexpr uint32_t kK = 2000;
+  const auto focus = [&](uint64_t id) {
+    return h.vectors[(id * 97) % h.vectors.size()];
+  };
+  for (uint64_t id = 1; id <= kQueries; ++id) {
+    ASSERT_TRUE(raw.Send(KnnFrame(id, focus(id), kK)));
+  }
+  ASSERT_TRUE(PollUntil(milliseconds(30000), [&] {
+    return h.server->stats().responses >= kQueries;
+  }));
+
+  // ceil(2000 / 64) result batches plus the final, per reply.
+  constexpr size_t kFramesPerReply = 32 + 1;
+  const auto frames = raw.ReadFrames(kQueries * kFramesPerReply);
+  ASSERT_EQ(frames.size(), kQueries * kFramesPerReply);
+  const auto by_distance = [](const gist::Neighbor& a,
+                              const gist::Neighbor& b) {
+    return std::tie(a.distance, a.rid) < std::tie(b.distance, b.rid);
+  };
+  std::set<uint64_t> answered;
+  size_t at = 0;
+  while (at < frames.size()) {
+    // One reply's frames arrive back to back, ending with its final.
+    const uint64_t id = frames[at].header.request_id;
+    std::vector<gist::Neighbor> got;
+    while (at < frames.size() &&
+           frames[at].header.type == MsgType::kResultBatch) {
+      ASSERT_EQ(frames[at].header.request_id, id);
+      ASSERT_TRUE(DecodeResultBatch(frames[at].payload, &got));
+      ++at;
+    }
+    ASSERT_LT(at, frames.size());
+    ASSERT_EQ(frames[at].header.type, MsgType::kFinal);
+    ASSERT_EQ(frames[at].header.request_id, id);
+    ASSERT_EQ(frames[at].header.status, 0);
+    ++at;
+    auto truth = TruthKnn(*h.tree, focus(id), kK);
+    std::sort(got.begin(), got.end(), by_distance);
+    std::sort(truth.begin(), truth.end(), by_distance);
+    ASSERT_EQ(got.size(), truth.size()) << "request " << id;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].rid, truth[i].rid) << "request " << id;
+      EXPECT_EQ(got[i].distance, truth[i].distance) << "request " << id;
+    }
+    EXPECT_TRUE(answered.insert(id).second) << "request " << id;
+  }
+  EXPECT_EQ(answered.size(), kQueries);
+  EXPECT_GT(h.server->stats().deferred_replies, 0u);
 }
 
 TEST(NetWritePath, MutationsOnReadOnlyServiceAreInvalid) {

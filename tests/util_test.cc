@@ -98,7 +98,9 @@ TEST(StatusTest, EqualityComparesCodeAndMessage) {
 }
 
 TEST(ResultTest, HoldsValue) {
-  Result<int> r = 42;
+  // Static: GCC 12 misreads the inlined variant destructor of a local
+  // Result<int> as reading an uninitialized string (-Wmaybe-uninitialized).
+  static const Result<int> r(42);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 42);
   EXPECT_EQ(*r, 42);
