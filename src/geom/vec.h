@@ -76,6 +76,16 @@ class Vec {
     return acc;
   }
 
+  /// True when no coordinate is NaN or infinite. Distances to a point
+  /// that is not finite are NaN or infinite, so the serving boundary
+  /// rejects such points.
+  bool IsFinite() const {
+    for (float c : coords_) {
+      if (!std::isfinite(c)) return false;
+    }
+    return true;
+  }
+
   /// Returns the first `k` coordinates as a new vector (SVD truncation).
   Vec Truncated(size_t k) const {
     BW_DCHECK_LE(k, dim());

@@ -42,8 +42,9 @@ using SplitAssignment = std::vector<bool>;
 /// [d * count, (d + 1) * count), so the inner loop of a kernel walks
 /// contiguous floats of one coordinate across all entries; `distances`
 /// and `consistent` are the outputs, indexed like `preds`. Leaf scans
-/// (NodeScan::ScanLeaf) decode points straight from the page into `soa`
-/// and fill `distances` without `preds`.
+/// (NodeScan::ScanLeaf) read points in place from the page and fill
+/// only `distances`, one per point they keep; they use neither `preds`
+/// nor `soa`.
 struct BatchScratch {
   std::vector<ByteSpan> preds;
   std::vector<float> soa;
@@ -92,7 +93,7 @@ class Extension {
 
   /// Distance from `query` to one leaf key without materializing a Vec;
   /// bit-identical to query.DistanceTo(DecodePoint(key)). The scalar
-  /// reference for the batched leaf scan (gist::NodeScan::ScanLeaf),
+  /// reference for the bounded leaf scan (gist::NodeScan::ScanLeaf),
   /// which every search uses; like DecodePoint, it aborts in every
   /// build on a key that is not PointBytes() long.
   double PointDistance(ByteSpan key, const geom::Vec& query) const;

@@ -47,8 +47,10 @@ Result<std::optional<Neighbor>> NnCursor::Next() {
                         tree_.VisitNode(item.page, stats_, pool_, degraded_));
     if (page == nullptr) continue;  // dropped subtree; the rest lives on.
     const NodeView node(page);
+    const double bound =
+        queued_ ? queued_->Bound() : std::numeric_limits<double>::infinity();
     if (node.IsLeaf()) {
-      scan_.ScanLeaf(node, extension, query_);
+      scan_.ScanLeaf(node, extension, query_, bound);
       for (size_t i = 0; i < scan_.count(); ++i) {
         const Neighbor n{static_cast<Rid>(scan_.payloads[i]),
                          scan_.scratch.distances[i], item.page};
@@ -58,9 +60,7 @@ Result<std::optional<Neighbor>> NnCursor::Next() {
         frontier_.push(Item{n.distance, true, item.page, n.rid});
       }
     } else {
-      const double radius =
-          queued_ ? queued_->Bound() : std::numeric_limits<double>::infinity();
-      scan_.ScanInternal(node, extension, query_, radius);
+      scan_.ScanInternal(node, extension, query_, bound);
       for (size_t i = 0; i < scan_.count(); ++i) {
         if (!scan_.scratch.consistent[i]) continue;
         frontier_.push(Item{scan_.scratch.distances[i], false,

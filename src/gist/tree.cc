@@ -73,7 +73,7 @@ Result<std::vector<Neighbor>> Tree::RangeSearch(const geom::Vec& query,
     if (page == nullptr) continue;  // skipped subtree (degraded mode).
     const NodeView node(page);
     if (node.IsLeaf()) {
-      scan.ScanLeaf(node, *extension_, query);
+      scan.ScanLeaf(node, *extension_, query, radius);
       for (size_t i = 0; i < scan.count(); ++i) {
         const double d = scan.scratch.distances[i];
         if (d <= radius) {
@@ -127,7 +127,8 @@ Result<std::vector<Neighbor>> Tree::KnnSearch(const geom::Vec& query,
     if (page == nullptr) continue;  // skipped subtree (degraded mode).
     const NodeView node(page);
     if (node.IsLeaf()) {
-      scan.ScanLeaf(node, *extension_, query);
+      // Only points that may beat the k-th candidate come back.
+      scan.ScanLeaf(node, *extension_, query, candidates.Bound());
       for (size_t i = 0; i < scan.count(); ++i) {
         candidates.Offer(Neighbor{static_cast<Rid>(scan.payloads[i]),
                                   scan.scratch.distances[i], id});
@@ -175,7 +176,7 @@ Result<std::vector<Neighbor>> Tree::KnnSearchDfs(
     if (page == nullptr) continue;  // skipped subtree (degraded mode).
     const NodeView node(page);
     if (node.IsLeaf()) {
-      scan.ScanLeaf(node, *extension_, query);
+      scan.ScanLeaf(node, *extension_, query, candidates.Bound());
       for (size_t i = 0; i < scan.count(); ++i) {
         candidates.Offer(Neighbor{static_cast<Rid>(scan.payloads[i]),
                                   scan.scratch.distances[i], frame.page});

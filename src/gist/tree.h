@@ -75,8 +75,9 @@ inline bool IsDegradableReadError(const Status& status) {
 /// set_buffer_pool) so experiments can model memory residency; when no
 /// reader is attached, every node visit costs one PageStore read.
 ///
-/// Node scans are batched (gist/node_scan.h): a leaf is decoded in one
-/// pass straight from its page records into exact point distances; an
+/// Node scans are batched (gist/node_scan.h): a leaf is read in place,
+/// in one pass over its page records, and yields only the points that
+/// may lie within the search's pruning bound, with exact distances; an
 /// internal node is handed to the extension's batch API — one virtual
 /// call per node instead of per entry, and zero per-entry allocation.
 /// The batch contract (extension.h) guarantees results bit-identical to
@@ -151,7 +152,8 @@ class Tree {
   /// Best-first k-nearest-neighbor search with a k-bounded candidate
   /// list. Unexpanded nodes wait in a min-heap by (bound, page id); leaf
   /// points never enter it but go to a TopK of at most k candidates by
-  /// (distance, rid). The search expands the nearest node until k
+  /// (distance, rid), and a leaf scan only yields the points that may
+  /// beat the k-th candidate. The search expands the nearest node until k
   /// candidates exist and that node's bound exceeds the k-th candidate's
   /// distance; once k exist, internal nodes are scanned with that
   /// distance pushed down, and only consistent children are queued.

@@ -244,6 +244,8 @@ NetStats Server::stats() const {
   s.bytes_in = bytes_in_.load();
   s.bytes_out = bytes_out_.load();
   s.deferred_replies = deferred_replies_.load();
+  s.inflight = inflight_total_.load();
+  s.draining = draining_.load();
   return s;
 }
 
@@ -267,6 +269,8 @@ std::vector<std::pair<std::string, double>> Server::StatsFields() const {
       {"net.bytes_in", static_cast<double>(s.bytes_in)},
       {"net.bytes_out", static_cast<double>(s.bytes_out)},
       {"net.deferred_replies", static_cast<double>(s.deferred_replies)},
+      {"net.inflight", static_cast<double>(s.inflight)},
+      {"net.draining", s.draining ? 1.0 : 0.0},
   };
 }
 

@@ -121,6 +121,14 @@ struct NetStats {
   /// Replies the socket did not take whole: their remaining bytes went
   /// to the outbox for the I/O thread to flush.
   uint64_t deferred_replies = 0;
+  /// Gauge: requests admitted past the draining and quota checks and
+  /// not yet finished. `requests` counts every parsed frame (the kHello
+  /// and the ones shed while draining too), so only this says a query
+  /// is inside the server.
+  uint64_t inflight = 0;
+  /// Whether Shutdown() has begun draining: from then on every new
+  /// request is shed with kWireShuttingDown.
+  bool draining = false;
 };
 
 class Server {

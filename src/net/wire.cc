@@ -312,6 +312,7 @@ geom::Vec PayloadReader::Vec(size_t max_dim) {
   }
   geom::Vec v(dim);
   for (size_t d = 0; d < dim; ++d) v[d] = F32();
+  if (!v.IsFinite()) ok_ = false;
   return v;
 }
 

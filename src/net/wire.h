@@ -240,6 +240,9 @@ class PayloadReader {
   double F64();
   float F32();
   std::string String();
+  /// A dimension-prefixed float vector. A NaN or infinite coordinate
+  /// also latches ok()==false: the request decoders that read points
+  /// and queries reject them as malformed.
   geom::Vec Vec(size_t max_dim = 4096);
 
   bool ok() const { return ok_; }

@@ -146,7 +146,20 @@ size_t QueryService::queue_depth() const {
 // Submission / admission control
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// The boundary check for every point and query a caller hands in: a
+// NaN or infinite coordinate makes distances NaN or infinite, which no
+// search or insert can order.
+Status CheckFinite(const geom::Vec& point) {
+  if (point.IsFinite()) return Status::OK();
+  return Status::InvalidArgument("point has a NaN or infinite coordinate");
+}
+
+}  // namespace
+
 Result<QueryService::ResponseFuture> QueryService::Submit(Task task) {
+  BW_RETURN_IF_ERROR(CheckFinite(task.query));
   if (snapshot_restoring_.load(std::memory_order_acquire)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable(
@@ -295,6 +308,15 @@ QueryService::StreamCursor::~StreamCursor() {
 
 Result<std::optional<gist::Neighbor>> QueryService::StreamCursor::Next() {
   if (finished_) return std::optional<gist::Neighbor>();
+  if (returned_ == 0) {
+    // OpenCursor has no status to fail with, so a query the service
+    // would not admit fails the stream's first read instead.
+    if (Status valid = CheckFinite(query_); !valid.ok()) {
+      errored_ = true;
+      finished_ = true;
+      return valid;
+    }
+  }
   // Same limit ladder as the worker-side stream loop in Execute().
   if (limits_.max_results > 0 && returned_ >= limits_.max_results) {
     finished_ = true;
@@ -345,6 +367,7 @@ Result<QueryService::MutationFuture> QueryService::SubmitMutation(
     return Status::InvalidArgument(
         "writes are not enabled on this service (ServiceWriteOptions)");
   }
+  BW_RETURN_IF_ERROR(CheckFinite(mutation.point));
   std::unique_lock<std::mutex> lock(write_mutex_);
   // Shed-at-admission: every degraded verdict is delivered here, cheap
   // and immediate, so clients never enqueue work the service already

@@ -375,6 +375,9 @@ class QueryService {
   ~QueryService();
 
   // --- Submission (thread-safe) ----------------------------------------
+  //
+  // A query with a NaN or infinite coordinate fails admission with
+  // InvalidArgument: its distances could not be ordered.
 
   /// Exact k-nearest-neighbor request.
   Result<ResponseFuture> SubmitKnn(geom::Vec query, size_t k);
@@ -410,8 +413,9 @@ class QueryService {
 
     /// The next neighbor, or nullopt once the stream is finished:
     /// exhausted, count/radius limit reached, or deadline expired
-    /// (distinguish via truncated()). After the first nullopt or
-    /// error every later call returns nullopt.
+    /// (distinguish via truncated()). A query with a NaN or infinite
+    /// coordinate fails the first call with InvalidArgument. After the
+    /// first nullopt or error every later call returns nullopt.
     Result<std::optional<gist::Neighbor>> Next();
 
     /// Lower bound on the distance of everything not yet returned
@@ -455,7 +459,8 @@ class QueryService {
   /// Admits one insert into the bounded mutation queue. The future
   /// resolves once the batch containing it is durable (ack == will
   /// survive a crash). Admission fails with InvalidArgument when writes
-  /// are not enabled, Unavailable when the queue is full under kReject
+  /// are not enabled or the point has a NaN or infinite coordinate,
+  /// Unavailable when the queue is full under kReject
   /// (retryable), kResourceExhausted while kReadOnly (resubmit after
   /// capacity returns), and IoError once kFailed.
   Result<MutationFuture> SubmitInsert(geom::Vec point, gist::Rid rid);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "am/bulk_load.h"
 #include "core/index_factory.h"
@@ -16,10 +17,14 @@
 namespace bw {
 namespace {
 
+// gtest prints this param, byte by byte, into every test name. So it
+// holds the AM name itself, not a pointer to it, and has no padding:
+// every byte is defined and the same in every build and run.
 struct AmCase {
-  const char* name;
+  char name[15];
   bool insertion_loadable;
 };
+static_assert(sizeof(AmCase) == 16, "AmCase must have no padding bytes");
 
 class AmCorrectnessTest : public ::testing::TestWithParam<AmCase> {
  protected:
@@ -254,7 +259,7 @@ INSTANTIATE_TEST_SUITE_P(
                       AmCase{"srtree", true}, AmCase{"amap", true},
                       AmCase{"jb", true}, AmCase{"xjb", true}),
     [](const ::testing::TestParamInfo<AmCase>& info) {
-      return info.param.name;
+      return std::string(info.param.name);
     });
 
 }  // namespace

@@ -19,7 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -175,7 +178,8 @@ TEST_P(BatchKernelTest, PointDistanceBatchBitIdentical) {
   }
   gist::NodeScan scan;
   for (const geom::Vec& q : queries) {
-    scan.ScanLeaf(leaf, *ext, q);
+    // An infinite bound keeps every point.
+    scan.ScanLeaf(leaf, *ext, q, std::numeric_limits<double>::infinity());
     ASSERT_EQ(scan.count(), points.size());
     for (size_t e = 0; e < points.size(); ++e) {
       EXPECT_EQ(scan.payloads[e], 1000 + e);
@@ -184,6 +188,92 @@ TEST_P(BatchKernelTest, PointDistanceBatchBitIdentical) {
       EXPECT_EQ(scan.scratch.distances[e], ext->PointDistance(keys[e], q));
     }
   }
+}
+
+// The bounded leaf scan every search runs. The leaf's points sit on a
+// coarse grid, so many lie at exactly the same distance from a query,
+// and one record is erased first, so the records are not contiguous.
+// For each bound, every point with PointDistance <= bound comes back
+// with that exact distance and its rid, in page order; every point left
+// out is farther than the bound; and a kept point beyond the bound is
+// within the filter's rounding margin.
+TEST_P(BatchKernelTest, BoundedLeafScanKeepsEveryPointWithinBound) {
+  auto ext = MakeExt(GetParam());
+  Rng rng(2024);
+  pages::Page page;
+  gist::NodeView leaf(&page);
+  leaf.Format(/*level=*/0);
+  std::vector<gist::Bytes> keys;
+  std::vector<gist::Rid> rids;
+  for (size_t i = 0; i < 120; ++i) {
+    geom::Vec p(kDim);
+    for (size_t d = 0; d < kDim; ++d) {
+      p[d] = 0.25f * static_cast<float>(rng.NextBelow(5));
+    }
+    // Point 17 is stored twice, so two points tie at distance 0 from it.
+    const size_t copies = i == 17 ? 2 : 1;
+    for (size_t c = 0; c < copies; ++c) {
+      keys.push_back(ext->EncodePoint(p));
+      rids.push_back(7000 + keys.size());
+      ASSERT_TRUE(leaf.Append(keys.back(), rids.back()).ok());
+    }
+  }
+  ASSERT_TRUE(leaf.Erase(40).ok());
+  keys.erase(keys.begin() + 40);
+  rids.erase(rids.begin() + 40);
+
+  std::vector<geom::Vec> queries = {ext->DecodePoint(keys[17]),
+                                    geom::Vec(kDim, 0.5f)};
+  queries.push_back(testing::MakeUniformPoints(1, kDim, 8080)[0]);
+  gist::NodeScan scan;
+  for (const geom::Vec& q : queries) {
+    std::vector<double> dist;
+    std::map<double, size_t> ties;
+    for (const gist::Bytes& key : keys) {
+      dist.push_back(ext->PointDistance(key, q));
+      ++ties[dist.back()];
+    }
+    // The distance most points share, a stored point's exact distance.
+    const auto most_tied = std::max_element(
+        ties.begin(), ties.end(),
+        [](const auto& a, const auto& b) { return a.second < b.second; });
+    const double stored = most_tied->first;
+    const double farthest = ties.rbegin()->first;
+    const std::vector<double> bounds = {
+        std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        0.0,
+        1e-200,  // its square underflows to 0.
+        stored,
+        std::nextafter(stored, 0.0),
+        std::nextafter(stored, std::numeric_limits<double>::infinity()),
+        rng.Uniform(0.0, farthest)};
+    for (const double bound : bounds) {
+      scan.ScanLeaf(leaf, *ext, q, bound);
+      size_t j = 0;
+      for (size_t e = 0; e < keys.size(); ++e) {
+        if (j < scan.count() && scan.payloads[j] == rids[e]) {
+          EXPECT_EQ(scan.scratch.distances[j], dist[e])
+              << GetParam() << " entry " << e << " bound " << bound;
+          if (dist[e] > bound) {
+            EXPECT_LE(dist[e], bound * (1 + 0x1p-48))
+                << GetParam() << " entry " << e << " bound " << bound;
+          }
+          ++j;
+        } else {
+          EXPECT_GT(dist[e], bound)
+              << GetParam() << " entry " << e << " bound " << bound;
+        }
+      }
+      EXPECT_EQ(j, scan.count()) << GetParam() << " bound " << bound;
+    }
+    // Every query has ties at `stored`: the grid makes them, and the two
+    // copies of point 17 always tie.
+    EXPECT_GE(most_tied->second, 2u) << GetParam();
+  }
+  // Two copies of point 17 tie at distance 0 from the first query.
+  scan.ScanLeaf(leaf, *ext, queries[0], 0.0);
+  EXPECT_EQ(scan.count(), 2u) << GetParam();
 }
 
 // A leaf record whose key is shorter than dim floats must abort in

@@ -1,18 +1,25 @@
 // Unit tests for the GiST framework itself: node layout, tree structure
-// maintenance under inserts/splits/deletes, validation, search cursors
-// and the best-first vs DFS k-NN equivalence.
+// maintenance under inserts/splits/deletes, validation, search cursors,
+// the best-first vs DFS k-NN equivalence and the k-NN candidate heap.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "pages/page_file.h"
 #include "am/bulk_load.h"
 #include "am/rtree.h"
 #include "gist/node.h"
+#include "gist/node_scan.h"
 #include "gist/tree.h"
 #include "tests/test_helpers.h"
+#include "util/random.h"
 
 namespace bw::gist {
 namespace {
@@ -270,6 +277,83 @@ TEST(TreeTest, KnnKLargerThanTreeReturnsAll) {
   auto knn = tree->KnnSearch(geom::Vec{0.0f, 0.0f}, 100, nullptr);
   ASSERT_TRUE(knn.ok());
   EXPECT_EQ(knn->size(), 10u);
+}
+
+// k far beyond the tree's size costs nothing up front: the candidate
+// heap is sized by what it can hold, at most the tree's size. A search
+// that sized it by k would ask for more memory than exists here
+// (SIZE_MAX keys cannot even be requested) and fail instead of
+// answering.
+TEST(TreeTest, HugeKReturnsEveryPointWithoutSizingForK) {
+  pages::PageFile file(1024);
+  auto tree = MakeRtree(&file, 3);
+  const auto points = testing::MakeUniformPoints(100, 3, 4321);
+  for (Rid i = 0; i < points.size(); ++i) {
+    ASSERT_TRUE(tree->Insert(points[i], i).ok());
+  }
+  const geom::Vec& q = points[5];
+  std::vector<Neighbor> truth;
+  for (Rid i = 0; i < points.size(); ++i) {
+    truth.push_back(Neighbor{i, q.DistanceTo(points[i])});
+  }
+  std::sort(truth.begin(), truth.end(), NeighborLess);
+  for (const size_t k : {size_t{UINT32_MAX}, SIZE_MAX}) {
+    auto best_first = tree->KnnSearch(q, k, nullptr);
+    auto dfs = tree->KnnSearchDfs(q, k, nullptr);
+    ASSERT_TRUE(best_first.ok()) << best_first.status().ToString();
+    ASSERT_TRUE(dfs.ok()) << dfs.status().ToString();
+    ASSERT_EQ(best_first->size(), points.size());
+    ASSERT_EQ(dfs->size(), points.size());
+    for (size_t i = 0; i < truth.size(); ++i) {
+      EXPECT_EQ((*best_first)[i].rid, truth[i].rid) << i;
+      EXPECT_EQ((*best_first)[i].distance, truth[i].distance) << i;
+      EXPECT_EQ((*dfs)[i].rid, truth[i].rid) << i;
+      EXPECT_EQ((*dfs)[i].distance, truth[i].distance) << i;
+    }
+  }
+}
+
+// TopK against a reference that keeps every offered neighbor sorted by
+// NeighborLess. Distances come from a few values, so most offers tie
+// with others and the rid decides; rids are distinct and spread over
+// all 64 bits (rid 0 included), and k runs from 1 to more than is
+// offered. After every offer, Offer() says whether the neighbor ranks
+// among the k smallest and Bound() is the reference k-th distance; at
+// the end Sorted() is the reference prefix, leaf ids included.
+TEST(TopKTest, MatchesNeighborLessReference) {
+  Rng rng(99);
+  for (const size_t k : {size_t{1}, size_t{7}, size_t{200}, size_t{5000}}) {
+    for (int stream = 0; stream < 3; ++stream) {
+      const size_t offers = 300 + rng.NextBelow(1200);
+      TopK top(k);
+      std::vector<Neighbor> reference;
+      for (size_t i = 0; i < offers; ++i) {
+        const Neighbor n{
+            static_cast<Rid>(i * 0x9E3779B97F4A7C15ULL),
+            0.125 * std::sqrt(static_cast<double>(rng.NextBelow(24))),
+            static_cast<pages::PageId>(rng.NextBelow(50))};
+        const auto at = std::upper_bound(reference.begin(), reference.end(),
+                                         n, NeighborLess);
+        const size_t rank = static_cast<size_t>(at - reference.begin());
+        reference.insert(at, n);
+        EXPECT_EQ(top.Offer(n), rank < k) << "k " << k << " offer " << i;
+        const double kth = reference.size() >= k
+                               ? reference[k - 1].distance
+                               : std::numeric_limits<double>::infinity();
+        ASSERT_EQ(top.Bound(), kth) << "k " << k << " offer " << i;
+        ASSERT_EQ(top.full(), reference.size() >= k);
+      }
+      const std::vector<Neighbor> sorted = std::move(top).Sorted();
+      ASSERT_EQ(sorted.size(), std::min(k, offers));
+      for (size_t i = 0; i < sorted.size(); ++i) {
+        EXPECT_EQ(sorted[i].rid, reference[i].rid) << "k " << k << " at " << i;
+        EXPECT_EQ(sorted[i].distance, reference[i].distance)
+            << "k " << k << " at " << i;
+        EXPECT_EQ(sorted[i].leaf, reference[i].leaf)
+            << "k " << k << " at " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

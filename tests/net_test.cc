@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <random>
 #include <set>
 #include <thread>
@@ -1238,6 +1239,80 @@ TEST(NetWritePath, InsertDeleteAndReadOnlyStatesCrossTheWire) {
   std::remove((base + ".bwwal").c_str());
 }
 
+// A NaN or infinite coordinate is outside input the index cannot
+// order. Every request that carries a point or query is answered
+// InvalidArgument by the decoder, nothing reaches the service, and the
+// connection keeps serving.
+TEST(NetWritePath, NonFiniteCoordinatesAreInvalidAndKeepTheConnection) {
+  const std::string base = ::testing::TempDir() + "/net_nonfinite_test";
+  std::remove((base + ".bwpf").c_str());
+  std::remove((base + ".bwwal").c_str());
+  auto vectors = TestVectors(600);
+  core::IndexBuildOptions build;
+  build.am = "xjb";
+  build.xjb_x = 0;
+  auto index = core::BuildDurableIndex(vectors, build, base + ".bwpf",
+                                       base + ".bwwal");
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  service::ServiceOptions sopts;
+  sopts.write.enabled = true;
+  service::QueryService service(std::move(*index), sopts);
+  const gist::Tree& tree = service.tree();
+  Server server(&service, ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const uint16_t invalid = StatusCodeToWire(StatusCode::kInvalidArgument);
+
+  const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  for (const float bad : kBad) {
+    geom::Vec point = vectors[3];
+    point[1] = bad;
+    auto knn = (*client)->Knn(point, 5);
+    ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+    EXPECT_EQ(knn->wire_status, invalid) << bad;
+    EXPECT_TRUE(knn->neighbors.empty()) << bad;
+
+    QueryLimits streamed;
+    streamed.batch_size = 1;
+    auto id = (*client)->SubmitKnn(point, 50, streamed);
+    ASSERT_TRUE(id.ok());
+    auto first = (*client)->NextResult(*id);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_FALSE(first->has_value()) << bad;
+    auto finished = (*client)->FinishQuery(*id);
+    ASSERT_TRUE(finished.ok()) << finished.status().ToString();
+    EXPECT_EQ(finished->wire_status, invalid) << bad;
+
+    auto range = (*client)->Range(point, 0.5);
+    ASSERT_TRUE(range.ok()) << range.status().ToString();
+    EXPECT_EQ(range->wire_status, invalid) << bad;
+    EXPECT_TRUE(range->neighbors.empty()) << bad;
+
+    auto insert = (*client)->Insert(point, 900001);
+    ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+    EXPECT_EQ(insert->wire_status, invalid) << bad;
+    auto remove = (*client)->Remove(point, 3);
+    ASSERT_TRUE(remove.ok()) << remove.status().ToString();
+    EXPECT_EQ(remove->wire_status, invalid) << bad;
+  }
+  EXPECT_EQ(server.stats().bad_requests, 15u);
+  EXPECT_EQ(service.Snapshot().writes_submitted, 0u);
+  EXPECT_EQ(tree.size(), vectors.size());
+
+  // The same connection still answers a finite query exactly.
+  auto good = (*client)->Knn(vectors[3], 5);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_TRUE(good->ok()) << WireStatusName(good->wire_status);
+  EXPECT_EQ(RidSet(good->neighbors), RidSet(TruthKnn(tree, vectors[3], 5)));
+
+  server.Shutdown();
+  std::remove((base + ".bwpf").c_str());
+  std::remove((base + ".bwwal").c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Graceful shutdown
 // ---------------------------------------------------------------------------
@@ -1257,10 +1332,12 @@ TEST(NetShutdown, DrainsInflightStreamsBeforeClosing) {
     ASSERT_TRUE(id.ok());
     ids.push_back(*id);
   }
-  // Wait until all five are inside the server, then start draining
-  // while they are still unanswered.
+  // Wait until all five are admitted, then start draining while they
+  // are still unanswered. `requests` would not do: it also counts the
+  // hello, so the last query could still reach the server after
+  // draining began and be shed.
   ASSERT_TRUE(PollUntil(milliseconds(2000), [&] {
-    return h.server->stats().requests >= 5;
+    return h.server->stats().inflight >= 5;
   }));
   std::thread shutdown_thread([&] { h.server->Shutdown(); });
   std::this_thread::sleep_for(milliseconds(100));
@@ -1289,21 +1366,28 @@ TEST(NetShutdown, NewRequestsDuringDrainAreShedWithDistinctCode) {
   auto client = h.Connect();
   auto held = client->SubmitKnn(h.vectors[0], 5);
   ASSERT_TRUE(held.ok());
+  // The held query is admitted and parked on the paused service, so the
+  // drain below waits for it and the connection stays open.
   ASSERT_TRUE(PollUntil(milliseconds(2000), [&] {
-    return h.server->stats().requests >= 1;
+    return h.server->stats().inflight >= 1;
   }));
   std::thread shutdown_thread([&] { h.server->Shutdown(); });
-  // A request arriving mid-drain gets the explicit shutting-down code.
+  // Probe only once draining has begun: a probe admitted ahead of it
+  // would park on the paused service too.
   ASSERT_TRUE(PollUntil(milliseconds(2000), [&] {
-    return h.server->stats().shed_shutdown >= 1 ||
-           [&] {
-             auto id = client->SubmitKnn(h.vectors[1], 5);
-             if (!id.ok()) return true;  // connection already torn down.
-             auto reply = client->AwaitQuery(*id);
-             return reply.ok() && reply->wire_status == kWireShuttingDown;
-           }();
+    return h.server->stats().draining;
   }));
+  // A request arriving mid-drain gets the explicit shutting-down code.
+  auto probe = client->Knn(h.vectors[1], 5);
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  EXPECT_EQ(probe->wire_status, kWireShuttingDown)
+      << WireStatusName(probe->wire_status);
+  EXPECT_TRUE(probe->neighbors.empty());
+  EXPECT_EQ(h.server->stats().shed_shutdown, 1u);
   h.service->Resume();
+  auto drained = client->AwaitQuery(*held);
+  ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+  EXPECT_TRUE(drained->ok()) << WireStatusName(drained->wire_status);
   shutdown_thread.join();
 }
 

@@ -685,6 +685,71 @@ TEST(QueryServiceWriteTest, DeleteResolvesNotFoundForAbsentPairs) {
   EXPECT_EQ(service.write_state(), service::WriteState::kServing);
 }
 
+// A NaN or infinite coordinate is outside input the tree cannot order.
+// Every submission path refuses it with InvalidArgument before queuing;
+// a cursor, which OpenCursor cannot fail with a status, fails its first
+// Next(). Nothing is inserted or deleted, and the service keeps serving.
+TEST(QueryServiceWriteTest, NonFiniteCoordinatesAreRejectedBeforeQueuing) {
+  const std::string base = TempPath("svcw_nonfinite.bwpf");
+  const std::string wal = TempPath("svcw_nonfinite.bwwal");
+  auto index = BuildWritableIndex(base, wal);
+  ASSERT_NE(index, nullptr);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.write.enabled = true;
+  QueryService service(index.get(), options);
+  const auto points = testing::MakeClusteredPoints(kSeedPoints, 3, 6, 31);
+
+  const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  const auto expect_invalid = [](const Status& status, float bad) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << bad << ": " << status.ToString();
+  };
+  for (const float bad : kBad) {
+    geom::Vec point = points[7];
+    point[2] = bad;
+    auto knn = service.SubmitKnn(point, 5);
+    ASSERT_FALSE(knn.ok());
+    expect_invalid(knn.status(), bad);
+    auto range = service.SubmitRange(point, 0.5);
+    ASSERT_FALSE(range.ok());
+    expect_invalid(range.status(), bad);
+    StreamOptions stream;
+    stream.max_results = 10;
+    auto streamed = service.SubmitStream(point, stream);
+    ASSERT_FALSE(streamed.ok());
+    expect_invalid(streamed.status(), bad);
+
+    auto cursor = service.OpenCursor(point, stream);
+    ASSERT_NE(cursor, nullptr);
+    auto first = cursor->Next();
+    ASSERT_FALSE(first.ok());
+    expect_invalid(first.status(), bad);
+    auto after = cursor->Next();
+    ASSERT_TRUE(after.ok());
+    EXPECT_FALSE(after->has_value());
+
+    auto insert = service.SubmitInsert(point, kSeedPoints + 1);
+    ASSERT_FALSE(insert.ok());
+    expect_invalid(insert.status(), bad);
+    auto remove = service.SubmitDelete(point, 7);
+    ASSERT_FALSE(remove.ok());
+    expect_invalid(remove.status(), bad);
+  }
+  const auto snap = service.Snapshot();
+  EXPECT_EQ(snap.writes_submitted, 0u);
+  EXPECT_EQ(service.tree().size(), kSeedPoints);
+
+  // A finite query still gets the exact answer.
+  auto response = service.Knn(points[7], 3);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_FALSE(response->neighbors.empty());
+  EXPECT_EQ(response->neighbors[0].rid, 7u);
+  EXPECT_EQ(response->neighbors[0].distance, 0.0);
+}
+
 TEST(QueryServiceWriteTest, WriteAdmissionControl) {
   const std::string base = TempPath("svcw_admit.bwpf");
   const std::string wal = TempPath("svcw_admit.bwwal");
