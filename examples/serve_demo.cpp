@@ -1,6 +1,7 @@
 // Concurrent serving demo: many simulated users streaming "more results
 // until I stop scrolling" queries against one shared index — the
-// Blobworld front-end scenario the paper's NN cursor exists for.
+// Blobworld front-end scenario the paper's nearest-neighbor search
+// exists for.
 //
 // Three modes:
 //

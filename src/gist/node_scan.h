@@ -1,5 +1,5 @@
 // Per-query traversal scratch shared by every search over a gist::Tree
-// (RangeSearch, KnnSearch, KnnSearchDfs, NnCursor):
+// (RangeSearch, KnnSearch, KnnSearchDfs):
 //
 //   - NodeScan turns one visited node into distances: a leaf is read in
 //     place, in one pass over its page records, and keeps only the

@@ -96,7 +96,9 @@ Result<std::vector<Neighbor>> Tree::RangeSearch(const geom::Vec& query,
 Result<std::vector<Neighbor>> Tree::KnnSearch(const geom::Vec& query,
                                               size_t k, TraversalStats* stats,
                                               pages::PageReader* pool,
-                                              DegradedRead* degraded) const {
+                                              DegradedRead* degraded,
+                                              double radius,
+                                              bool* truncated) const {
   if (empty() || k == 0) return std::vector<Neighbor>();
 
   // Unexpanded nodes, a min-heap by (bound, page id).
@@ -109,34 +111,59 @@ Result<std::vector<Neighbor>> Tree::KnnSearch(const geom::Vec& query,
   };
   std::vector<NodeBound> frontier = {{0.0, root_}};
   TopK candidates(k);
-  candidates.reserve(size_);
+  // A k of at least the tree's size sets no count limit, and the answer
+  // (say, a radius's) may be far smaller than the tree: let it grow.
+  if (k < size_) candidates.reserve(k);
   NodeScan scan;
+  // Nothing beyond the k-th candidate or the radius can be returned.
+  const auto prune_bound = [&] { return std::min(radius, candidates.Bound()); };
+  // The candidates in NeighborLess order, up to the first one `keep`
+  // refuses.
+  const auto prefix = [&](auto keep) {
+    std::vector<Neighbor> sorted = std::move(candidates).Sorted();
+    sorted.erase(std::partition_point(sorted.begin(), sorted.end(), keep),
+                 sorted.end());
+    return sorted;
+  };
 
   while (!frontier.empty()) {
-    // Stop once the nearest unexpanded bound exceeds the k-th candidate:
+    // Stop once the nearest unexpanded bound exceeds the pruning bound:
     // no node left can hold a better point. `>`, not `>=`: a node whose
     // bound ties the k-th distance is expanded, as best-first search
     // expands a node before data at an equal distance.
-    if (frontier.front().bound > candidates.Bound()) break;
+    if (frontier.front().bound > prune_bound()) break;
     std::pop_heap(frontier.begin(), frontier.end(), later);
-    const pages::PageId id = frontier.back().page;
+    const NodeBound next = frontier.back();
     frontier.pop_back();
 
-    BW_ASSIGN_OR_RETURN(pages::Page * page,
-                        VisitNode(id, stats, pool, degraded));
+    Result<pages::Page*> visited = VisitNode(next.page, stats, pool, degraded);
+    if (!visited.ok()) {
+      if (truncated == nullptr ||
+          visited.status().code() != StatusCode::kAborted) {
+        return visited.status();
+      }
+      // The deadline refused this node. Every unread node's bound is at
+      // least its bound, so the candidates strictly nearer are final.
+      *truncated = true;
+      return prefix([&](const Neighbor& n) { return n.distance < next.bound; });
+    }
+    pages::Page* page = *visited;
     if (page == nullptr) continue;  // skipped subtree (degraded mode).
     const NodeView node(page);
     if (node.IsLeaf()) {
-      // Only points that may beat the k-th candidate come back.
-      scan.ScanLeaf(node, *extension_, query, candidates.Bound());
+      // Only points that may beat the pruning bound come back. The
+      // scan's margin may keep a few just past the radius: they can
+      // never push the k-th distance below it, so the pruning bound and
+      // the nodes read are unchanged, and the answer drops them below.
+      scan.ScanLeaf(node, *extension_, query, prune_bound());
       for (size_t i = 0; i < scan.count(); ++i) {
         candidates.Offer(Neighbor{static_cast<Rid>(scan.payloads[i]),
-                                  scan.scratch.distances[i], id});
+                                  scan.scratch.distances[i], next.page});
       }
     } else {
-      // With k candidates, the k-th distance is pushed down: only
-      // children that may hold a point within it (`<=`) are queued.
-      scan.ScanInternal(node, *extension_, query, candidates.Bound());
+      // The pruning bound is pushed down: only children that may hold a
+      // point within it (`<=`) are queued.
+      scan.ScanInternal(node, *extension_, query, prune_bound());
       for (size_t i = 0; i < scan.count(); ++i) {
         if (!scan.scratch.consistent[i]) continue;
         frontier.push_back(NodeBound{
@@ -146,7 +173,10 @@ Result<std::vector<Neighbor>> Tree::KnnSearch(const geom::Vec& query,
       }
     }
   }
-  return std::move(candidates).Sorted();
+  if (radius == std::numeric_limits<double>::infinity()) {
+    return std::move(candidates).Sorted();
+  }
+  return prefix([&](const Neighbor& n) { return n.distance <= radius; });
 }
 
 Result<std::vector<Neighbor>> Tree::KnnSearchDfs(

@@ -7,6 +7,7 @@
 #define BLOBWORLD_GIST_TREE_H_
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -88,12 +89,12 @@ inline bool IsDegradableReadError(const Status& status) {
 ///
 /// Thread-safety contract (audited for the concurrent query service):
 /// the search methods (RangeSearch, KnnSearch, KnnSearchDfs) and
-/// VisitNode, the cursor's fetch path, are const and mutate no tree,
+/// VisitNode, their fetch path, are const and mutate no tree,
 /// extension, or node state — the only mutation on a default search is
 /// I/O accounting in the attached reader or the PageStore, both shared.
 /// All other search state (node frontier, candidates, scan scratch) is
-/// local to the call or the cursor: no search keeps static or
-/// thread-local scratch. Concurrent searches over one tree are
+/// local to the call: no search keeps static or thread-local scratch.
+/// Concurrent searches over one tree are
 /// therefore safe if and only if every caller passes its own per-call
 /// PageReader (a pages::ResidentReader, which reads the resident store
 /// through its const PeekNoIo path) via the `pool` parameter, which
@@ -150,13 +151,15 @@ class Tree {
                                                 nullptr) const;
 
   /// Best-first k-nearest-neighbor search with a k-bounded candidate
-  /// list. Unexpanded nodes wait in a min-heap by (bound, page id); leaf
-  /// points never enter it but go to a TopK of at most k candidates by
-  /// (distance, rid), and a leaf scan only yields the points that may
-  /// beat the k-th candidate. The search expands the nearest node until k
-  /// candidates exist and that node's bound exceeds the k-th candidate's
-  /// distance; once k exist, internal nodes are scanned with that
-  /// distance pushed down, and only consistent children are queued.
+  /// list: the one k-NN search every served query, stream and shard
+  /// frontier runs. Unexpanded nodes wait in a min-heap by (bound, page
+  /// id); leaf points never enter it but go to a TopK of at most k
+  /// candidates by (distance, rid), and a leaf scan only yields the
+  /// points that may beat the k-th candidate. The search expands the
+  /// nearest node until k candidates exist and that node's bound exceeds
+  /// the k-th candidate's distance; once k exist, internal nodes are
+  /// scanned with that distance pushed down, and only consistent
+  /// children are queued.
   ///
   /// Returns the k smallest (distance, rid) pairs in NeighborLess order,
   /// exact given an admissible extension MinDistance. It reads exactly
@@ -167,14 +170,28 @@ class Tree {
   /// ancestors have bounds <= d_k). The `>` of the stop test and the
   /// `<=` of the push-down decide ties, so bound == d_k is expanded.
   ///
+  /// A finite `radius` (a stream's budget radius) keeps only points
+  /// within it (`<=`) and is pushed down with the k-th distance: the
+  /// search stops at the first node bound beyond either. The answer is
+  /// then the <= radius prefix of the unbounded one, read from a subset
+  /// of its nodes; a negative radius reads no node. `radius` must not
+  /// be NaN. A k of at least size() sets no count limit.
+  ///
+  /// A fetch refused with kAborted (the reader's deadline) fails the
+  /// search when `truncated` is null. Otherwise the search sets
+  /// *truncated and returns the settled prefix: every candidate strictly
+  /// nearer than the refused node's bound. No unread node can hold a
+  /// point that near, so the prefix is a prefix of the untruncated
+  /// answer.
+  ///
   /// Under degraded-mode traversal the result is a subset of the true
   /// k-NN set: every returned (rid, distance) is genuine, but neighbors
   /// stored under skipped subtrees are missing.
-  Result<std::vector<Neighbor>> KnnSearch(const geom::Vec& query, size_t k,
-                                          TraversalStats* stats,
-                                          pages::PageReader* pool = nullptr,
-                                          DegradedRead* degraded =
-                                              nullptr) const;
+  Result<std::vector<Neighbor>> KnnSearch(
+      const geom::Vec& query, size_t k, TraversalStats* stats,
+      pages::PageReader* pool = nullptr, DegradedRead* degraded = nullptr,
+      double radius = std::numeric_limits<double>::infinity(),
+      bool* truncated = nullptr) const;
 
   /// Depth-first branch-and-bound k-NN (Roussopoulos/Kelley/Vincent
   /// style): children are visited in MinDistance order and pruned
@@ -212,8 +229,8 @@ class Tree {
   /// call), then records the access in `stats` (when non-null). Returns
   /// nullptr when degraded-mode traversal absorbs the fetch error: the
   /// subtree at `id` is skipped and recorded in `degraded`, consuming one
-  /// unit of its budget. Every search and cursor reads nodes through
-  /// this; analysis code should use the no-I/O iteration hooks.
+  /// unit of its budget. Every search reads nodes through this;
+  /// analysis code should use the no-I/O iteration hooks.
   Result<pages::Page*> VisitNode(pages::PageId id, TraversalStats* stats,
                                  pages::PageReader* pool,
                                  DegradedRead* degraded) const;

@@ -1,9 +1,8 @@
 // The read-path page access interface: the single-threaded LRU
 // BufferPool the paper's page-access experiments read through, and the
-// ResidentReader the concurrent query service serves through. gist::Tree
-// and the cursors take a PageReader*, so the traversal layer costs one
-// virtual call per *node*, not per entry, regardless of which reader
-// serves it.
+// ResidentReader the concurrent query service serves through. gist::Tree's
+// searches take a PageReader*, so the traversal layer costs one virtual
+// call per *node*, not per entry, regardless of which reader serves it.
 
 #ifndef BLOBWORLD_PAGES_PAGE_READER_H_
 #define BLOBWORLD_PAGES_PAGE_READER_H_

@@ -6,9 +6,9 @@
 // pass — the store's ReadHealth quarantine gate, the page-id range
 // check, and the query's deadline — plus per-reader counters.
 //
-// Thread-safety: a ResidentReader is single-threaded (one per query or
-// cursor); any number of them may read one store concurrently, provided
-// no thread is inside PageStore::Allocate/Write/Read meanwhile (the
+// Thread-safety: a ResidentReader is single-threaded (one per query);
+// any number of them may read one store concurrently, provided no
+// thread is inside PageStore::Allocate/Write/Read meanwhile (the
 // audited serving contract in page_store.h).
 
 #ifndef BLOBWORLD_PAGES_RESIDENT_READER_H_

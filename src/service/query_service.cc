@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "pages/page_codec.h"
+#include "pages/resident_reader.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 
@@ -158,8 +161,24 @@ Status CheckFinite(const geom::Vec& point) {
 
 }  // namespace
 
-Result<QueryService::ResponseFuture> QueryService::Submit(Task task) {
+// The same limits the wire decoders refuse (DecodeKnnRequest,
+// DecodeRangeRequest): a NaN budget radius compares false with every
+// distance, so it would stop nothing.
+Status QueryService::CheckTask(const Task& task) {
   BW_RETURN_IF_ERROR(CheckFinite(task.query));
+  if (task.kind == Kind::kRange) {
+    if (!std::isfinite(task.radius) || task.radius < 0) {
+      return Status::InvalidArgument(
+          "range radius must be finite and non-negative");
+    }
+  } else if (std::isnan(task.stream.budget_radius)) {
+    return Status::InvalidArgument("stream budget radius is NaN");
+  }
+  return Status::OK();
+}
+
+Result<QueryService::ResponseFuture> QueryService::Submit(Task task) {
+  BW_RETURN_IF_ERROR(CheckTask(task));
   if (snapshot_restoring_.load(std::memory_order_acquire)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable(
@@ -196,11 +215,12 @@ Result<QueryService::ResponseFuture> QueryService::Submit(Task task) {
 
 Result<QueryService::ResponseFuture> QueryService::SubmitKnn(geom::Vec query,
                                                              size_t k) {
-  Task task;
-  task.kind = Kind::kKnn;
-  task.query = std::move(query);
-  task.k = k;
-  return Submit(std::move(task));
+  StreamOptions stream;
+  stream.max_results = k;
+  // max_results = 0 sets no count limit; k = 0 asks for nothing, which
+  // a negative radius returns without reading a node.
+  if (k == 0) stream.budget_radius = -1;
+  return SubmitStream(std::move(query), stream);
 }
 
 Result<QueryService::ResponseFuture> QueryService::SubmitRange(
@@ -227,134 +247,14 @@ QueryService::Response QueryService::Knn(const geom::Vec& query, size_t k) {
   return future->get();
 }
 
-// ---------------------------------------------------------------------------
-// Incremental streaming (StreamCursor)
-// ---------------------------------------------------------------------------
-
-std::unique_ptr<QueryService::StreamCursor> QueryService::OpenCursor(
-    geom::Vec query, StreamOptions limits) {
-  if (snapshot_restoring_.load(std::memory_order_acquire)) {
-    return nullptr;  // Torn tree mid-restore; shed like a failed open.
-  }
+QueryService::Response QueryService::RunStream(geom::Vec query,
+                                               StreamOptions stream) {
+  Task task;
+  task.query = std::move(query);
+  task.stream = stream;
+  BW_RETURN_IF_ERROR(CheckTask(task));
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  auto cursor = std::unique_ptr<StreamCursor>(
-      new StreamCursor(this, std::move(query), limits));
-  if (!cursor->lock_.owns_lock()) return nullptr;  // open_timeout_us hit.
-  return cursor;
-}
-
-QueryService::StreamCursor::StreamCursor(QueryService* service,
-                                         geom::Vec query, StreamOptions limits)
-    : service_(service),
-      reader_(service->tree_->file()),
-      query_(std::move(query)),
-      limits_(limits),
-      start_(Clock::now()) {
-  // Shared side of the generation lock: like any query, held for the
-  // cursor's lifetime so a writer batch never swaps the tree under an
-  // open stream. With open_timeout_us the acquisition is a bounded
-  // try_lock poll — a try_lock can never close a deadlock cycle, so a
-  // caller merging cursors across many services (the shard router)
-  // degrades to a failed open instead of deadlocking against writers.
-  if (limits_.open_timeout_us > 0) {
-    while (!service_->tree_mutex_.try_lock_shared()) {
-      if (MicrosSince(start_) >= limits_.open_timeout_us) {
-        errored_ = true;
-        finished_ = true;
-        return;  // lock_ stays unowned; OpenCursor reports nullptr.
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    lock_ = std::shared_lock<std::shared_mutex>(service_->tree_mutex_,
-                                                std::adopt_lock);
-  } else {
-    lock_ = std::shared_lock<std::shared_mutex>(service_->tree_mutex_);
-  }
-  degraded_.budget = service_->options_.fault_budget;
-  if (limits_.deadline_us > 0) {
-    reader_.set_deadline(start_ + std::chrono::microseconds(static_cast<
-                             int64_t>(limits_.deadline_us)));
-  }
-  // The cursor reads no further than max_results: it prunes the points
-  // and subtrees that cannot be among them.
-  cursor_ = std::make_unique<gist::NnCursor>(*service_->tree_, query_,
-                                             &traversal_, &reader_,
-                                             &degraded_, limits_.max_results);
-}
-
-QueryService::StreamCursor::~StreamCursor() {
-  // Aggregate into the service counters exactly once, at close: the
-  // cursor is one query from the snapshot's point of view.
-  const double latency_us = MicrosSince(start_);
-  service_->latency_histogram_.Record(static_cast<uint64_t>(latency_us));
-  (errored_ ? service_->failed_ : service_->completed_)
-      .fetch_add(1, std::memory_order_relaxed);
-  service_->leaf_accesses_.fetch_add(traversal_.leaf_accesses,
-                                     std::memory_order_relaxed);
-  service_->internal_accesses_.fetch_add(traversal_.internal_accesses,
-                                         std::memory_order_relaxed);
-  service_->pool_hits_.fetch_add(reader_.stats().hits,
-                                 std::memory_order_relaxed);
-  if (truncated_) {
-    service_->truncated_streams_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (degraded_.degraded()) {
-    service_->degraded_responses_.fetch_add(1, std::memory_order_relaxed);
-    service_->pages_skipped_.fetch_add(degraded_.skipped.size(),
-                                       std::memory_order_relaxed);
-  }
-  cursor_.reset();  // before reader_, which it reads through.
-}
-
-Result<std::optional<gist::Neighbor>> QueryService::StreamCursor::Next() {
-  if (finished_) return std::optional<gist::Neighbor>();
-  if (returned_ == 0) {
-    // OpenCursor has no status to fail with, so a query the service
-    // would not admit fails the stream's first read instead.
-    if (Status valid = CheckFinite(query_); !valid.ok()) {
-      errored_ = true;
-      finished_ = true;
-      return valid;
-    }
-  }
-  // Same limit ladder as the worker-side stream loop in Execute().
-  if (limits_.max_results > 0 && returned_ >= limits_.max_results) {
-    finished_ = true;
-    return std::optional<gist::Neighbor>();
-  }
-  if (limits_.deadline_us > 0 && MicrosSince(start_) >= limits_.deadline_us) {
-    truncated_ = true;
-    finished_ = true;
-    return std::optional<gist::Neighbor>();
-  }
-  if (cursor_->FrontierDistance() > limits_.budget_radius) {
-    finished_ = true;
-    return std::optional<gist::Neighbor>();
-  }
-  auto next = cursor_->Next();
-  if (!next.ok()) {
-    finished_ = true;
-    if (next.status().code() == StatusCode::kAborted) {
-      // The deadline refused a node fetch: partial stream, flagged.
-      service_->watchdog_expirations_.fetch_add(1, std::memory_order_relaxed);
-      truncated_ = true;
-      return std::optional<gist::Neighbor>();
-    }
-    errored_ = true;
-    return next.status();
-  }
-  if (!next.value().has_value() ||
-      next.value()->distance > limits_.budget_radius) {
-    finished_ = true;
-    return std::optional<gist::Neighbor>();
-  }
-  ++returned_;
-  return next.value();
-}
-
-double QueryService::StreamCursor::FrontierDistance() const {
-  if (finished_) return std::numeric_limits<double>::infinity();
-  return cursor_->FrontierDistance();
+  return Run(task);
 }
 
 // ---------------------------------------------------------------------------
@@ -707,43 +607,49 @@ void QueryService::WorkerLoop() {
     not_full_.notify_one();
 
     const double queue_wait_us = MicrosSince(task.enqueue_time);
-    // Shared side of the write path's batch lock: queries never run
-    // while a mutation batch is mid-apply, so every answer reflects a
-    // whole number of batches (a consistent generation).
-    Response response = [&]() -> Response {
-      std::shared_lock<std::shared_mutex> read_lock(tree_mutex_);
-      if (snapshot_restoring_.load(std::memory_order_acquire)) {
-        // The tree is torn between snapshot chunks; a traversal now
-        // would walk pages from two different trees.
-        return Status::Unavailable(
-            "replica is restoring from a snapshot; queries shed until "
-            "the restore commits");
-      }
-      return Execute(task);
-    }();
-
-    // Aggregate into the shared counters (relaxed: monitoring only).
-    if (response.ok()) {
-      response->metrics.queue_wait_us = queue_wait_us;
-      const QueryMetrics& m = response->metrics;
-      latency_histogram_.Record(static_cast<uint64_t>(m.latency_us));
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      leaf_accesses_.fetch_add(m.leaf_accesses, std::memory_order_relaxed);
-      internal_accesses_.fetch_add(m.internal_accesses,
-                                   std::memory_order_relaxed);
-      pool_hits_.fetch_add(m.pool_hits, std::memory_order_relaxed);
-      if (m.truncated) {
-        truncated_streams_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (response->degraded()) {
-        degraded_responses_.fetch_add(1, std::memory_order_relaxed);
-        pages_skipped_.fetch_add(m.pages_skipped, std::memory_order_relaxed);
-      }
-    } else {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-    }
+    Response response = Run(task);
+    if (response.ok()) response->metrics.queue_wait_us = queue_wait_us;
     task.promise.set_value(std::move(response));
   }
+}
+
+QueryService::Response QueryService::Run(Task& task) {
+  // Shared side of the write path's batch lock: queries never run
+  // while a mutation batch is mid-apply, so every answer reflects a
+  // whole number of batches (a consistent generation).
+  Response response = [&]() -> Response {
+    std::shared_lock<std::shared_mutex> read_lock(tree_mutex_);
+    if (snapshot_restoring_.load(std::memory_order_acquire)) {
+      // The tree is torn between snapshot chunks; a traversal now
+      // would walk pages from two different trees.
+      return Status::Unavailable(
+          "replica is restoring from a snapshot; queries shed until "
+          "the restore commits");
+    }
+    return Execute(task);
+  }();
+
+  // Aggregate into the shared counters (relaxed: monitoring only).
+  if (response.ok()) {
+    const QueryMetrics& m = response->metrics;
+    latency_histogram_.Record(static_cast<uint64_t>(m.latency_us));
+    completed_.fetch_add(1, std::memory_order_relaxed);
+    leaf_accesses_.fetch_add(m.leaf_accesses, std::memory_order_relaxed);
+    internal_accesses_.fetch_add(m.internal_accesses,
+                                 std::memory_order_relaxed);
+    pool_hits_.fetch_add(m.pool_hits, std::memory_order_relaxed);
+    if (m.truncated) {
+      truncated_streams_.fetch_add(1, std::memory_order_relaxed);
+      watchdog_expirations_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (response->degraded()) {
+      degraded_responses_.fetch_add(1, std::memory_order_relaxed);
+      pages_skipped_.fetch_add(m.pages_skipped, std::memory_order_relaxed);
+    }
+  } else {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return response;
 }
 
 QueryService::Response QueryService::Execute(Task& task) {
@@ -758,61 +664,25 @@ QueryService::Response QueryService::Execute(Task& task) {
   const Clock::time_point start = Clock::now();
 
   QueryResponse response;
-  switch (task.kind) {
-    case Kind::kKnn: {
-      BW_ASSIGN_OR_RETURN(response.neighbors,
-                          tree_->KnnSearch(task.query, task.k, &traversal,
-                                           &reader, &degraded));
-      break;
+  if (task.kind == Kind::kRange) {
+    BW_ASSIGN_OR_RETURN(response.neighbors,
+                        tree_->RangeSearch(task.query, task.radius,
+                                           &traversal, &reader, &degraded));
+  } else {
+    const StreamOptions& limits = task.stream;
+    // The reader's deadline refuses the first fetch past it, which ends
+    // the search with its settled prefix.
+    if (limits.deadline_us > 0) {
+      reader.set_deadline(start + std::chrono::microseconds(static_cast<
+                              int64_t>(limits.deadline_us)));
     }
-    case Kind::kRange: {
-      BW_ASSIGN_OR_RETURN(response.neighbors,
-                          tree_->RangeSearch(task.query, task.radius,
-                                             &traversal, &reader, &degraded));
-      break;
-    }
-    case Kind::kStream: {
-      const StreamOptions& limits = task.stream;
-      // The reader's deadline stops a stream mid-descent too, not only
-      // between results.
-      if (limits.deadline_us > 0) {
-        reader.set_deadline(start + std::chrono::microseconds(static_cast<
-                                int64_t>(limits.deadline_us)));
-      }
-      gist::NnCursor cursor(*tree_, task.query, &traversal, &reader,
-                            &degraded, limits.max_results);
-      for (;;) {
-        if (limits.max_results > 0 &&
-            response.neighbors.size() >= limits.max_results) {
-          break;
-        }
-        if (limits.deadline_us > 0 &&
-            MicrosSince(start) >= limits.deadline_us) {
-          response.metrics.truncated = true;
-          break;
-        }
-        // Frontier early-stop: once the lower bound on everything not
-        // yet returned exceeds the budget radius, the stream is exactly
-        // complete and no further pages need fetching.
-        if (cursor.FrontierDistance() > limits.budget_radius) break;
-        auto next = cursor.Next();
-        if (!next.ok()) {
-          if (next.status().code() == StatusCode::kAborted) {
-            // The deadline refused a node fetch: same contract as a
-            // deadline expiring between results — partial stream, flagged.
-            watchdog_expirations_.fetch_add(1, std::memory_order_relaxed);
-            response.metrics.truncated = true;
-            break;
-          }
-          return next.status();
-        }
-        if (!next.value().has_value()) break;
-        const gist::Neighbor& neighbor = *next.value();
-        if (neighbor.distance > limits.budget_radius) break;
-        response.neighbors.push_back(neighbor);
-      }
-      break;
-    }
+    const size_t k = limits.max_results > 0
+                         ? limits.max_results
+                         : std::numeric_limits<size_t>::max();
+    BW_ASSIGN_OR_RETURN(
+        response.neighbors,
+        tree_->KnnSearch(task.query, k, &traversal, &reader, &degraded,
+                         limits.budget_radius, &response.metrics.truncated));
   }
 
   response.metrics.latency_us = MicrosSince(start);

@@ -2,8 +2,8 @@
 // tier the paper's Blobworld front end implies ("give me images until
 // the user stops scrolling", many users at once) but the one-shot bench
 // binaries never built. A fixed pool of worker threads executes k-NN,
-// range, and streaming cursor-with-deadline requests against one shared
-// gist::Tree; a bounded submission queue applies admission control
+// range, and streaming (count, radius, deadline) requests against one
+// shared gist::Tree; a bounded submission queue applies admission control
 // (reject-with-Status or block, configurable); every query returns
 // latency + I/O metrics and the service aggregates them into a
 // lock-cheap latency histogram and throughput snapshot.
@@ -11,8 +11,8 @@
 // Concurrency model (see the audited contracts in gist/tree.h and
 // pages/page_file.h): the tree, its extension, and the page file are
 // shared and strictly read-only during serving. Every page is resident,
-// so there is no cache in front of the store: each query and each
-// cursor reads through its own pages::ResidentReader (quarantine gate,
+// so there is no cache in front of the store: each query reads through
+// its own pages::ResidentReader (quarantine gate,
 // range check, deadline check, then the const PeekNoIo path), which
 // keeps deadline state and per-query counters private without a lock.
 //
@@ -21,8 +21,9 @@
 // (ServiceOptions::fault_budget) skip unreadable subtrees and return
 // flagged, partial answers (QueryResponse::completeness = kDegraded)
 // instead of failing — every returned neighbor is genuine, some may be
-// missing. Stream deadlines are checked between results and before every
-// node fetch, so a stream ends within one node visit of its deadline.
+// missing. Stream deadlines are checked before every node fetch; the
+// fetch a deadline refuses ends the stream with its settled prefix,
+// flagged truncated.
 //
 // Serving through writes (ServiceWriteOptions::enabled over a mutable
 // DurableIndex): a single writer thread drains a bounded mutation queue
@@ -59,7 +60,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <thread>
 #include <vector>
@@ -67,9 +67,7 @@
 #include "core/durable_index.h"
 #include "core/index_factory.h"
 #include "storage/wal_ship.h"
-#include "gist/nn_cursor.h"
 #include "gist/tree.h"
-#include "pages/resident_reader.h"
 #include "util/histogram.h"
 #include "util/status.h"
 
@@ -138,30 +136,24 @@ struct ServiceOptions {
   ServiceWriteOptions write;
 };
 
-/// Limits for a streaming (incremental NN cursor) request.
+/// Limits for a streaming request: nearest first, in (distance, rid)
+/// order, as one gist::Tree::KnnSearch with the limits pushed down.
 struct StreamOptions {
-  /// Stop after this many results; 0 = no count limit.
+  /// Return at most this many results; 0 = no count limit.
   size_t max_results = 0;
-  /// Stop once the cursor frontier exceeds this distance: everything
-  /// within the budget radius has then been returned, exactly
-  /// (NnCursor::FrontierDistance early-stop).
+  /// Return only results within this distance (`<=`): with no count
+  /// limit, exactly the range answer. The search reads no node whose
+  /// bound exceeds it, so a negative radius reads none. A NaN radius
+  /// fails admission with InvalidArgument.
   double budget_radius = std::numeric_limits<double>::infinity();
   /// Wall-clock execution budget in microseconds, measured from the
-  /// moment a worker picks the request up; 0 = no deadline. Expiry
-  /// returns the results streamed so far with metrics.truncated set.
-  /// The deadline is checked between results and before every node
-  /// fetch (pages::ResidentReader), so a stream that is still descending
-  /// toward its next result stops within one node visit of it.
+  /// moment the stream starts executing; 0 = no deadline. It is checked
+  /// before every node fetch (pages::ResidentReader). The fetch it
+  /// refuses ends the search: the response holds the settled prefix,
+  /// every result strictly nearer than the refused node's bound, with
+  /// metrics.truncated set. That prefix is a prefix of the untruncated
+  /// answer.
   double deadline_us = 0;
-  /// Bound on how long OpenCursor may wait for the tree's generation
-  /// lock (a writer applying a batch holds it exclusively); 0 = wait
-  /// indefinitely, the classic single-service behavior. Callers that
-  /// hold cursors on *several* services at once (the shard router)
-  /// must set a bound: the open then polls with try_lock — which can
-  /// never participate in a deadlock cycle — and gives up with a null
-  /// cursor after the timeout instead of risking a cross-service
-  /// lock-order inversion against the writer threads.
-  double open_timeout_us = 0;
 };
 
 /// Per-query measurements, returned with every response.
@@ -179,7 +171,8 @@ struct QueryMetrics {
   uint64_t pool_contention = 0;
   /// Unreadable subtrees this query skipped under its fault budget.
   uint64_t pages_skipped = 0;
-  /// Streaming only: the deadline expired before the stream finished.
+  /// Streaming only: the deadline refused a node fetch, so the answer
+  /// is the settled prefix of the full one.
   bool truncated = false;
 };
 
@@ -275,8 +268,8 @@ struct ServiceSnapshot {
   uint64_t truncated_streams = 0;
   uint64_t degraded_responses = 0;   // completed with a partial answer.
   uint64_t pages_skipped = 0;        // subtrees skipped, summed.
-  /// Streams cut off at a node fetch by their deadline (the rest of
-  /// truncated_streams stopped between two results).
+  /// Streams cut off at a node fetch by their deadline. Every deadline
+  /// cut is at a fetch, so this equals truncated_streams.
   uint64_t watchdog_expirations = 0;
   uint64_t leaf_accesses = 0;
   uint64_t internal_accesses = 0;
@@ -377,9 +370,12 @@ class QueryService {
   // --- Submission (thread-safe) ----------------------------------------
   //
   // A query with a NaN or infinite coordinate fails admission with
-  // InvalidArgument: its distances could not be ordered.
+  // InvalidArgument: its distances could not be ordered. So do the
+  // limits the wire decoders refuse: a NaN budget radius, and a range
+  // radius that is NaN, infinite or negative.
 
-  /// Exact k-nearest-neighbor request.
+  /// Exact k-nearest-neighbor request: a stream with max_results = k
+  /// (k = 0 returns nothing).
   Result<ResponseFuture> SubmitKnn(geom::Vec query, size_t k);
 
   /// All points within `radius` of `query`.
@@ -391,68 +387,13 @@ class QueryService {
   /// Synchronous convenience wrapper around SubmitKnn.
   Response Knn(const geom::Vec& query, size_t k);
 
-  // --- Incremental streaming (thread-safe to open; see StreamCursor) ----
-
-  /// An open incremental nearest-first stream over the served index —
+  /// Runs a stream on the calling thread and returns its whole answer:
   /// the in-process shard frontier the scatter-gather router merges.
-  /// Results arrive one at a time in non-decreasing distance order,
-  /// subject to the StreamOptions limits (count, budget radius,
-  /// deadline), with the same degraded-read accounting as SubmitStream.
-  ///
-  /// The cursor holds the shared side of the tree lock and its own
-  /// pages::ResidentReader for its whole lifetime: writer batches cannot
-  /// apply while one is open, exactly as if a query were executing, so
-  /// close cursors promptly. Runs on the calling thread (it bypasses
-  /// the worker pool and its admission queue — the caller *is* the
-  /// worker). Not thread-safe; one thread per cursor.
-  class StreamCursor {
-   public:
-    ~StreamCursor();
-    StreamCursor(const StreamCursor&) = delete;
-    StreamCursor& operator=(const StreamCursor&) = delete;
-
-    /// The next neighbor, or nullopt once the stream is finished:
-    /// exhausted, count/radius limit reached, or deadline expired
-    /// (distinguish via truncated()). A query with a NaN or infinite
-    /// coordinate fails the first call with InvalidArgument. After the
-    /// first nullopt or error every later call returns nullopt.
-    Result<std::optional<gist::Neighbor>> Next();
-
-    /// Lower bound on the distance of everything not yet returned
-    /// (infinity once exhausted): the router's pruning bound.
-    double FrontierDistance() const;
-
-    /// Degraded-read accounting so far (grows as faults are absorbed).
-    bool degraded() const { return degraded_.degraded(); }
-    uint64_t pages_skipped() const { return degraded_.skipped.size(); }
-    /// True once the deadline cut the stream off.
-    bool truncated() const { return truncated_; }
-    size_t produced() const { return returned_; }
-
-   private:
-    friend class QueryService;
-    StreamCursor(QueryService* service, geom::Vec query,
-                 StreamOptions limits);
-
-    QueryService* service_;
-    std::shared_lock<std::shared_mutex> lock_;
-    pages::ResidentReader reader_;
-    geom::Vec query_;
-    StreamOptions limits_;
-    gist::TraversalStats traversal_;
-    gist::DegradedRead degraded_;
-    std::unique_ptr<gist::NnCursor> cursor_;  // reads through reader_.
-    std::chrono::steady_clock::time_point start_;
-    size_t returned_ = 0;
-    bool truncated_ = false;
-    bool finished_ = false;
-    bool errored_ = false;
-  };
-
-  /// Opens a streaming cursor with the given limits. The service must
-  /// outlive the cursor.
-  std::unique_ptr<StreamCursor> OpenCursor(geom::Vec query,
-                                           StreamOptions limits);
+  /// It bypasses the worker pool and its admission queue (the caller
+  /// *is* the worker), and otherwise runs exactly as a worker does: the
+  /// same validation, shared tree lock (held for this search only),
+  /// restore shedding and accounting as SubmitStream.
+  Response RunStream(geom::Vec query, StreamOptions stream);
 
   // --- Mutations (thread-safe; require ServiceWriteOptions::enabled) ----
 
@@ -552,14 +493,13 @@ class QueryService {
   ServiceSnapshot Snapshot() const;
 
  private:
-  enum class Kind { kKnn, kRange, kStream };
+  enum class Kind { kRange, kStream };
 
   struct Task {
-    Kind kind = Kind::kKnn;
+    Kind kind = Kind::kStream;
     geom::Vec query;
-    size_t k = 0;
-    double radius = 0;
-    StreamOptions stream;
+    double radius = 0;     // kRange.
+    StreamOptions stream;  // kStream.
     std::promise<Response> promise;
     std::chrono::steady_clock::time_point enqueue_time;
   };
@@ -580,8 +520,15 @@ class QueryService {
   };
 
   void Start();
+  /// InvalidArgument for a task no search can order (see Submission).
+  static Status CheckTask(const Task& task);
   Result<ResponseFuture> Submit(Task task);
   void WorkerLoop();
+  /// Runs one admitted task under the shared tree lock (shed while a
+  /// snapshot restore is in flight) and folds its outcome into the
+  /// service counters: the one execution path of WorkerLoop and
+  /// RunStream.
+  Response Run(Task& task);
   /// Runs one query through its own ResidentReader. Fills
   /// metrics.latency_us/accesses/pool counters; queue_wait_us is set by
   /// the caller.
@@ -663,7 +610,7 @@ class QueryService {
   /// takes tree_mutex_ alone, so the order cannot invert.
   mutable std::mutex commit_mutex_;
   /// Set between the first and last chunk of a snapshot restore: the
-  /// tree is torn across chunks, so queries and cursors are shed until
+  /// tree is torn across chunks, so queries and streams are shed until
   /// the final chunk commits. Stays set if a restore fails mid-way —
   /// the replica is inconsistent until a snapshot completes.
   std::atomic<bool> snapshot_restoring_{false};

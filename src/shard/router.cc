@@ -13,6 +13,10 @@ namespace bw::shard {
 struct Router::OpenShard {
   size_t shard = 0;
   size_t replica = 0;  // replica currently serving the stream.
+  /// What this shard is asked for: the query's limits, with the count
+  /// cut to what the merge can still use when the shard opened. Every
+  /// re-open and hedge asks for the same, so the count skip holds.
+  service::StreamOptions limits;
   std::unique_ptr<ShardFrontier> frontier;
   /// Results successfully pulled so far — the count-based skip a
   /// failover replays on the successor replica (replicas are
@@ -217,7 +221,6 @@ std::unique_ptr<ShardFrontier> Router::OpenOnReplica(
 }
 
 bool Router::AcquireFrontier(OpenShard* open, const geom::Vec& query,
-                             const service::StreamOptions& limits,
                              const DeadlineBudget& budget) {
   if (budget.Exhausted(NowUs(), options_.budget_floor_us)) {
     budget_exhausted_.fetch_add(1, std::memory_order_relaxed);
@@ -236,8 +239,8 @@ bool Router::AcquireFrontier(OpenShard* open, const geom::Vec& query,
       continue;
     }
     std::unique_ptr<ShardFrontier> frontier =
-        OpenOnReplica(open->shard, r, open->consumed, query, limits, budget,
-                      replica_count - r);
+        OpenOnReplica(open->shard, r, open->consumed, query, open->limits,
+                      budget, replica_count - r);
     if (frontier == nullptr) continue;
     open->frontier = std::move(frontier);
     open->replica = r;
@@ -247,8 +250,8 @@ bool Router::AcquireFrontier(OpenShard* open, const geom::Vec& query,
     const size_t r = deferred[i];
     if (GetReplicaState(open->shard, r) != ReplicaState::kHealthy) continue;
     std::unique_ptr<ShardFrontier> frontier =
-        OpenOnReplica(open->shard, r, open->consumed, query, limits, budget,
-                      deferred.size() - i);
+        OpenOnReplica(open->shard, r, open->consumed, query, open->limits,
+                      budget, deferred.size() - i);
     if (frontier == nullptr) continue;
     open->frontier = std::move(frontier);
     open->replica = r;
@@ -284,8 +287,7 @@ struct Router::HedgeRace {
 };
 
 Result<std::optional<gist::Neighbor>> Router::HedgedNext(
-    OpenShard* open, const geom::Vec& query,
-    const service::StreamOptions& limits, const DeadlineBudget& budget) {
+    OpenShard* open, const geom::Vec& query, const DeadlineBudget& budget) {
   const size_t shard = open->shard;
   CircuitBreaker* breaker = breakers_[shard][open->replica].get();
   if (!options_.hedge || shards_[shard].replicas.size() < 2) {
@@ -335,7 +337,8 @@ Result<std::optional<gist::Neighbor>> Router::HedgedNext(
       if (!breakers_[shard][r]->Allow(NowUs())) continue;
       hedges_attempted_.fetch_add(1, std::memory_order_relaxed);
       std::unique_ptr<ShardFrontier> sibling =
-          OpenOnReplica(shard, r, open->consumed, query, limits, budget, 1);
+          OpenOnReplica(shard, r, open->consumed, query, open->limits, budget,
+                        1);
       if (sibling == nullptr) continue;  // marked dead; try another.
       const uint64_t t0 = NowUs();
       Result<std::optional<gist::Neighbor>> hedged = sibling->Next();
@@ -368,15 +371,14 @@ Result<std::optional<gist::Neighbor>> Router::HedgedNext(
 }
 
 bool Router::PullNext(OpenShard* open, const geom::Vec& query,
-                      const service::StreamOptions& limits,
                       const DeadlineBudget& budget,
                       std::optional<gist::Neighbor>* out) {
   while (true) {
     if (open->frontier == nullptr) {
-      if (!AcquireFrontier(open, query, limits, budget)) return false;
+      if (!AcquireFrontier(open, query, budget)) return false;
     }
     Result<std::optional<gist::Neighbor>> next =
-        HedgedNext(open, query, limits, budget);
+        HedgedNext(open, query, budget);
     if (next.ok()) {
       if (next->has_value()) {
         ++open->consumed;
@@ -392,7 +394,7 @@ bool Router::PullNext(OpenShard* open, const geom::Vec& query,
     }
     SetReplicaState(open->shard, open->replica, ReplicaState::kDead);
     open->frontier.reset();
-    if (!AcquireFrontier(open, query, limits, budget)) return false;
+    if (!AcquireFrontier(open, query, budget)) return false;
     failovers_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -485,13 +487,16 @@ Result<service::QueryResponse> Router::Knn(
     if (!top.opened) {
       auto os = std::make_unique<OpenShard>();
       os->shard = top.shard;
-      if (!AcquireFrontier(os.get(), query, stream, budget)) {
+      // After j merged results the merge can use at most k - j more.
+      os->limits = stream;
+      if (k > 0) os->limits.max_results = k - response.neighbors.size();
+      if (!AcquireFrontier(os.get(), query, budget)) {
         BW_RETURN_IF_ERROR(shard_died(top.shard));
         continue;
       }
       ++visited;
       std::optional<gist::Neighbor> head;
-      if (!PullNext(os.get(), query, stream, budget, &head)) {
+      if (!PullNext(os.get(), query, budget, &head)) {
         open[top.shard] = std::move(os);  // keep accounting folded so far.
         BW_RETURN_IF_ERROR(shard_died(top.shard));
         continue;
@@ -505,7 +510,7 @@ Result<service::QueryResponse> Router::Knn(
       OpenShard* os = open[top.shard].get();
       response.neighbors.push_back(os->head);
       std::optional<gist::Neighbor> head;
-      if (!PullNext(os, query, stream, budget, &head)) {
+      if (!PullNext(os, query, budget, &head)) {
         BW_RETURN_IF_ERROR(shard_died(top.shard));
         continue;
       }

@@ -8,8 +8,10 @@
 // lower bound on everything the shard stores) or an *open* shard keyed
 // by its frontier head's exact distance. Popping the heap therefore
 // always yields the globally smallest candidate; results come out in
-// (distance, rid) order, exactly like a single index's NN cursor (at an
+// (distance, rid) order, exactly like a single index's KnnSearch (at an
 // equal key an unopened shard pops first, then the smaller head rid).
+// A shard opened after j results were merged is asked for at most
+// k - j of its own.
 // Shards are opened lazily: an unopened shard is only dialed
 // when its root bound reaches the top of the heap, and the query
 // terminates the moment k results exist — every remaining heap key
@@ -240,14 +242,12 @@ class Router : public net::Backend {
   /// circuit breakers; a second pass ignores them so a breaker can
   /// never manufacture unavailability.
   bool AcquireFrontier(OpenShard* open, const geom::Vec& query,
-                       const service::StreamOptions& limits,
                        const DeadlineBudget& budget);
   /// Next result from an open stream, failing over (re-open + count
   /// skip) as needed; false when the shard died mid-query. nullopt in
   /// *out means the shard's stream is cleanly exhausted (accounting
   /// already folded).
   bool PullNext(OpenShard* open, const geom::Vec& query,
-                const service::StreamOptions& limits,
                 const DeadlineBudget& budget,
                 std::optional<gist::Neighbor>* out);
   /// One pull with hedging: the primary's Next() runs on the hedge
@@ -258,8 +258,7 @@ class Router : public net::Backend {
   /// cancelled when its pull returns (its frontier dies with the race
   /// state, which closes a remote connection mid-stream).
   Result<std::optional<gist::Neighbor>> HedgedNext(
-      OpenShard* open, const geom::Vec& query,
-      const service::StreamOptions& limits, const DeadlineBudget& budget);
+      OpenShard* open, const geom::Vec& query, const DeadlineBudget& budget);
   /// Finishes the stream and folds its degraded accounting into the
   /// OpenShard; returns false when the terminal verdict was an error
   /// (the caller treats that as a replica failure).

@@ -1,6 +1,8 @@
 #include "shard/shard_backend.h"
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -21,17 +23,21 @@ const Status& StatusOf(const Result<T>& result) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// LocalFrontier: a QueryService::StreamCursor, plus a fault-injection
-// hook so failover tests can fail-stop an in-process replica
-// mid-stream without sockets.
+// LocalFrontier: a shard's finished answer, served one result per Next(),
+// plus fault-injection hooks so failover tests can fail-stop or brown
+// out an in-process replica mid-stream without sockets.
 // ---------------------------------------------------------------------------
 
 class LocalFrontier : public ShardFrontier {
  public:
-  LocalFrontier(std::unique_ptr<service::QueryService::StreamCursor> cursor,
+  using Clock = std::chrono::steady_clock;
+
+  /// `deadline` is Clock::time_point::max() for none.
+  LocalFrontier(service::QueryResponse answer, Clock::time_point deadline,
                 std::shared_ptr<std::atomic<bool>> failed,
                 std::shared_ptr<std::atomic<uint64_t>> delay_us)
-      : cursor_(std::move(cursor)),
+      : answer_(std::move(answer)),
+        deadline_(deadline),
         failed_(std::move(failed)),
         delay_us_(std::move(delay_us)) {}
 
@@ -44,17 +50,32 @@ class LocalFrontier : public ShardFrontier {
     if (delay > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(delay));
     }
-    return cursor_->Next();
+    if (next_ == answer_.neighbors.size()) {
+      return std::optional<gist::Neighbor>();
+    }
+    // A result the caller pulls past the stream's deadline is refused
+    // like a fetch past it: the stream ends with the prefix served so
+    // far, flagged truncated.
+    if (deadline_ != Clock::time_point::max() && Clock::now() >= deadline_) {
+      answer_.metrics.truncated = true;
+      next_ = answer_.neighbors.size();
+      return std::optional<gist::Neighbor>();
+    }
+    return std::optional<gist::Neighbor>(answer_.neighbors[next_++]);
   }
 
   Status Finish() override { return Status::OK(); }
 
-  bool degraded() const override { return cursor_->degraded(); }
-  uint64_t pages_skipped() const override { return cursor_->pages_skipped(); }
-  bool truncated() const override { return cursor_->truncated(); }
+  bool degraded() const override { return answer_.degraded(); }
+  uint64_t pages_skipped() const override {
+    return answer_.metrics.pages_skipped;
+  }
+  bool truncated() const override { return answer_.metrics.truncated; }
 
  private:
-  std::unique_ptr<service::QueryService::StreamCursor> cursor_;
+  service::QueryResponse answer_;
+  size_t next_ = 0;
+  Clock::time_point deadline_;
   std::shared_ptr<std::atomic<bool>> failed_;
   std::shared_ptr<std::atomic<uint64_t>> delay_us_;
 };
@@ -122,25 +143,19 @@ Result<std::unique_ptr<ShardFrontier>> LocalShardBackend::OpenFrontier(
   if (failed_->load(std::memory_order_relaxed)) {
     return Status::Unavailable("replica fail-stopped (injected)");
   }
-  // The router holds cursors on several shards at once while each
-  // shard's writer takes the same generation lock exclusively, so an
-  // unbounded open here is a textbook lock-order inversion across
-  // services. Bound it: past the timeout the open fails kUnavailable
-  // and the router's existing failover / fault-budget machinery takes
-  // over (a write-stalled replica looks briefly dead; the next health
-  // probe resurrects it).
-  service::StreamOptions bounded = limits;
-  if (bounded.open_timeout_us <= 0) {
-    bounded.open_timeout_us = kDefaultOpenTimeoutUs;
-  }
-  std::unique_ptr<service::QueryService::StreamCursor> cursor =
-      service_->OpenCursor(query, bounded);
-  if (cursor == nullptr) {
-    return Status::Unavailable(
-        "shard write-stalled: cursor open timed out");
-  }
-  return std::unique_ptr<ShardFrontier>(
-      new LocalFrontier(std::move(cursor), failed_, delay_us_));
+  const LocalFrontier::Clock::time_point opened = LocalFrontier::Clock::now();
+  // The whole shard answer, on this thread: the shard's tree lock is
+  // held for this one search and released before the router opens the
+  // next shard.
+  BW_ASSIGN_OR_RETURN(service::QueryResponse answer,
+                      service_->RunStream(query, limits));
+  const LocalFrontier::Clock::time_point deadline =
+      limits.deadline_us > 0
+          ? opened + std::chrono::microseconds(
+                         static_cast<int64_t>(limits.deadline_us))
+          : LocalFrontier::Clock::time_point::max();
+  return std::unique_ptr<ShardFrontier>(new LocalFrontier(
+      std::move(answer), deadline, failed_, delay_us_));
 }
 
 Result<service::QueryResponse> LocalShardBackend::Range(const geom::Vec& query,
@@ -351,8 +366,13 @@ Result<std::unique_ptr<ShardFrontier>> RemoteShardBackend::OpenFrontier(
       wire_limits.deadline_us = static_cast<uint32_t>(limits.deadline_us);
       wire_limits.budget_radius = limits.budget_radius;
       wire_limits.batch_size = frontier_batch_size_;
-      Result<uint64_t> id =
-          (*client)->SubmitKnn(query, limits.max_results, wire_limits);
+      // The wire's k is a positive u32: "no count limit" (0) and any
+      // limit past it ask for UINT32_MAX, more than any shard holds.
+      constexpr size_t kWireMaxK = std::numeric_limits<uint32_t>::max();
+      const size_t k = limits.max_results == 0
+                           ? kWireMaxK
+                           : std::min(limits.max_results, kWireMaxK);
+      Result<uint64_t> id = (*client)->SubmitKnn(query, k, wire_limits);
       if (id.ok()) {
         return std::unique_ptr<ShardFrontier>(
             new RemoteFrontier(this, std::move(*client), *id));

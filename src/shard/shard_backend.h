@@ -3,11 +3,15 @@
 // mutations, and answer a cheap health probe. Two implementations:
 //
 //   LocalShardBackend  — an in-process QueryService (tests, bench, and
-//                        single-binary fleets). Frontiers are
-//                        QueryService::StreamCursor sessions.
-//   RemoteShardBackend — a bwserver endpoint over net::Client.
-//                        Frontiers consume streamed kResultBatch
-//                        frames incrementally (Client::NextResult);
+//                        single-binary fleets). A frontier is the
+//                        shard's finished answer: one
+//                        QueryService::RunStream on the caller's thread,
+//                        which holds the shard's tree lock for that
+//                        search only.
+//   RemoteShardBackend — a bwserver endpoint over net::Client. The
+//                        server computes the answer whole; frontiers
+//                        consume its streamed kResultBatch frames
+//                        incrementally (Client::NextResult);
 //                        connections are pooled and reused only when a
 //                        stream was drained cleanly.
 //
@@ -130,10 +134,6 @@ class ShardBackend {
 
 class LocalShardBackend : public ShardBackend {
  public:
-  /// Bound on waiting for a shard's generation lock at cursor open
-  /// (see OpenFrontier): far above any writer batch, far below forever.
-  static constexpr double kDefaultOpenTimeoutUs = 2'000'000;
-
   /// The service must outlive the backend.
   explicit LocalShardBackend(service::QueryService* service,
                              std::string name = "local")

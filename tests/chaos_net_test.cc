@@ -419,5 +419,39 @@ TEST(ChaosRouterTest, HedgedReadsMaskABrownedReplicaBitIdentically) {
   proxy.Stop();
 }
 
+// A frontier on a wire replica asks for the whole answer when the
+// router sets no count limit, or one past the wire's u32 k: the server
+// refuses k = 0, and a wrapped limit would cut the answer short.
+TEST(ChaosRouterTest, RemoteFrontierLimitsPastTheWireKServeEveryPoint) {
+  const auto points = testing::MakeClusteredPoints(300, kDim, 4, 73);
+  WireReplica replica = MakeWireReplica(points, TempDir("limits") + "/a");
+
+  ClientOptions copts = ChaosClientOptions();
+  copts.features = kFeatureStreaming | kFeatureRouter;
+  std::vector<shard::Router::Shard> shards(1);
+  shards[0].replicas.push_back(std::make_unique<shard::RemoteShardBackend>(
+      "127.0.0.1", replica.server->port(), copts));
+  const shard::Partition partition = shard::PartitionByStr(points, 1);
+  shard::Router router(shard::ShardMap(kDim, partition.bounds),
+                       std::move(shards), shard::RouterOptions());
+
+  auto direct = replica.service->Knn(points[0], points.size());
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  ASSERT_EQ(direct->neighbors.size(), points.size());
+  for (const size_t limit : {size_t{0}, (size_t{1} << 32) + 5}) {
+    SCOPED_TRACE(::testing::Message() << "max_results " << limit);
+    service::StreamOptions stream;
+    stream.max_results = limit;
+    auto routed = router.Knn(points[0], stream);
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    ASSERT_EQ(routed->neighbors.size(), points.size());
+    for (size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(routed->neighbors[i].rid, direct->neighbors[i].rid);
+      EXPECT_EQ(routed->neighbors[i].distance, direct->neighbors[i].distance);
+    }
+    EXPECT_EQ(router.replica_state(0, 0), shard::ReplicaState::kHealthy);
+  }
+}
+
 }  // namespace
 }  // namespace bw::net

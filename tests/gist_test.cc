@@ -1,6 +1,6 @@
 // Unit tests for the GiST framework itself: node layout, tree structure
-// maintenance under inserts/splits/deletes, validation, search cursors,
-// the best-first vs DFS k-NN equivalence and the k-NN candidate heap.
+// maintenance under inserts/splits/deletes, validation, searches, the
+// best-first vs DFS k-NN equivalence and the k-NN candidate heap.
 
 #include <gtest/gtest.h>
 

@@ -2,18 +2,21 @@
 // JB, XJB) the k-bounded best-first search reads exactly the nodes of
 // the Hjaltason-Samet loop it replaced (tests/reference_knn.h), returns
 // the same distances, and returns the k smallest (distance, rid) pairs
-// in that order, as do the node cursor and depth-first branch and bound.
+// in that order, as does depth-first branch and bound. A radius-bounded
+// search returns the radius prefix from a subset of those nodes, and a
+// search cut by its deadline returns a prefix of the full answer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/index_factory.h"
-#include "gist/nn_cursor.h"
+#include "pages/resident_reader.h"
 #include "tests/reference_knn.h"
 #include "tests/test_helpers.h"
 
@@ -35,6 +38,27 @@ class KnnReferenceTest : public ::testing::TestWithParam<std::string> {
 std::multiset<pages::PageId> PageSet(const std::vector<pages::PageId>& ids) {
   return std::multiset<pages::PageId>(ids.begin(), ids.end());
 }
+
+// A reader whose deadline falls on fetch `refuse_at` (0-based): that
+// fetch is refused with kAborted, as pages::ResidentReader refuses a
+// fetch past its deadline; every other one is served.
+class RefusingReader final : public pages::PageReader {
+ public:
+  RefusingReader(const pages::PageStore* store, size_t refuse_at)
+      : inner_(store), refuse_at_(refuse_at) {}
+
+  Result<pages::Page*> Fetch(pages::PageId id) override {
+    if (fetches_++ == refuse_at_) {
+      return Status::Aborted("deadline refused the fetch (test)");
+    }
+    return inner_.Fetch(id);
+  }
+
+ private:
+  pages::ResidentReader inner_;
+  size_t refuse_at_;
+  size_t fetches_ = 0;
+};
 
 void ExpectSameNodes(const gist::TraversalStats& got,
                      const gist::TraversalStats& want, const char* what) {
@@ -59,8 +83,9 @@ void ExpectSamePairs(const std::vector<gist::Neighbor>& got,
 // The k-bounded best-first search against the Hjaltason-Samet loop it
 // replaced (tests/reference_knn.h) and brute force: the same nodes, the
 // same distances, and one order — the k smallest (distance, rid) pairs —
-// from KnnSearch, a limited or unlimited NnCursor, and KnnSearchDfs.
-// Points snapped to a coarse grid make many distances tie exactly.
+// from KnnSearch and KnnSearchDfs. With a radius or a deadline the
+// search returns a prefix of that answer. Points snapped to a coarse
+// grid make many distances tie exactly.
 TEST_P(KnnReferenceTest, KnnReadsReferenceNodesInOneOrder) {
   constexpr size_t kPoints = 2000;
   constexpr size_t kDim = 5;
@@ -128,33 +153,50 @@ TEST_P(KnnReferenceTest, KnnReadsReferenceNodesInOneOrder) {
             brute.begin() + static_cast<long>(std::min(k, brute.size())));
         ExpectSamePairs(*got, want, "KnnSearch vs brute force");
 
-        // A cursor limited to k yields exactly KnnSearch(q, k), reads
-        // the same nodes, and ends there.
-        gist::TraversalStats limited_stats;
-        gist::NnCursor limited(tree, q, &limited_stats, nullptr, nullptr, k);
-        std::vector<gist::Neighbor> streamed;
-        for (;;) {
-          auto next = limited.Next();
-          ASSERT_TRUE(next.ok());
-          if (!next->has_value()) break;
-          streamed.push_back(**next);
+        // A radius d_m, the distance at rank m, returns the <= d_m prefix
+        // of the answer, bit for bit, from a subset of its nodes.
+        if (!got->empty()) {
+          const double d_m = (*got)[got->size() / 2].distance;
+          std::vector<gist::Neighbor> prefix;
+          for (const gist::Neighbor& n : *got) {
+            if (n.distance <= d_m) prefix.push_back(n);
+          }
+          gist::TraversalStats radius_stats;
+          auto bounded =
+              tree.KnnSearch(q, k, &radius_stats, nullptr, nullptr, d_m);
+          ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
+          ExpectSamePairs(*bounded, prefix, "radius prefix");
+          const auto read = PageSet(stats.accessed_leaves);
+          const auto bounded_read = PageSet(radius_stats.accessed_leaves);
+          EXPECT_TRUE(std::includes(read.begin(), read.end(),
+                                    bounded_read.begin(), bounded_read.end()))
+              << "radius search read a leaf the full search did not";
+          const auto internals = PageSet(stats.accessed_internals);
+          const auto bounded_internals =
+              PageSet(radius_stats.accessed_internals);
+          EXPECT_TRUE(std::includes(internals.begin(), internals.end(),
+                                    bounded_internals.begin(),
+                                    bounded_internals.end()))
+              << "radius search read an internal node the full search did "
+                 "not";
         }
-        ExpectSamePairs(streamed, *got, "limited cursor");
-        ExpectSameNodes(limited_stats, stats, "limited cursor");
-        auto after = limited.Next();
-        ASSERT_TRUE(after.ok());
-        EXPECT_FALSE(after->has_value());
 
-        // An unlimited cursor's first k results are the same pairs.
-        gist::NnCursor unlimited(tree, q);
-        streamed.clear();
-        while (streamed.size() < got->size()) {
-          auto next = unlimited.Next();
-          ASSERT_TRUE(next.ok());
-          ASSERT_TRUE(next->has_value());
-          streamed.push_back(**next);
+        // A deadline that refuses fetch n, for every n up to the nodes
+        // read: the answer is a prefix of the full one, flagged.
+        const size_t nodes_read = stats.TotalAccesses();
+        for (size_t n = 0; n <= nodes_read; ++n) {
+          RefusingReader reader(tree.file(), n);
+          bool truncated = false;
+          auto cut = tree.KnnSearch(q, k, nullptr, &reader, nullptr,
+                                    std::numeric_limits<double>::infinity(),
+                                    &truncated);
+          ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+          EXPECT_EQ(truncated, n < nodes_read) << "refused fetch " << n;
+          ASSERT_LE(cut->size(), got->size()) << "refused fetch " << n;
+          const std::vector<gist::Neighbor> head(
+              got->begin(), got->begin() + static_cast<long>(cut->size()));
+          ExpectSamePairs(*cut, head, "deadline prefix");
         }
-        ExpectSamePairs(streamed, *got, "unlimited cursor");
 
         // Depth-first branch and bound returns exactly the same pairs.
         auto dfs = tree.KnnSearchDfs(q, k, nullptr);

@@ -12,7 +12,6 @@
 
 #include "am/bulk_load.h"
 #include "am/rtree.h"
-#include "gist/nn_cursor.h"
 #include "gist/tree.h"
 #include "pages/buffer_pool.h"
 #include "pages/io_model.h"
@@ -335,21 +334,6 @@ TEST(ResidentReaderTest, TraversalMatchesCountedReads) {
     EXPECT_EQ(reader.stats().hits - hits_before,
               resident_stats.internal_accesses +
                   resident_stats.leaf_accesses);
-  }
-
-  // The streaming cursor reads through the same path.
-  const geom::Vec& q = points[7];
-  gist::NnCursor counted_cursor(tree, q);
-  gist::NnCursor resident_cursor(tree, q, nullptr, &reader);
-  for (int i = 0; i < 25; ++i) {
-    auto a = counted_cursor.Next();
-    auto b = resident_cursor.Next();
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->has_value(), b->has_value());
-    if (!a->has_value()) break;
-    EXPECT_EQ((*a)->rid, (*b)->rid);
-    EXPECT_EQ((*a)->distance, (*b)->distance);
   }
 }
 

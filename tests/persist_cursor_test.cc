@@ -1,6 +1,6 @@
 // Tests for index persistence (the durable index format: build, drop,
-// reopen, across all access methods) and the incremental
-// nearest-neighbor cursor.
+// reopen, across all access methods) and the radius-bounded k-NN
+// search that serves a stream's budget radius.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -13,7 +13,6 @@
 #include "am/sstree.h"
 #include "core/durable_index.h"
 #include "core/index_factory.h"
-#include "gist/nn_cursor.h"
 #include "shard/partitioner.h"
 #include "tests/test_helpers.h"
 
@@ -177,71 +176,13 @@ TEST(DurableBuildTest, AutoSelectedXMatchesBuildIndex) {
 }
 
 // ---------------------------------------------------------------------------
-// NN cursor
+// Radius-bounded k-NN
 // ---------------------------------------------------------------------------
 
-TEST(NnCursorTest, StreamsInNonDecreasingOrder) {
-  const auto points = testing::MakeClusteredPoints(1200, 4, 6, 5);
-  core::IndexBuildOptions options;
-  auto built = core::BuildIndex(points, options);
-  ASSERT_TRUE(built.ok());
-
-  const geom::Vec& q = points[17];
-  gist::NnCursor cursor((*built)->tree(), q);
-  double last = -1.0;
-  size_t count = 0;
-  for (;;) {
-    auto next = cursor.Next();
-    ASSERT_TRUE(next.ok());
-    if (!next->has_value()) break;
-    EXPECT_GE((**next).distance, last - 1e-12);
-    last = (**next).distance;
-    ++count;
-  }
-  EXPECT_EQ(count, points.size());  // exhausts the whole tree.
-  EXPECT_EQ(cursor.produced(), points.size());
-  EXPECT_TRUE(std::isinf(cursor.FrontierDistance()));
-}
-
-TEST(NnCursorTest, PrefixMatchesKnnSearch) {
-  const auto points = testing::MakeClusteredPoints(3000, 5, 10, 9);
-  core::IndexBuildOptions options;
-  options.am = "xjb";
-  options.xjb_x = 6;
-  auto built = core::BuildIndex(points, options);
-  ASSERT_TRUE(built.ok());
-
-  const geom::Vec& q = points[99];
-  auto batch = (*built)->Knn(q, 60, nullptr);
-  ASSERT_TRUE(batch.ok());
-
-  gist::NnCursor cursor((*built)->tree(), q);
-  for (size_t i = 0; i < 60; ++i) {
-    auto next = cursor.Next();
-    ASSERT_TRUE(next.ok());
-    ASSERT_TRUE(next->has_value());
-    EXPECT_EQ((**next).rid, (*batch)[i].rid) << i;
-    EXPECT_EQ((**next).distance, (*batch)[i].distance) << i;
-  }
-}
-
-TEST(NnCursorTest, FrontierDistanceBoundsFutureResults) {
-  const auto points = testing::MakeUniformPoints(800, 3, 21);
-  core::IndexBuildOptions options;
-  auto built = core::BuildIndex(points, options);
-  ASSERT_TRUE(built.ok());
-
-  gist::NnCursor cursor((*built)->tree(), points[0]);
-  for (int i = 0; i < 100; ++i) {
-    const double frontier = cursor.FrontierDistance();
-    auto next = cursor.Next();
-    ASSERT_TRUE(next.ok());
-    ASSERT_TRUE(next->has_value());
-    EXPECT_GE((**next).distance, frontier - 1e-12);
-  }
-}
-
-TEST(NnCursorTest, FrontierDistanceEarlyStopMatchesRangeSearch) {
+// A stream's budget radius, pushed down into the k-NN search: with no
+// count limit the search returns exactly the range query's answer, in
+// the one (distance, rid) order, and reads no node beyond the radius.
+TEST(KnnRadiusTest, MatchesRangeSearchAndReadsLess) {
   const auto points = testing::MakeClusteredPoints(2500, 5, 8, 44);
   core::IndexBuildOptions options;
   auto built = core::BuildIndex(points, options);
@@ -254,67 +195,32 @@ TEST(NnCursorTest, FrontierDistanceEarlyStopMatchesRangeSearch) {
   ASSERT_TRUE(knn.ok());
   const double budget = (*knn)[29].distance;
 
-  // Stream until the frontier lower bound proves nothing within the
-  // budget remains, collecting everything at distance <= budget.
-  gist::TraversalStats stats;
-  gist::NnCursor cursor(tree, q, &stats);
-  std::vector<gist::Rid> streamed;
-  for (;;) {
-    if (cursor.FrontierDistance() > budget) break;  // early stop.
-    auto next = cursor.Next();
-    ASSERT_TRUE(next.ok());
-    if (!next->has_value()) break;
-    if ((**next).distance > budget) break;
-    streamed.push_back((**next).rid);
-  }
-  const uint64_t accesses_at_stop = stats.TotalAccesses();
-
-  // The early-stopped stream is exactly the range query's answer.
+  gist::TraversalStats bounded_stats;
+  auto bounded = tree.KnnSearch(q, tree.size(), &bounded_stats, nullptr,
+                                nullptr, budget);
+  ASSERT_TRUE(bounded.ok());
   auto range = tree.RangeSearch(q, budget, nullptr);
   ASSERT_TRUE(range.ok());
-  std::vector<gist::Rid> expected;
-  expected.reserve(range->size());
-  for (const auto& n : *range) expected.push_back(n.rid);
-  std::sort(expected.begin(), expected.end());
-  std::vector<gist::Rid> got = streamed;
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, expected);
-
-  // Stopping early genuinely saved node accesses vs full exhaustion.
-  for (;;) {
-    auto next = cursor.Next();
-    ASSERT_TRUE(next.ok());
-    if (!next->has_value()) break;
+  ASSERT_GE(range->size(), 30u);
+  ASSERT_EQ(bounded->size(), range->size());
+  for (size_t i = 0; i < range->size(); ++i) {
+    EXPECT_EQ((*bounded)[i].rid, (*range)[i].rid) << "rank " << i;
+    EXPECT_EQ((*bounded)[i].distance, (*range)[i].distance) << "rank " << i;
   }
-  EXPECT_LT(accesses_at_stop, stats.TotalAccesses());
-}
 
-TEST(NnCursorTest, EmptyTreeYieldsNothing) {
-  pages::PageFile file(4096);
-  gist::Tree tree(&file, std::make_unique<am::RtreeExtension>(3));
-  gist::NnCursor cursor(tree, geom::Vec(3));
-  auto next = cursor.Next();
-  ASSERT_TRUE(next.ok());
-  EXPECT_FALSE(next->has_value());
-}
+  // Stopping at the radius genuinely saved node accesses against a
+  // search with no limit at all.
+  gist::TraversalStats all_stats;
+  ASSERT_TRUE(tree.KnnSearch(q, tree.size(), &all_stats).ok());
+  EXPECT_LT(bounded_stats.TotalAccesses(), all_stats.TotalAccesses());
 
-TEST(NnCursorTest, CountsAccessesIncrementally) {
-  const auto points = testing::MakeClusteredPoints(2000, 4, 8, 3);
-  core::IndexBuildOptions options;
-  auto built = core::BuildIndex(points, options);
-  ASSERT_TRUE(built.ok());
-
-  gist::TraversalStats stats;
-  gist::NnCursor cursor((*built)->tree(), points[0], &stats);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(cursor.Next().ok());
-  }
-  const uint64_t early = stats.TotalAccesses();
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(cursor.Next().ok());
-  }
-  // Deeper streaming costs more node accesses.
-  EXPECT_GT(stats.TotalAccesses(), early);
+  // A negative radius reads nothing.
+  gist::TraversalStats none_stats;
+  auto none = tree.KnnSearch(q, tree.size(), &none_stats, nullptr, nullptr,
+                             -1.0);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+  EXPECT_EQ(none_stats.TotalAccesses(), 0u);
 }
 
 }  // namespace

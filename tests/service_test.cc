@@ -241,16 +241,11 @@ TEST(QueryServiceTest, StreamBudgetRadiusMatchesRange) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_FALSE(response->metrics.truncated);
 
-    std::vector<gist::Neighbor> streamed;
-    auto cursor = service.OpenCursor(query, stream);
-    for (;;) {
-      auto next = cursor->Next();
-      ASSERT_TRUE(next.ok()) << next.status().ToString();
-      if (!next->has_value()) break;
-      streamed.push_back(**next);
-    }
+    auto run = service.RunStream(query, stream);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_FALSE(run->metrics.truncated);
 
-    for (const auto* got : {&response->neighbors, &streamed}) {
+    for (const auto* got : {&response->neighbors, &run->neighbors}) {
       ASSERT_EQ(got->size(), range->size());
       for (size_t i = 0; i < range->size(); ++i) {
         EXPECT_EQ((*got)[i].rid, (*range)[i].rid) << "rank " << i;
@@ -686,9 +681,11 @@ TEST(QueryServiceWriteTest, DeleteResolvesNotFoundForAbsentPairs) {
 }
 
 // A NaN or infinite coordinate is outside input the tree cannot order.
-// Every submission path refuses it with InvalidArgument before queuing;
-// a cursor, which OpenCursor cannot fail with a status, fails its first
-// Next(). Nothing is inserted or deleted, and the service keeps serving.
+// Every submission path, and RunStream, refuses it with InvalidArgument
+// before queuing or running. So does every limit the wire decoders
+// refuse: a NaN budget radius, and a range radius that is NaN, infinite
+// or negative. Nothing is inserted or deleted, and the service keeps
+// serving.
 TEST(QueryServiceWriteTest, NonFiniteCoordinatesAreRejectedBeforeQueuing) {
   const std::string base = TempPath("svcw_nonfinite.bwpf");
   const std::string wal = TempPath("svcw_nonfinite.bwwal");
@@ -722,14 +719,9 @@ TEST(QueryServiceWriteTest, NonFiniteCoordinatesAreRejectedBeforeQueuing) {
     ASSERT_FALSE(streamed.ok());
     expect_invalid(streamed.status(), bad);
 
-    auto cursor = service.OpenCursor(point, stream);
-    ASSERT_NE(cursor, nullptr);
-    auto first = cursor->Next();
-    ASSERT_FALSE(first.ok());
-    expect_invalid(first.status(), bad);
-    auto after = cursor->Next();
-    ASSERT_TRUE(after.ok());
-    EXPECT_FALSE(after->has_value());
+    auto run = service.RunStream(point, stream);
+    ASSERT_FALSE(run.ok());
+    expect_invalid(run.status(), bad);
 
     auto insert = service.SubmitInsert(point, kSeedPoints + 1);
     ASSERT_FALSE(insert.ok());
@@ -738,7 +730,26 @@ TEST(QueryServiceWriteTest, NonFiniteCoordinatesAreRejectedBeforeQueuing) {
     ASSERT_FALSE(remove.ok());
     expect_invalid(remove.status(), bad);
   }
+  // A finite query with a radius no search can order.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  StreamOptions nan_radius;
+  nan_radius.budget_radius = kNaN;
+  auto nan_stream = service.SubmitStream(points[7], nan_radius);
+  ASSERT_FALSE(nan_stream.ok());
+  expect_invalid(nan_stream.status(), 0);
+  auto nan_run = service.RunStream(points[7], nan_radius);
+  ASSERT_FALSE(nan_run.ok());
+  expect_invalid(nan_run.status(), 0);
+  for (const double radius : {kNaN, kInf, -kInf, -0.5}) {
+    SCOPED_TRACE(::testing::Message() << "range radius " << radius);
+    auto range = service.SubmitRange(points[7], radius);
+    ASSERT_FALSE(range.ok());
+    expect_invalid(range.status(), 0);
+  }
+
   const auto snap = service.Snapshot();
+  EXPECT_EQ(snap.submitted, 0u);
   EXPECT_EQ(snap.writes_submitted, 0u);
   EXPECT_EQ(service.tree().size(), kSeedPoints);
 

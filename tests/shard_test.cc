@@ -296,21 +296,17 @@ TEST(RouterFaultTest, DegradedAccountingSumsAcrossShards) {
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   EXPECT_TRUE(merged->degraded());
 
-  // Ground truth: drain the identical stream on each shard directly
-  // and sum the per-shard accounting.
+  // Ground truth: run the identical stream on each shard directly and
+  // sum the per-shard accounting.
   uint64_t expected_skipped = 0;
   bool expected_degraded = false;
   size_t expected_results = 0;
   for (size_t s = 0; s < (*fleet)->num_shards(); ++s) {
-    auto cursor = (*fleet)->service(s, 0)->OpenCursor(query, stream);
-    for (;;) {
-      auto next = cursor->Next();
-      ASSERT_TRUE(next.ok()) << next.status().ToString();
-      if (!next->has_value()) break;
-      ++expected_results;
-    }
-    expected_skipped += cursor->pages_skipped();
-    expected_degraded |= cursor->degraded();
+    auto answer = (*fleet)->service(s, 0)->RunStream(query, stream);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    expected_results += answer->neighbors.size();
+    expected_skipped += answer->metrics.pages_skipped;
+    expected_degraded |= answer->degraded();
   }
   EXPECT_GT(expected_skipped, 0u);
   EXPECT_TRUE(expected_degraded);
@@ -428,6 +424,110 @@ TEST(RouterFaultTest, MidStreamFailoverIsBitIdentical) {
   EXPECT_GE(router.stats().failovers, 1u);
   EXPECT_EQ(router.replica_state(0, 0), ReplicaState::kDead);
   EXPECT_EQ(router.replica_state(0, 1), ReplicaState::kHealthy);
+}
+
+// ---------------------------------------------------------------------------
+// Per-shard limits: a shard opened after j merged results asks for k - j
+// ---------------------------------------------------------------------------
+
+// Records the count limit of every frontier it opens.
+class RecordingBackend : public ShardBackend {
+ public:
+  RecordingBackend(service::QueryService* service, std::vector<size_t>* limits)
+      : delegate_(service, "recording"), limits_(limits) {}
+
+  Result<std::unique_ptr<ShardFrontier>> OpenFrontier(
+      const geom::Vec& query, const StreamOptions& limits) override {
+    limits_->push_back(limits.max_results);
+    return delegate_.OpenFrontier(query, limits);
+  }
+  Result<service::QueryResponse> Range(const geom::Vec& query, double radius,
+                                       uint32_t deadline_us) override {
+    return delegate_.Range(query, radius, deadline_us);
+  }
+  Result<service::MutationOutcome> Insert(const geom::Vec& point,
+                                          uint64_t rid) override {
+    return delegate_.Insert(point, rid);
+  }
+  Result<service::MutationOutcome> Remove(const geom::Vec& point,
+                                          uint64_t rid) override {
+    return delegate_.Remove(point, rid);
+  }
+  Status Probe() override { return delegate_.Probe(); }
+  std::string DebugName() const override { return "recording"; }
+
+ private:
+  LocalShardBackend delegate_;
+  std::vector<size_t>* limits_;
+};
+
+// The merge opens an unopened shard once its root bound tops the heap,
+// after every result strictly nearer than that bound was merged: with j
+// such results, the shard is asked for k - j, and "no count limit"
+// stays 0. The answers stay bit-identical to a single index.
+TEST(RouterKnnTest, ShardsOpenedLateAskForWhatTheMergeCanUse) {
+  constexpr size_t kShards = 4;
+  const auto corpus = testing::MakeClusteredPoints(600, kDim, 6, 137);
+  auto single = BuildSingleIndex(corpus);
+  ASSERT_NE(single, nullptr);
+  const Partition partition = PartitionByStr(corpus, kShards);
+  const ShardMap map(kDim, partition.bounds);
+  const std::string dir = TempDir("limits");
+  std::vector<std::unique_ptr<service::QueryService>> services;
+  std::vector<std::vector<size_t>> limits(kShards);
+  std::vector<Router::Shard> shards(kShards);
+  for (size_t s = 0; s < kShards; ++s) {
+    const std::string stem = dir + "/s" + std::to_string(s);
+    auto index = BuildShardIndex(partition.points[s], partition.rids[s],
+                                 TestBuild(), stem + ".idx", stem + ".wal");
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    services.push_back(std::make_unique<service::QueryService>(
+        std::move(*index), service::ServiceOptions()));
+    shards[s].replicas.push_back(
+        std::make_unique<RecordingBackend>(services.back().get(), &limits[s]));
+  }
+  Router router(map, std::move(shards), RouterOptions());
+
+  Rng rng(139);
+  size_t cut = 0;  // shards asked for less than k.
+  for (int q = 0; q < 30; ++q) {
+    const geom::Vec& query = corpus[rng.NextBelow(corpus.size())];
+    const size_t k = 1 + rng.NextBelow(120);
+    for (auto& l : limits) l.clear();
+    StreamOptions stream;
+    stream.max_results = k;
+    auto merged = router.Knn(query, stream);
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    const auto truth = TruthKnn(single->tree(), query, k);
+    ASSERT_EQ(merged->neighbors.size(), truth.size());
+    for (size_t i = 0; i < truth.size(); ++i) {
+      EXPECT_EQ(merged->neighbors[i].rid, truth[i].rid) << "query " << q;
+      EXPECT_EQ(merged->neighbors[i].distance, truth[i].distance);
+    }
+    for (size_t s = 0; s < kShards; ++s) {
+      if (limits[s].empty()) continue;  // pruned.
+      ASSERT_EQ(limits[s].size(), 1u);
+      const double bound = map.RootBound(s, query);
+      size_t merged_before = 0;
+      for (const gist::Neighbor& n : merged->neighbors) {
+        merged_before += n.distance < bound ? 1 : 0;
+      }
+      EXPECT_EQ(limits[s][0], k - merged_before)
+          << "query " << q << " shard " << s;
+      cut += limits[s][0] < k ? 1 : 0;
+    }
+  }
+  EXPECT_GT(cut, 0u);
+
+  // No count limit asks every shard for none.
+  for (auto& l : limits) l.clear();
+  StreamOptions unlimited;
+  unlimited.budget_radius = 20.0;
+  auto ranged = router.Knn(corpus[0], unlimited);
+  ASSERT_TRUE(ranged.ok()) << ranged.status().ToString();
+  for (size_t s = 0; s < kShards; ++s) {
+    for (const size_t limit : limits[s]) EXPECT_EQ(limit, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -647,10 +747,11 @@ TEST(RouterMutationTest, ConcurrentMutationsRacingFailoverStayConsistent) {
         stream.max_results = 16;
         auto merged = router->Knn(query, stream);
         if (!merged.ok()) continue;  // transient flap; budget 0 may fail.
-        // No ordering assert mid-race: a cursor pulled across a
-        // concurrent insert may see the new point out of merge order
-        // (streams are not snapshot-isolated from the writer). Answers
-        // must still be genuine rids, never junk.
+        // No ordering assert mid-race: the root bounds are taken when
+        // the query starts, and an insert that lands in a shard before
+        // its frontier opens may lie below that shard's bound, so the
+        // merge can emit it out of order. Answers must still be
+        // genuine rids, never junk.
         for (const gist::Neighbor& n : merged->neighbors) {
           EXPECT_LT(n.rid, corpus.size() + inserted.size());
         }
