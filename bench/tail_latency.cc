@@ -2,18 +2,19 @@
 //
 // Builds an in-process fleet (--shards x 2 replicas) twice over the
 // same corpus, browns out replica 0 of every shard (+--brownout_us per
-// streamed result — the replica stays alive and correct, just slow),
-// and runs the same query set through both routers:
+// shard fetch — the replica stays alive and correct, just slow), and
+// runs the same query set through both routers:
 //
-//   unhedged:  hedge off, breakers off — every pull eats the brownout.
-//   hedged:    the tail-tolerant defaults — a stalled pull is raced
-//              against the healthy sibling (count-skip replay) and the
+//   unhedged:  hedge off, breakers off — every fetch eats the brownout.
+//   hedged:    the tail-tolerant defaults — a stalled fetch is raced
+//              against the healthy sibling's whole fetch and the
 //              breaker learns to stop preferring the slow replica.
 //
 // Reports exact client-side p50/p99/p99.9 per mode plus the router's
 // hedge/breaker counters, and verifies the headline contract: hedged
 // answers are bit-identical (rid and distance) to unhedged answers.
-// Writes BENCH_tail_latency.json with --json_out.
+// With the default 20 queries, p99 and p99.9 are the maximum; raise
+// --queries for a real tail. Writes JSON with --json_out.
 
 #include <algorithm>
 #include <chrono>
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
   int64_t* k = flags.AddInt64("k", 3, "neighbors per query");
   int64_t* brownout_us = flags.AddInt64(
       "brownout_us", 200000,
-      "per-result delay injected into replica 0 of every shard");
+      "per-fetch delay injected into replica 0 of every shard");
   std::string* dir = flags.AddString(
       "dir", "/tmp/bw_tail_latency", "scratch directory for fleet indexes");
   std::string* json_out = flags.AddString(
@@ -114,7 +115,7 @@ int main(int argc, char** argv) {
   // Two fleets over the same corpus: only the router's tail-tolerance
   // options differ. set_delay_us browns out replica 0 of every shard in
   // both, so the unhedged router (which always prefers replica 0) pays
-  // the spike on every streamed result.
+  // the spike on every shard fetch.
   const auto build_fleet = [&](const char* name, bool hedge) {
     shard::FleetOptions options;
     options.num_shards = static_cast<size_t>(*shards);
@@ -139,7 +140,7 @@ int main(int argc, char** argv) {
   };
 
   std::printf("tail_latency: %lld blobs, %lld shards x 2 replicas, "
-              "%lld queries (k=%lld), replica 0 browned +%lldus/result\n",
+              "%lld queries (k=%lld), replica 0 browned +%lldus/fetch\n",
               (long long)*blobs, (long long)*shards, (long long)*queries,
               (long long)*k, (long long)*brownout_us);
 
@@ -195,7 +196,7 @@ int main(int argc, char** argv) {
     json.Set("replicas_per_shard", 2.0);
     json.Set("queries", static_cast<double>(*queries));
     json.Set("k", static_cast<double>(*k));
-    json.Set("brownout_us_per_result", static_cast<double>(*brownout_us));
+    json.Set("brownout_us_per_fetch", static_cast<double>(*brownout_us));
     json.Set("unhedged_p50_us",
              static_cast<double>(PercentileUs(unhedged.latencies_us, 0.50)));
     json.Set("unhedged_p99_us", static_cast<double>(unhedged_p99));

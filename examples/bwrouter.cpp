@@ -1,8 +1,8 @@
 // bwrouter: the scatter-gather shard router as a standalone binary.
 // Serves the same wire protocol as bwserver (same clients, same admin
-// tooling) but answers every query by merging budgeted best-first
-// streams from a fleet of STR-partitioned shards, with replica
-// failover and fault-budgeted degraded answers (src/shard/router.h).
+// tooling) but answers every query by merging the budgeted best-first
+// answers of a fleet of STR-partitioned shards, with replica failover
+// and fault-budgeted degraded answers (src/shard/router.h).
 //
 // Remote fleet — shards are bwserver processes started with matching
 // corpus flags and --shards/--shard_index:
@@ -155,8 +155,6 @@ int main(int argc, char** argv) {
   int64_t* jitter_seed = flags.AddInt64(
       "jitter_seed", 0,
       "seed for probe/hedge/backoff jitter (deterministic schedules)");
-  int64_t* batch_size = flags.AddInt64(
-      "batch_size", 32, "results per streamed frame from remote shards");
   int64_t* workers =
       flags.AddInt64("workers", 4, "query workers per local-fleet shard");
   int64_t* io_threads = flags.AddInt64("io_threads", 1, "epoll loops");
@@ -239,7 +237,6 @@ int main(int argc, char** argv) {
             bw::net::kFeatureStreaming | bw::net::kFeatureRouter;
         auto backend = std::make_unique<bw::shard::RemoteShardBackend>(
             host_port->first, host_port->second, client_options);
-        backend->set_frontier_batch_size(static_cast<uint32_t>(*batch_size));
         shards[s].replicas.push_back(std::move(backend));
       }
     }

@@ -455,48 +455,6 @@ Result<service::TreeSum> Client::AwaitTreeSum(uint64_t request_id) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental streaming
-// ---------------------------------------------------------------------------
-
-Result<std::optional<gist::Neighbor>> Client::NextResult(
-    uint64_t request_id) {
-  for (;;) {
-    auto it = pending_.find(request_id);
-    if (it == pending_.end()) {
-      return Status::InvalidArgument("unknown request id " +
-                                     std::to_string(request_id));
-    }
-    Pending& p = it->second;
-    if (p.consumed < p.neighbors.size()) {
-      return std::optional<gist::Neighbor>(p.neighbors[p.consumed++]);
-    }
-    if (p.done) return std::optional<gist::Neighbor>();
-    BW_RETURN_IF_ERROR(PumpOnce());
-  }
-}
-
-Result<QueryReply> Client::FinishQuery(uint64_t request_id) {
-  BW_RETURN_IF_ERROR(PumpUntilDone(request_id));
-  auto node = pending_.extract(request_id);
-  Pending& p = node.mapped();
-  QueryReply reply;
-  reply.neighbors.assign(p.neighbors.begin() + p.consumed,
-                         p.neighbors.end());
-  reply.wire_status = p.final_header.status;
-  reply.degraded = (p.final_header.flags & kFlagDegraded) != 0;
-  reply.truncated = (p.final_header.flags & kFlagTruncated) != 0;
-  FinalInfo info;
-  if (DecodeFinalInfo(p.final_payload, &info)) {
-    reply.pages_skipped = info.pages_skipped;
-    reply.server_latency_us = info.server_latency_us;
-    reply.status = WireStatusToStatus(reply.wire_status, info.message);
-  } else {
-    reply.status = WireStatusToStatus(reply.wire_status, "");
-  }
-  return reply;
-}
-
-// ---------------------------------------------------------------------------
 // Synchronous wrappers
 // ---------------------------------------------------------------------------
 

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,19 +134,6 @@ class Client {
   Result<service::SnapshotChunk> AwaitSnapshotChunk(uint64_t request_id);
   Result<service::TreeSum> AwaitTreeSum(uint64_t request_id);
 
-  // --- Incremental streaming ---------------------------------------------
-  // The shard router's remote frontier: consume a query's results one
-  // at a time as batch frames arrive, instead of waiting for the
-  // terminal frame. NextResult returns the next unconsumed neighbor
-  // (pumping the socket only when none is buffered), or nullopt once
-  // the stream's terminal frame arrived and every result was consumed.
-  // FinishQuery then (or at any point: it drains the rest) retires the
-  // request and returns the terminal accounting; its reply carries only
-  // the *unconsumed* neighbors.
-
-  Result<std::optional<gist::Neighbor>> NextResult(uint64_t request_id);
-  Result<QueryReply> FinishQuery(uint64_t request_id);
-
   // --- Synchronous wrappers ---------------------------------------------
 
   Result<QueryReply> Knn(const geom::Vec& query, size_t k,
@@ -191,7 +177,6 @@ class Client {
     FrameHeader final_header;   // terminal frame's header.
     std::string final_payload;  // terminal frame's payload.
     std::vector<gist::Neighbor> neighbors;  // accumulated batches.
-    size_t consumed = 0;  // NextResult cursor into neighbors.
   };
 
   Status SendFrame(MsgType type, uint64_t request_id, uint32_t deadline_us,

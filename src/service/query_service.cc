@@ -640,7 +640,6 @@ QueryService::Response QueryService::Run(Task& task) {
     pool_hits_.fetch_add(m.pool_hits, std::memory_order_relaxed);
     if (m.truncated) {
       truncated_streams_.fetch_add(1, std::memory_order_relaxed);
-      watchdog_expirations_.fetch_add(1, std::memory_order_relaxed);
     }
     if (response->degraded()) {
       degraded_responses_.fetch_add(1, std::memory_order_relaxed);
@@ -953,8 +952,6 @@ ServiceSnapshot QueryService::Snapshot() const {
   snap.degraded_responses =
       degraded_responses_.load(std::memory_order_relaxed);
   snap.pages_skipped = pages_skipped_.load(std::memory_order_relaxed);
-  snap.watchdog_expirations =
-      watchdog_expirations_.load(std::memory_order_relaxed);
   if (durable_ != nullptr) {
     const storage::DiskPageFile* disk = durable_->store().disk();
     snap.store_read_retries = disk->read_retries();

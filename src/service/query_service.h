@@ -268,9 +268,6 @@ struct ServiceSnapshot {
   uint64_t truncated_streams = 0;
   uint64_t degraded_responses = 0;   // completed with a partial answer.
   uint64_t pages_skipped = 0;        // subtrees skipped, summed.
-  /// Streams cut off at a node fetch by their deadline. Every deadline
-  /// cut is at a fetch, so this equals truncated_streams.
-  uint64_t watchdog_expirations = 0;
   uint64_t leaf_accesses = 0;
   uint64_t internal_accesses = 0;
   uint64_t pool_hits = 0;         // QueryMetrics::pool_*, summed.
@@ -625,7 +622,6 @@ class QueryService {
   std::atomic<uint64_t> truncated_streams_{0};
   std::atomic<uint64_t> degraded_responses_{0};
   std::atomic<uint64_t> pages_skipped_{0};
-  std::atomic<uint64_t> watchdog_expirations_{0};
   std::atomic<uint64_t> leaf_accesses_{0};
   std::atomic<uint64_t> internal_accesses_{0};
   std::atomic<uint64_t> pool_hits_{0};

@@ -26,8 +26,6 @@ std::vector<std::pair<std::string, double>> ExportSnapshotFields(
   add("truncated_streams", static_cast<double>(snap.truncated_streams));
   add("degraded_responses", static_cast<double>(snap.degraded_responses));
   add("pages_skipped", static_cast<double>(snap.pages_skipped));
-  add("watchdog_expirations",
-      static_cast<double>(snap.watchdog_expirations));
   // Tree + pool traffic.
   add("leaf_accesses", static_cast<double>(snap.leaf_accesses));
   add("internal_accesses", static_cast<double>(snap.internal_accesses));

@@ -9,26 +9,6 @@
 
 namespace bw::shard {
 
-/// One shard's in-flight state during a scatter-gather query.
-struct Router::OpenShard {
-  size_t shard = 0;
-  size_t replica = 0;  // replica currently serving the stream.
-  /// What this shard is asked for: the query's limits, with the count
-  /// cut to what the merge can still use when the shard opened. Every
-  /// re-open and hedge asks for the same, so the count skip holds.
-  service::StreamOptions limits;
-  std::unique_ptr<ShardFrontier> frontier;
-  /// Results successfully pulled so far — the count-based skip a
-  /// failover replays on the successor replica (replicas are
-  /// bit-identical, so result N here is result N there).
-  size_t consumed = 0;
-  gist::Neighbor head{};  // pulled but not yet emitted.
-  // Folded at stream close:
-  bool degraded = false;
-  bool truncated = false;
-  uint64_t pages_skipped = 0;
-};
-
 Router::Router(ShardMap map, std::vector<Shard> shards, RouterOptions options)
     : map_(std::move(map)),
       shards_(std::move(shards)),
@@ -71,7 +51,7 @@ Router::~Router() {
   if (catchup_thread_.joinable()) catchup_thread_.join();
   // Joined after the query surface quiesced but before the backends
   // (members) are destroyed: an abandoned hedge loser may still be
-  // blocked in a backend pull.
+  // blocked in a backend fetch.
   StopHedgeExecutor();
 }
 
@@ -83,7 +63,7 @@ uint64_t Router::NowUs() {
 }
 
 // ---------------------------------------------------------------------------
-// Hedge executor: grow-on-demand workers for pulls that must not pin
+// Hedge executor: grow-on-demand workers for fetches that must not pin
 // the caller's thread. Threads are created only when every existing
 // worker is busy (so an unhedged fleet never pays for one) and live
 // until the router does.
@@ -182,221 +162,206 @@ BreakerState Router::breaker_state(size_t shard, size_t replica) const {
 }
 
 // ---------------------------------------------------------------------------
-// Frontier lifecycle with failover
+// Shard fetches: failover and hedging
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<ShardFrontier> Router::OpenOnReplica(
-    size_t shard, size_t replica, size_t consumed, const geom::Vec& query,
-    const service::StreamOptions& limits, const DeadlineBudget& budget,
-    size_t attempts_left) {
-  // Split the remaining deadline across the attempts that could still
-  // run instead of re-sending the client's full deadline per attempt
-  // (DESIGN.md §15's budget arithmetic). An unlimited budget slices to
-  // 0 = no deadline, the pre-budget behavior.
-  service::StreamOptions sliced = limits;
-  sliced.deadline_us = static_cast<double>(
-      budget.SliceUs(NowUs(), attempts_left, options_.budget_floor_us));
-  CircuitBreaker* breaker = breakers_[shard][replica].get();
-  const uint64_t t0 = NowUs();
-  Result<std::unique_ptr<ShardFrontier>> frontier =
-      shards_[shard].replicas[replica]->OpenFrontier(query, sliced);
-  if (!frontier.ok()) {
-    breaker->OnResult(false, NowUs() - t0, NowUs());
-    SetReplicaState(shard, replica, ReplicaState::kDead);
-    return nullptr;
+std::vector<double> Router::RootBounds(const geom::Vec& query) const {
+  // Concurrent inserts may enlarge boxes mid-query, but a bound taken
+  // now is still admissible for everything the shard held when it is
+  // fetched (boxes only grow).
+  std::vector<double> bound(shards_.size());
+  std::shared_lock<std::shared_mutex> lock(map_mutex_);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    bound[s] = map_.RootBound(s, query);
   }
-  // Replay the skip: drop the results this query already consumed.
-  for (size_t i = 0; i < consumed; ++i) {
-    Result<std::optional<gist::Neighbor>> n = (*frontier)->Next();
-    if (!n.ok()) {
-      breaker->OnResult(false, NowUs() - t0, NowUs());
-      SetReplicaState(shard, replica, ReplicaState::kDead);
-      return nullptr;
-    }
-    if (!n->has_value()) break;  // shorter (degraded) replica: let the
-                                 // caller observe the exhaustion.
-  }
-  breaker->OnResult(true, NowUs() - t0, NowUs());
-  return std::move(*frontier);
+  return bound;
 }
 
-bool Router::AcquireFrontier(OpenShard* open, const geom::Vec& query,
-                             const DeadlineBudget& budget) {
-  if (budget.Exhausted(NowUs(), options_.budget_floor_us)) {
-    budget_exhausted_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+Result<service::QueryResponse> Router::Fetch(
+    size_t shard, size_t replica, const geom::Vec& query,
+    const service::StreamOptions& limits) {
+  const uint64_t t0 = NowUs();
+  Result<service::QueryResponse> answer =
+      [&]() -> Result<service::QueryResponse> {
+    BW_ASSIGN_OR_RETURN(
+        std::unique_ptr<ShardFrontier> frontier,
+        shards_[shard].replicas[replica]->OpenFrontier(query, limits));
+    service::QueryResponse response;
+    for (;;) {
+      BW_ASSIGN_OR_RETURN(std::optional<gist::Neighbor> next,
+                          frontier->Next());
+      if (!next.has_value()) break;
+      response.neighbors.push_back(*next);
+    }
+    // A terminal verdict (shed, quota, transport) fails the answer
+    // even after every result arrived.
+    BW_RETURN_IF_ERROR(frontier->Finish());
+    response.metrics.pages_skipped = frontier->pages_skipped();
+    response.metrics.truncated = frontier->truncated();
+    if (frontier->degraded()) {
+      response.completeness = service::Completeness::kDegraded;
+    }
+    return response;
+  }();
+  const uint64_t now = NowUs();
+  breakers_[shard][replica]->OnResult(answer.ok(), now - t0, now);
+  if (!answer.ok()) SetReplicaState(shard, replica, ReplicaState::kDead);
+  return answer;
+}
+
+/// Shared state of one hedged fetch. Each raced fetch runs on the hedge
+/// executor and publishes here, and the caller takes the first answer.
+/// A loser still running when the caller returns keeps this alive; its
+/// answer is dropped when it arrives.
+struct Router::FetchRace {
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t running = 0;  // raced fetches not yet finished.
+  std::optional<service::QueryResponse> answer;  // the first to arrive.
+  size_t winner = 0;                             // its replica.
+  Status error;                                  // the last failure.
+};
+
+Result<service::QueryResponse> Router::HedgedFetch(
+    size_t shard, size_t replica, const geom::Vec& query,
+    const service::StreamOptions& limits, const DeadlineBudget& budget) {
+  if (!options_.hedge || shards_[shard].replicas.size() < 2) {
+    return Fetch(shard, replica, query, limits);
   }
-  const size_t replica_count = shards_[open->shard].replicas.size();
+  auto race = std::make_shared<FetchRace>();
+  const auto start = [&](size_t r, const service::StreamOptions& sliced) {
+    {
+      std::lock_guard<std::mutex> lock(race->mu);
+      ++race->running;
+    }
+    PostHedgeTask([this, race, shard, r, query, sliced] {
+      Result<service::QueryResponse> answer = Fetch(shard, r, query, sliced);
+      std::lock_guard<std::mutex> lock(race->mu);
+      --race->running;
+      if (!answer.ok()) {
+        race->error = answer.status();
+      } else if (!race->answer.has_value()) {
+        race->answer = std::move(*answer);
+        race->winner = r;
+      }
+      race->cv.notify_all();
+    });
+  };
+  const auto settled = [&] {
+    return race->answer.has_value() || race->running == 0;
+  };
+
+  start(replica, limits);
+  // The hedge delay is the serving backend's own recent latency
+  // quantile (clamped), plus up to +25% jitter so a fleet's hedges
+  // against one browning server don't fire in lockstep.
+  uint64_t delay_us = breakers_[shard][replica]->HedgeDelayUs(
+      options_.hedge_quantile, options_.hedge_delay_floor_us,
+      options_.hedge_delay_cap_us, options_.hedge_delay_fallback_us);
+  delay_us += hedge_jitter_.NextBelow(delay_us / 4 + 1);
+  std::unique_lock<std::mutex> lock(race->mu);
+  if (!race->cv.wait_for(lock, std::chrono::microseconds(delay_us),
+                         settled)) {
+    lock.unlock();
+    // The fetch is stalling: race the first healthy sibling whose
+    // breaker allows it, if time permits. Its whole answer is as good
+    // as the primary's: each is one replica's answer.
+    if (!budget.Exhausted(NowUs(), options_.budget_floor_us)) {
+      for (size_t r = 0; r < shards_[shard].replicas.size(); ++r) {
+        if (r == replica) continue;
+        if (GetReplicaState(shard, r) != ReplicaState::kHealthy) continue;
+        if (!breakers_[shard][r]->Allow(NowUs())) continue;
+        hedges_attempted_.fetch_add(1, std::memory_order_relaxed);
+        service::StreamOptions sibling = limits;
+        sibling.deadline_us = static_cast<double>(
+            budget.SliceUs(NowUs(), 1, options_.budget_floor_us));
+        start(r, sibling);
+        break;
+      }
+    }
+    lock.lock();
+    race->cv.wait(lock, settled);
+  }
+  if (!race->answer.has_value()) return race->error;
+  if (race->winner != replica) {
+    hedges_won_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::move(*race->answer);
+}
+
+std::optional<service::QueryResponse> Router::FetchShard(
+    size_t shard, const geom::Vec& query, const service::StreamOptions& limits,
+    const DeadlineBudget& budget) {
   // Pass 0 respects breakers; pass 1 retries the replicas pass 0
   // skipped for an open breaker — a breaker is advice about *ordering*,
   // and when the breaker-open replica is the last one standing, asking
   // it is strictly better than failing the shard.
   std::vector<size_t> deferred;
-  for (size_t r = 0; r < replica_count; ++r) {
-    if (GetReplicaState(open->shard, r) != ReplicaState::kHealthy) continue;
-    if (!breakers_[open->shard][r]->Allow(NowUs())) {
-      deferred.push_back(r);
-      continue;
-    }
-    std::unique_ptr<ShardFrontier> frontier =
-        OpenOnReplica(open->shard, r, open->consumed, query, open->limits,
-                      budget, replica_count - r);
-    if (frontier == nullptr) continue;
-    open->frontier = std::move(frontier);
-    open->replica = r;
-    return true;
-  }
-  for (size_t i = 0; i < deferred.size(); ++i) {
-    const size_t r = deferred[i];
-    if (GetReplicaState(open->shard, r) != ReplicaState::kHealthy) continue;
-    std::unique_ptr<ShardFrontier> frontier =
-        OpenOnReplica(open->shard, r, open->consumed, query, open->limits,
-                      budget, deferred.size() - i);
-    if (frontier == nullptr) continue;
-    open->frontier = std::move(frontier);
-    open->replica = r;
-    return true;
-  }
-  return false;
-}
-
-bool Router::CloseStream(OpenShard* open) {
-  if (open->frontier == nullptr) return true;
-  Status verdict = open->frontier->Finish();
-  if (verdict.ok()) {
-    open->degraded |= open->frontier->degraded();
-    open->truncated |= open->frontier->truncated();
-    open->pages_skipped += open->frontier->pages_skipped();
-  }
-  open->frontier.reset();
-  return verdict.ok();
-}
-
-/// Shared state of one primary-vs-sibling hedge race. The primary's
-/// pull runs on the hedge executor and publishes here; the caller
-/// either takes the result (reinstalling the frontier) or abandons the
-/// race after a hedge win. The frontier lives in the race so the last
-/// shared_ptr holder destroys it: for an abandoned remote frontier
-/// that closes the connection mid-stream — the cancellation.
-struct Router::HedgeRace {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::optional<Result<std::optional<gist::Neighbor>>> result;
-  std::unique_ptr<ShardFrontier> frontier;
-};
-
-Result<std::optional<gist::Neighbor>> Router::HedgedNext(
-    OpenShard* open, const geom::Vec& query, const DeadlineBudget& budget) {
-  const size_t shard = open->shard;
-  CircuitBreaker* breaker = breakers_[shard][open->replica].get();
-  if (!options_.hedge || shards_[shard].replicas.size() < 2) {
-    const uint64_t t0 = NowUs();
-    Result<std::optional<gist::Neighbor>> next = open->frontier->Next();
-    breaker->OnResult(next.ok(), NowUs() - t0, NowUs());
-    return next;
-  }
-
-  auto race = std::make_shared<HedgeRace>();
-  race->frontier = std::move(open->frontier);
-  PostHedgeTask([race, breaker] {
-    const uint64_t t0 = NowUs();
-    Result<std::optional<gist::Neighbor>> next = race->frontier->Next();
-    const uint64_t now = NowUs();
-    breaker->OnResult(next.ok(), now - t0, now);
-    std::lock_guard<std::mutex> lock(race->mu);
-    race->result.emplace(std::move(next));
-    race->done = true;
-    race->cv.notify_all();
-  });
-
-  // The hedge delay is the serving backend's own recent latency
-  // quantile (clamped), plus up to +25% jitter so a fleet's hedges
-  // against one browning server don't fire in lockstep.
-  uint64_t delay_us = breaker->HedgeDelayUs(
-      options_.hedge_quantile, options_.hedge_delay_floor_us,
-      options_.hedge_delay_cap_us, options_.hedge_delay_fallback_us);
-  delay_us += hedge_jitter_.NextBelow(delay_us / 4 + 1);
-
-  std::unique_lock<std::mutex> lock(race->mu);
-  if (race->cv.wait_for(lock, std::chrono::microseconds(delay_us),
-                        [&] { return race->done; })) {
-    open->frontier = std::move(race->frontier);
-    return std::move(*race->result);
-  }
-  lock.unlock();
-
-  // The primary is stalling: race a sibling, if time and breakers
-  // permit. The sibling opens the same stream and count-skips to the
-  // same position — sound because replicas are bit-identical, so its
-  // next result is byte-for-byte the one the primary owes us.
-  if (!budget.Exhausted(NowUs(), options_.budget_floor_us)) {
-    for (size_t r = 0; r < shards_[shard].replicas.size(); ++r) {
-      if (r == open->replica) continue;
+  for (int pass = 0; pass < 2; ++pass) {
+    const size_t candidates =
+        pass == 0 ? shards_[shard].replicas.size() : deferred.size();
+    for (size_t i = 0; i < candidates; ++i) {
+      const size_t r = pass == 0 ? i : deferred[i];
       if (GetReplicaState(shard, r) != ReplicaState::kHealthy) continue;
-      if (!breakers_[shard][r]->Allow(NowUs())) continue;
-      hedges_attempted_.fetch_add(1, std::memory_order_relaxed);
-      std::unique_ptr<ShardFrontier> sibling =
-          OpenOnReplica(shard, r, open->consumed, query, open->limits, budget,
-                        1);
-      if (sibling == nullptr) continue;  // marked dead; try another.
-      const uint64_t t0 = NowUs();
-      Result<std::optional<gist::Neighbor>> hedged = sibling->Next();
-      breakers_[shard][r]->OnResult(hedged.ok(), NowUs() - t0, NowUs());
-      if (hedged.ok()) {
-        bool primary_had_finished;
-        {
-          std::lock_guard<std::mutex> inner(race->mu);
-          primary_had_finished = race->done;
-        }
-        if (!primary_had_finished) {
-          hedges_won_.fetch_add(1, std::memory_order_relaxed);
-        }
-        // The sibling takes over the stream; the abandoned primary is
-        // cancelled when its in-flight pull returns and the race state
-        // (sole owner of its frontier) is destroyed.
-        open->frontier = std::move(sibling);
-        open->replica = r;
-        return hedged;
+      if (budget.Exhausted(NowUs(), options_.budget_floor_us)) {
+        budget_exhausted_.fetch_add(1, std::memory_order_relaxed);
+        return std::nullopt;
       }
-      SetReplicaState(shard, r, ReplicaState::kDead);
+      if (pass == 0 && !breakers_[shard][r]->Allow(NowUs())) {
+        deferred.push_back(r);
+        continue;
+      }
+      // Split the remaining deadline across the attempts that could
+      // still run instead of re-sending the client's full deadline per
+      // attempt (DESIGN.md §15's budget arithmetic). An unlimited
+      // budget slices to 0 = no deadline.
+      service::StreamOptions sliced = limits;
+      sliced.deadline_us = static_cast<double>(
+          budget.SliceUs(NowUs(), candidates - i, options_.budget_floor_us));
+      Result<service::QueryResponse> answer =
+          HedgedFetch(shard, r, query, sliced, budget);
+      if (answer.ok()) return std::move(*answer);
+      failovers_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-
-  // No sibling could take over: wait the primary out after all.
-  lock.lock();
-  race->cv.wait(lock, [&] { return race->done; });
-  open->frontier = std::move(race->frontier);
-  return std::move(*race->result);
+  return std::nullopt;
 }
 
-bool Router::PullNext(OpenShard* open, const geom::Vec& query,
-                      const DeadlineBudget& budget,
-                      std::optional<gist::Neighbor>* out) {
-  while (true) {
-    if (open->frontier == nullptr) {
-      if (!AcquireFrontier(open, query, budget)) return false;
-    }
-    Result<std::optional<gist::Neighbor>> next =
-        HedgedNext(open, query, budget);
-    if (next.ok()) {
-      if (next->has_value()) {
-        ++open->consumed;
-        *out = **next;
-        return true;
-      }
-      if (CloseStream(open)) {
-        out->reset();
-        return true;
-      }
-      // The terminal verdict was an error (shed, quota, transport):
-      // this replica failed the query even though the stream "ended".
-    }
-    SetReplicaState(open->shard, open->replica, ReplicaState::kDead);
-    open->frontier.reset();
-    if (!AcquireFrontier(open, query, budget)) return false;
-    failovers_.fetch_add(1, std::memory_order_relaxed);
+namespace {
+
+/// A shard with no live replica left: charges the fault budget (the
+/// answer becomes a flagged, genuine subset) or, once it is spent,
+/// fails the query.
+Status ChargeDeadShard(size_t shard, size_t fault_budget, size_t* dead_shards,
+                       service::QueryResponse* response) {
+  if (++*dead_shards > fault_budget) {
+    return Status::Unavailable(
+        "shard " + std::to_string(shard) +
+        " has no live replica and the fault budget (" +
+        std::to_string(fault_budget) + ") is exhausted");
   }
+  response->completeness = service::Completeness::kDegraded;
+  return Status::OK();
+}
+
+/// Sums one shard answer's degraded accounting into the merged answer.
+void FoldAccounting(const service::QueryResponse& part,
+                    service::QueryResponse* merged) {
+  merged->metrics.pages_skipped += part.metrics.pages_skipped;
+  merged->metrics.truncated |= part.metrics.truncated;
+  if (part.degraded()) merged->completeness = service::Completeness::kDegraded;
+}
+
+}  // namespace
+
+void Router::RecordQuery(const service::QueryResponse& response,
+                         size_t visited, size_t pruned, uint64_t start_us) {
+  if (response.degraded()) {
+    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
+  }
+  shards_visited_.fetch_add(visited, std::memory_order_relaxed);
+  shards_pruned_.fetch_add(pruned, std::memory_order_relaxed);
+  query_latency_.Record(NowUs() - start_us);
 }
 
 // ---------------------------------------------------------------------------
@@ -408,42 +373,31 @@ Result<service::QueryResponse> Router::Knn(
   queries_.fetch_add(1, std::memory_order_relaxed);
   const size_t k = stream.max_results;
   const uint64_t query_start_us = NowUs();
-  // The query's remaining-time ledger: every open/retry/hedge below
+  // The query's remaining-time ledger: every fetch and hedge below
   // draws a slice from it instead of re-sending the client's full
   // deadline (DESIGN.md §15).
   const DeadlineBudget budget(stream.deadline_us, query_start_us);
+  const std::vector<double> bound = RootBounds(query);
 
-  // Snapshot every shard's root bound once, under the shared side of
-  // the map lock: concurrent inserts may enlarge boxes mid-query, but a
-  // bound taken now is still admissible for everything the shard held
-  // when its frontier opens (boxes only grow).
-  std::vector<double> bound(shards_.size());
-  {
-    std::shared_lock<std::shared_mutex> lock(map_mutex_);
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      bound[s] = map_.RootBound(s, query);
-    }
-  }
-
-  // Global merge heap. Unopened shards are keyed by their root bound (a
-  // lower bound on anything they can stream); open shards by their
-  // head's exact distance. The top is therefore always <= every result
-  // any shard can still produce. Shards stream in (distance, rid) order
-  // (gist::NeighborLess), and so does the merge: at an equal key an
-  // unopened shard goes first, since it may hold a point at that
-  // distance with a smaller rid; then the head with the smaller rid;
-  // unopened shards among themselves by shard index.
+  // Global merge heap. Unfetched shards are keyed by their root bound
+  // (a lower bound on anything they can return); fetched shards by
+  // their next unmerged result's exact distance. The top is therefore
+  // always <= every result any shard can still produce. Shard answers
+  // are in (distance, rid) order (gist::NeighborLess), and so is the
+  // merge: at an equal key an unfetched shard goes first, since it may
+  // hold a point at that distance with a smaller rid; then the smaller
+  // rid; unfetched shards among themselves by shard index.
   struct HeapEntry {
     double key;
     size_t shard;
-    bool opened;
-    gist::Rid rid;  // the head's rid, when opened.
+    bool fetched;
+    gist::Rid rid;  // the next result's rid, when fetched.
   };
   struct HeapGreater {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
       if (a.key != b.key) return a.key > b.key;
-      if (a.opened != b.opened) return a.opened;
-      return a.opened ? a.rid > b.rid : a.shard > b.shard;
+      if (a.fetched != b.fetched) return a.fetched;
+      return a.fetched ? a.rid > b.rid : a.shard > b.shard;
     }
   };
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapGreater> heap;
@@ -454,101 +408,53 @@ Result<service::QueryResponse> Router::Knn(
     }
   }
 
-  std::vector<std::unique_ptr<OpenShard>> open(shards_.size());
+  std::vector<service::QueryResponse> answers(shards_.size());
+  std::vector<size_t> merged(shards_.size(), 0);  // taken from answers[s].
   service::QueryResponse response;
   size_t dead_shards = 0;
-  bool fleet_degraded = false;
   size_t visited = 0;
-
-  // A shard with no live replica left: charge the fault budget (the
-  // response becomes a flagged, genuine subset) or fail the query.
-  auto shard_died = [&](size_t s) -> Status {
-    ++dead_shards;
-    if (dead_shards > options_.fault_budget) {
-      return Status::Unavailable(
-          "shard " + std::to_string(s) +
-          " has no live replica and the fault budget (" +
-          std::to_string(options_.fault_budget) + ") is exhausted");
-    }
-    fleet_degraded = true;
-    return Status::OK();
-  };
 
   while (!heap.empty()) {
     const HeapEntry top = heap.top();
     // Termination: results are emitted in non-decreasing order, so once
     // k exist, every remaining heap key — root bounds of shards never
-    // opened included — is >= the k-th distance. Those shards are
+    // fetched included — is >= the k-th distance. Those shards are
     // provably irrelevant; they are counted pruned below.
     if (k > 0 && response.neighbors.size() >= k) break;
     if (top.key > stream.budget_radius) break;
     heap.pop();
 
-    if (!top.opened) {
-      auto os = std::make_unique<OpenShard>();
-      os->shard = top.shard;
+    const size_t s = top.shard;
+    if (top.fetched) {
+      response.neighbors.push_back(answers[s].neighbors[merged[s]++]);
+    } else {
       // After j merged results the merge can use at most k - j more.
-      os->limits = stream;
-      if (k > 0) os->limits.max_results = k - response.neighbors.size();
-      if (!AcquireFrontier(os.get(), query, budget)) {
-        BW_RETURN_IF_ERROR(shard_died(top.shard));
+      service::StreamOptions limits = stream;
+      if (k > 0) limits.max_results = k - response.neighbors.size();
+      std::optional<service::QueryResponse> answer =
+          FetchShard(s, query, limits, budget);
+      if (!answer.has_value()) {
+        BW_RETURN_IF_ERROR(ChargeDeadShard(s, options_.fault_budget,
+                                           &dead_shards, &response));
         continue;
       }
       ++visited;
-      std::optional<gist::Neighbor> head;
-      if (!PullNext(os.get(), query, budget, &head)) {
-        open[top.shard] = std::move(os);  // keep accounting folded so far.
-        BW_RETURN_IF_ERROR(shard_died(top.shard));
-        continue;
-      }
-      if (head.has_value()) {
-        os->head = *head;
-        heap.push(HeapEntry{head->distance, top.shard, true, head->rid});
-      }
-      open[top.shard] = std::move(os);
-    } else {
-      OpenShard* os = open[top.shard].get();
-      response.neighbors.push_back(os->head);
-      std::optional<gist::Neighbor> head;
-      if (!PullNext(os, query, budget, &head)) {
-        BW_RETURN_IF_ERROR(shard_died(top.shard));
-        continue;
-      }
-      if (head.has_value()) {
-        os->head = *head;
-        heap.push(HeapEntry{head->distance, top.shard, true, head->rid});
-      }
+      FoldAccounting(*answer, &response);
+      answers[s] = std::move(*answer);
+    }
+    if (merged[s] < answers[s].neighbors.size()) {
+      const gist::Neighbor& next = answers[s].neighbors[merged[s]];
+      heap.push(HeapEntry{next.distance, s, true, next.rid});
     }
   }
 
-  // Whatever is still unopened in the heap was pruned by the bound.
+  // Whatever is still unfetched in the heap was pruned by the bound.
   size_t pruned = 0;
   while (!heap.empty()) {
-    if (!heap.top().opened) ++pruned;
+    if (!heap.top().fetched) ++pruned;
     heap.pop();
   }
-
-  // Close streams cut short by early termination. The results already
-  // merged are exact regardless of the close verdict (each was the
-  // global minimum when emitted), so a close failure here only loses
-  // that shard's tail accounting.
-  for (std::unique_ptr<OpenShard>& os : open) {
-    if (os != nullptr) CloseStream(os.get());
-  }
-  for (const std::unique_ptr<OpenShard>& os : open) {
-    if (os == nullptr) continue;
-    response.metrics.pages_skipped += os->pages_skipped;
-    response.metrics.truncated |= os->truncated;
-    if (os->degraded) fleet_degraded = true;
-  }
-  if (fleet_degraded) {
-    response.completeness = service::Completeness::kDegraded;
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  shards_visited_.fetch_add(visited, std::memory_order_relaxed);
-  shards_pruned_.fetch_add(pruned, std::memory_order_relaxed);
-  query_latency_.Record(NowUs() - query_start_us);
+  RecordQuery(response, visited, pruned, query_start_us);
   return response;
 }
 
@@ -561,67 +467,40 @@ Result<service::QueryResponse> Router::Range(const geom::Vec& query,
                                              uint32_t deadline_us) {
   queries_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t query_start_us = NowUs();
-  std::vector<double> bound(shards_.size());
-  {
-    std::shared_lock<std::shared_mutex> lock(map_mutex_);
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      bound[s] = map_.RootBound(s, query);
-    }
-  }
+  const DeadlineBudget budget(deadline_us, query_start_us);
+  const std::vector<double> bound = RootBounds(query);
+  // With no count limit, the radius stream is exactly a shard's range
+  // answer (service::StreamOptions).
+  service::StreamOptions limits;
+  limits.budget_radius = radius;
 
   service::QueryResponse response;
   size_t dead_shards = 0;
-  bool fleet_degraded = false;
   size_t visited = 0;
   size_t pruned = 0;
-
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (bound[s] > radius) {
       // Nothing in the shard can be within the radius.
       if (bound[s] < std::numeric_limits<double>::infinity()) ++pruned;
       continue;
     }
-    bool answered = false;
-    for (size_t r = 0; r < shards_[s].replicas.size(); ++r) {
-      if (GetReplicaState(s, r) != ReplicaState::kHealthy) continue;
-      Result<service::QueryResponse> part =
-          shards_[s].replicas[r]->Range(query, radius, deadline_us);
-      if (!part.ok()) {
-        SetReplicaState(s, r, ReplicaState::kDead);
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      ++visited;
-      response.neighbors.insert(response.neighbors.end(),
-                                part->neighbors.begin(),
-                                part->neighbors.end());
-      response.metrics.pages_skipped += part->metrics.pages_skipped;
-      response.metrics.truncated |= part->metrics.truncated;
-      if (part->degraded()) fleet_degraded = true;
-      answered = true;
-      break;
+    std::optional<service::QueryResponse> answer =
+        FetchShard(s, query, limits, budget);
+    if (!answer.has_value()) {
+      BW_RETURN_IF_ERROR(ChargeDeadShard(s, options_.fault_budget,
+                                         &dead_shards, &response));
+      continue;
     }
-    if (!answered) {
-      ++dead_shards;
-      if (dead_shards > options_.fault_budget) {
-        return Status::Unavailable(
-            "shard " + std::to_string(s) +
-            " has no live replica and the fault budget (" +
-            std::to_string(options_.fault_budget) + ") is exhausted");
-      }
-      fleet_degraded = true;
-    }
+    ++visited;
+    FoldAccounting(*answer, &response);
+    response.neighbors.insert(response.neighbors.end(),
+                              answer->neighbors.begin(),
+                              answer->neighbors.end());
   }
 
   std::sort(response.neighbors.begin(), response.neighbors.end(),
             gist::NeighborLess);
-  if (fleet_degraded) {
-    response.completeness = service::Completeness::kDegraded;
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
-  shards_visited_.fetch_add(visited, std::memory_order_relaxed);
-  shards_pruned_.fetch_add(pruned, std::memory_order_relaxed);
-  query_latency_.Record(NowUs() - query_start_us);
+  RecordQuery(response, visited, pruned, query_start_us);
   return response;
 }
 
@@ -642,10 +521,10 @@ Result<service::MutationOutcome> Router::Insert(const geom::Vec& point,
   // lock: replicas stay bit-identical only if every one of them applies
   // the same mutations in the same order, and two routed writes racing
   // here could interleave differently on different replicas. A replica
-  // that misses the write while a sibling acks it has diverged:
-  // count-based failover skip is no longer sound against it, so it goes
-  // kStale — out of rotation until the catch-up driver streams it the
-  // suffix it missed and verifies bit-identity.
+  // that misses the write while a sibling acks it has diverged: its
+  // answers would lack an acked write, so it goes kStale — out of
+  // rotation until the catch-up driver streams it the suffix it missed
+  // and verifies bit-identity.
   std::lock_guard<std::mutex> write_lock(*write_locks_[owner]);
   std::optional<service::MutationOutcome> acked;
   Status last_error = Status::Unavailable("no live replica");

@@ -3,32 +3,31 @@
 // each with one or more bit-identical replicas.
 //
 // k-NN is a budgeted best-first merge (DESIGN.md §12). The router keeps
-// a global min-heap whose entries are either an *unopened* shard keyed
+// a global min-heap whose entries are either an *unfetched* shard keyed
 // by its root bound (ShardMap::RootBound — the Euclidean point-to-box
-// lower bound on everything the shard stores) or an *open* shard keyed
-// by its frontier head's exact distance. Popping the heap therefore
-// always yields the globally smallest candidate; results come out in
-// (distance, rid) order, exactly like a single index's KnnSearch (at an
-// equal key an unopened shard pops first, then the smaller head rid).
-// A shard opened after j results were merged is asked for at most
-// k - j of its own.
-// Shards are opened lazily: an unopened shard is only dialed
-// when its root bound reaches the top of the heap, and the query
-// terminates the moment k results exist — every remaining heap key
-// (bound or head) is then >= the k-th distance, so unopened shards are
-// provably irrelevant and are counted as pruned, never visited.
+// lower bound on everything the shard stores) or a *fetched* shard
+// keyed by the exact distance of its next unmerged result. Popping the
+// heap therefore always yields the globally smallest candidate; results
+// come out in (distance, rid) order, exactly like a single index's
+// KnnSearch (at an equal key an unfetched shard pops first, then the
+// smaller rid). A shard fetched after j results were merged is asked
+// for at most k - j of its own.
+// Shards are fetched lazily: an unfetched shard is only asked when its
+// root bound reaches the top of the heap, and the query terminates the
+// moment k results exist — every remaining heap key (bound or result)
+// is then >= the k-th distance, so unfetched shards are provably
+// irrelevant and are counted as pruned, never visited.
 //
-// Replica failover (the state machine in DESIGN.md §12): a replica that
-// fails a probe, an open, or a mid-stream Next is marked kDead; the
-// query re-opens the same stream on the next live replica and skips the
-// results it already consumed *by count* — replicas are bit-identical
-// (same slice, same build, mutations applied to all), so result N on
-// one replica is result N on another. kDead replicas return via a
-// successful health probe. A replica that fails a mutation which
-// another replica of the same shard acked is marked kStale instead:
-// its contents have diverged and count-skip is no longer sound. The
-// catch-up driver (CatchupNow / the catchup_interval thread) cures
-// kStale without an operator: it streams the missed WAL suffix from a
+// Replica failover (the state machine in DESIGN.md §12): a shard's
+// answer is fetched whole from one replica. A replica that fails a
+// probe or a fetch is marked kDead, and the query fetches the shard's
+// whole answer again from the next live replica, so the results a
+// shard contributes are always one replica's answer. kDead replicas
+// return via a successful health probe. A replica that fails a
+// mutation which another replica of the same shard acked is marked
+// kStale instead: its contents have diverged (it lacks an acked
+// write). The catch-up driver (CatchupNow / the catchup_interval
+// thread) cures kStale without an operator: it streams the missed WAL suffix from a
 // healthy sibling (or a full-store snapshot when the suffix was
 // retired past a checkpoint), verifies bit-identity with a
 // checksum-over-tree handshake, and only then flips the replica
@@ -55,6 +54,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -99,12 +99,11 @@ struct RouterOptions {
 
   // --- Tail tolerance (DESIGN.md §15) ------------------------------------
 
-  /// Hedged replica reads: when a streaming pull has stalled past the
-  /// serving backend's hedge delay — that backend's recent latency
-  /// quantile, clamped to [floor, cap] — the same stream is opened on
-  /// a sibling replica (count-skip replay, sound because replicas are
-  /// bit-identical) and the first responder wins; the loser is
-  /// cancelled. Only engages when a shard has >= 2 replicas.
+  /// Hedged replica reads: when a replica's fetch has stalled past its
+  /// hedge delay — that backend's recent latency quantile, clamped to
+  /// [floor, cap] — a sibling replica's whole fetch races it and the
+  /// first answer wins; the loser's answer is dropped when it arrives.
+  /// Only engages when a shard has >= 2 replicas.
   bool hedge = true;
   double hedge_quantile = 0.99;
   uint64_t hedge_delay_floor_us = 1'000;
@@ -128,7 +127,7 @@ struct RouterOptions {
 /// Replica lifecycle (see the failover state machine above).
 enum class ReplicaState : uint8_t {
   kHealthy,     // serving; preferred in replica order.
-  kDead,        // failed a probe/open/stream; probe can resurrect it.
+  kDead,        // failed a probe or fetch; probe can resurrect it.
   kStale,       // diverged on a write; waiting for WAL catch-up.
   kCatchingUp,  // catch-up driver is streaming the missed suffix.
 };
@@ -136,16 +135,16 @@ enum class ReplicaState : uint8_t {
 /// Router counters, all lifetime totals.
 struct RouterStats {
   uint64_t queries = 0;          // k-NN + range fan-outs executed.
-  uint64_t shards_visited = 0;   // frontiers actually opened.
-  uint64_t shards_pruned = 0;    // shards never opened (bound beat k-th).
-  uint64_t failovers = 0;        // replica handoffs mid-query.
+  uint64_t shards_visited = 0;   // shard answers fetched.
+  uint64_t shards_pruned = 0;    // shards never fetched (bound beat k-th).
+  uint64_t failovers = 0;        // failed replica fetches moved past.
   uint64_t degraded_queries = 0; // completed under the fault budget.
   uint64_t probes = 0;           // individual replica probes issued.
   uint64_t mutations = 0;        // inserts + removes routed.
   uint64_t catchups = 0;         // replicas readmitted kHealthy.
   uint64_t wal_batches_shipped = 0;   // batches applied to targets.
   uint64_t snapshots_shipped = 0;     // full-store transfers completed.
-  uint64_t hedges_attempted = 0;      // sibling streams raced.
+  uint64_t hedges_attempted = 0;      // sibling fetches raced.
   uint64_t hedges_won = 0;            // races the sibling answered first.
   uint64_t breaker_opens = 0;         // kClosed/kHalfOpen -> kOpen trips.
   uint64_t breaker_half_opens = 0;    // cooldown trials admitted.
@@ -176,7 +175,8 @@ class Router : public net::Backend {
       const geom::Vec& query, const service::StreamOptions& stream) override;
 
   /// Consistent-range fan-out to every shard whose root bound is within
-  /// the radius; merged results sorted by (distance, rid).
+  /// the radius, each fetched as the radius answer with no count limit;
+  /// merged results sorted by (distance, rid).
   Result<service::QueryResponse> Range(const geom::Vec& query, double radius,
                                        uint32_t deadline_us) override;
 
@@ -217,52 +217,42 @@ class Router : public net::Backend {
   size_t CatchupNow();
 
  private:
-  struct OpenShard;  // one shard's in-flight frontier state (router.cc).
-  struct HedgeRace;  // shared state of one primary-vs-sibling race.
+  struct FetchRace;  // shared state of one hedged fetch (router.cc).
 
   /// Steady clock in microseconds (the time base every tail-tolerance
   /// decision uses).
   static uint64_t NowUs();
 
-  /// Opens the shard's stream on one specific replica and replays the
-  /// count skip; records the open latency against the replica's
-  /// breaker and marks it kDead on failure. Returns nullptr on
-  /// failure; a frontier that exhausted during the skip (shorter
-  /// degraded replica) is still returned so the caller observes the
-  /// exhaustion.
-  std::unique_ptr<ShardFrontier> OpenOnReplica(
-      size_t shard, size_t replica, size_t consumed, const geom::Vec& query,
-      const service::StreamOptions& limits, const DeadlineBudget& budget,
-      size_t attempts_left);
+  /// Every shard's root bound for `query`, taken once under the shared
+  /// side of the map lock.
+  std::vector<double> RootBounds(const geom::Vec& query) const;
 
-  /// Opens the shard's stream on its first eligible live replica
-  /// (skipping open->consumed results — the count-based failover
-  /// skip); returns false when every replica is dead/stale or the
-  /// deadline budget cannot cover another attempt. Pass one respects
-  /// circuit breakers; a second pass ignores them so a breaker can
-  /// never manufacture unavailability.
-  bool AcquireFrontier(OpenShard* open, const geom::Vec& query,
-                       const DeadlineBudget& budget);
-  /// Next result from an open stream, failing over (re-open + count
-  /// skip) as needed; false when the shard died mid-query. nullopt in
-  /// *out means the shard's stream is cleanly exhausted (accounting
-  /// already folded).
-  bool PullNext(OpenShard* open, const geom::Vec& query,
-                const DeadlineBudget& budget,
-                std::optional<gist::Neighbor>* out);
-  /// One pull with hedging: the primary's Next() runs on the hedge
-  /// executor; if it stalls past the backend's hedge delay, the same
-  /// stream is opened on a sibling (count-skip) and the first usable
-  /// answer wins. On a hedge win the winning frontier replaces
-  /// open->frontier / open->replica and the abandoned primary is
-  /// cancelled when its pull returns (its frontier dies with the race
-  /// state, which closes a remote connection mid-stream).
-  Result<std::optional<gist::Neighbor>> HedgedNext(
-      OpenShard* open, const geom::Vec& query, const DeadlineBudget& budget);
-  /// Finishes the stream and folds its degraded accounting into the
-  /// OpenShard; returns false when the terminal verdict was an error
-  /// (the caller treats that as a replica failure).
-  bool CloseStream(OpenShard* open);
+  /// One shard's whole answer from its first replica that gives one.
+  /// Healthy replicas go in preference order; a first pass skips those
+  /// whose breaker is open and a last-resort pass asks them, so a
+  /// breaker never manufactures unavailability. Before every attempt
+  /// the deadline budget is checked and sliced. A failed fetch counts
+  /// a failover and moves on to the next replica. nullopt when no
+  /// replica answered or the budget ran out.
+  std::optional<service::QueryResponse> FetchShard(
+      size_t shard, const geom::Vec& query,
+      const service::StreamOptions& limits, const DeadlineBudget& budget);
+  /// One attempt on `replica`. With hedging, its fetch runs on the
+  /// hedge executor; once it has stalled past the backend's hedge
+  /// delay, a sibling's whole fetch races it and the first answer
+  /// wins. An error means every raced fetch failed.
+  Result<service::QueryResponse> HedgedFetch(
+      size_t shard, size_t replica, const geom::Vec& query,
+      const service::StreamOptions& limits, const DeadlineBudget& budget);
+  /// One replica's whole answer: its frontier opened, drained and
+  /// finished on the calling thread. Records one breaker sample and
+  /// marks the replica kDead on failure.
+  Result<service::QueryResponse> Fetch(size_t shard, size_t replica,
+                                       const geom::Vec& query,
+                                       const service::StreamOptions& limits);
+  /// Adds one finished fan-out to the query counters and latency.
+  void RecordQuery(const service::QueryResponse& response, size_t visited,
+                   size_t pruned, uint64_t start_us);
 
   void SetReplicaState(size_t shard, size_t replica, ReplicaState state);
   ReplicaState GetReplicaState(size_t shard, size_t replica) const;
@@ -288,8 +278,8 @@ class Router : public net::Backend {
   void ProbeLoop();
   void CatchupLoop();
 
-  /// Hedge executor: a grow-on-demand worker pool the hedged pulls run
-  /// on (a pull blocked in a browned-out backend must not pin the
+  /// Hedge executor: a grow-on-demand worker pool the hedged fetches
+  /// run on (a fetch blocked in a browned-out backend must not pin the
   /// dispatch thread, or the hedge could never start). Joined before
   /// the backends are destroyed.
   void PostHedgeTask(std::function<void()> task);

@@ -1,19 +1,17 @@
 // One replica of one shard, as the router sees it: a handle that can
-// open streaming best-first frontiers, execute range queries and
-// mutations, and answer a cheap health probe. Two implementations:
+// fetch the shard's best-first answer, execute range queries and
+// mutations, and answer a cheap health probe. Two implementations,
+// both of which open a frontier over an answer that is already whole:
 //
 //   LocalShardBackend  — an in-process QueryService (tests, bench, and
-//                        single-binary fleets). A frontier is the
-//                        shard's finished answer: one
+//                        single-binary fleets). The answer is one
 //                        QueryService::RunStream on the caller's thread,
 //                        which holds the shard's tree lock for that
 //                        search only.
 //   RemoteShardBackend — a bwserver endpoint over net::Client. The
-//                        server computes the answer whole; frontiers
-//                        consume its streamed kResultBatch frames
-//                        incrementally (Client::NextResult);
-//                        connections are pooled and reused only when a
-//                        stream was drained cleanly.
+//                        answer is one Client::Knn reply, which the
+//                        server computed whole; connections are pooled
+//                        and reused after every complete reply.
 //
 // Thread-safety: the router calls these from every server dispatch
 // thread concurrently. LocalShardBackend is safe because QueryService
@@ -40,24 +38,21 @@
 
 namespace bw::shard {
 
-/// A shard's best-first result stream in (distance, rid) order
-/// (gist::NeighborLess), one result per Next(), nullopt at the end. Degraded accounting is valid
-/// once the stream ended (for remote frontiers it arrives with the
-/// terminal frame, fetched by Finish()).
+/// One shard answer in (distance, rid) order (gist::NeighborLess), one
+/// result per Next(), nullopt at the end. The router drains it whole
+/// and then calls Finish(); degraded accounting is valid afterward.
 class ShardFrontier {
  public:
   virtual ~ShardFrontier() = default;
 
-  /// Next neighbor, nullopt when the stream is finished. An error
-  /// means the replica failed mid-stream (transport loss, fail-stop):
-  /// the caller fails over; this frontier is dead.
+  /// Next neighbor, nullopt at the end. An error means the replica
+  /// failed (transport loss, fail-stop): the router discards the
+  /// answer and fetches it again from another replica.
   virtual Result<std::optional<gist::Neighbor>> Next() = 0;
 
-  /// Completes the stream's accounting (drains remaining frames for a
-  /// remote frontier). Call once, after Next() returned nullopt or the
-  /// caller decided to stop consuming. Idempotent via the caller's
-  /// discipline; degraded()/pages_skipped()/truncated() are valid
-  /// afterward.
+  /// The answer's terminal verdict; an error fails the whole answer.
+  /// Call once, after Next() returned nullopt;
+  /// degraded()/pages_skipped()/truncated() are valid afterward.
   virtual Status Finish() = 0;
 
   virtual bool degraded() const = 0;
@@ -160,29 +155,29 @@ class LocalShardBackend : public ShardBackend {
                             bool last) override;
   Result<service::TreeSum> TreeChecksum() override;
 
-  /// Fault injection: while set, every call (and every open frontier's
-  /// Next) fails with Unavailable — an in-process fail-stop for the
-  /// failover tests and the chaos harness, no sockets needed.
+  /// Fault injection: while set, every call fails with Unavailable,
+  /// each fetch (OpenFrontier) included — an in-process fail-stop for
+  /// the failover tests and the chaos harness, no sockets needed.
   void set_failed(bool failed) {
-    failed_->store(failed, std::memory_order_relaxed);
+    failed_.store(failed, std::memory_order_relaxed);
   }
 
-  /// Brownout injection: while nonzero, every open frontier's Next
-  /// sleeps this long before answering — the replica stays alive and
+  /// Brownout injection: while nonzero, every fetch (OpenFrontier)
+  /// sleeps this long before it searches — the replica stays alive and
   /// correct, just slow, which is exactly the failure mode probes
-  /// cannot see and the hedge/breaker machinery exists for. Applies to
-  /// frontiers opened before or after the call (the delay is shared).
+  /// cannot see and the hedge/breaker machinery exists for.
   void set_delay_us(uint64_t delay_us) {
-    delay_us_->store(delay_us, std::memory_order_relaxed);
+    delay_us_.store(delay_us, std::memory_order_relaxed);
   }
 
  private:
+  /// Unavailable while set_failed(true) holds.
+  Status Alive() const;
+
   service::QueryService* service_;
   std::string name_;
-  std::shared_ptr<std::atomic<bool>> failed_ =
-      std::make_shared<std::atomic<bool>>(false);
-  std::shared_ptr<std::atomic<uint64_t>> delay_us_ =
-      std::make_shared<std::atomic<uint64_t>>(0);
+  std::atomic<bool> failed_{false};
+  std::atomic<uint64_t> delay_us_{0};
 };
 
 // ---------------------------------------------------------------------------
@@ -235,9 +230,6 @@ class RemoteShardBackend : public ShardBackend {
                             bool last) override;
   Result<service::TreeSum> TreeChecksum() override;
 
-  /// Results per streamed batch frame frontiers ask the server for.
-  void set_frontier_batch_size(uint32_t n) { frontier_batch_size_ = n; }
-
   /// Retry schedule for idempotent calls (see RetryPolicy). Set before
   /// handing the backend to the router.
   void set_retry_policy(RetryPolicy policy) {
@@ -246,12 +238,10 @@ class RemoteShardBackend : public ShardBackend {
   }
 
  private:
-  friend class RemoteFrontier;
-
   /// Pops an idle pooled connection or dials a fresh one.
   Result<std::unique_ptr<net::Client>> Acquire();
-  /// Returns a connection to the pool — only if it is idle (stream
-  /// fully drained, not poisoned); otherwise it just closes.
+  /// Returns a connection to the pool — only if it is idle (no reply
+  /// outstanding, not poisoned); otherwise it just closes.
   void Release(std::unique_ptr<net::Client> client);
 
   /// True for status codes worth another attempt (transport-shaped).
@@ -273,7 +263,6 @@ class RemoteShardBackend : public ShardBackend {
   std::string host_;
   uint16_t port_;
   net::ClientOptions client_options_;
-  uint32_t frontier_batch_size_ = 32;
   size_t max_idle_connections_;
   RetryPolicy retry_;
   JitterStream jitter_;

@@ -53,8 +53,6 @@ void CircuitBreaker::OnResult(bool ok, uint64_t latency_us, uint64_t now_us) {
         return;
       }
       consecutive_errors_ = 0;
-      // Buffered replays carry no streak evidence either way.
-      if (latency_us < options_.streak_floor_us) return;
       if (slow) {
         if (++consecutive_slow_ >= options_.slow_threshold) {
           TripLocked(now_us);

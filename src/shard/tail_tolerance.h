@@ -7,9 +7,9 @@
 //
 // The breaker's job is to stop a *sick-but-alive* replica from being
 // timed out on every query. The existing replica state machine only
-// knows fail-stop (kDead via probe/open/stream errors); a browned-out
-// replica answers probes fine and still serves every stream — just
-// 200ms per frame. The breaker watches both error and latency-outlier
+// knows fail-stop (kDead via probe or fetch errors); a browned-out
+// replica answers probes fine and still serves every fetch — just
+// 200ms late. The breaker watches both error and latency-outlier
 // signals and takes the replica out of the preference order:
 //
 //   kClosed    serving normally; consecutive errors or latency
@@ -55,14 +55,6 @@ struct BreakerOptions {
   /// Outlier detection arms only after this many recorded samples, so
   /// a cold tracker's meaningless p50 cannot trip the breaker.
   uint64_t min_samples = 16;
-  /// Successes faster than this are buffered replays, not wire
-  /// evidence: a remote frontier hands out an already-pulled batch in
-  /// microseconds, so between two browned wire pulls sit dozens of
-  /// "fast" results that say nothing about the backend. They still
-  /// feed the latency histogram but neither extend nor reset the
-  /// outlier streak (without this, a browned remote replica could
-  /// never accumulate slow_threshold consecutive outliers).
-  uint64_t streak_floor_us = 100;
   /// kOpen -> kHalfOpen trial delay.
   uint64_t cooldown_us = 1'000'000;
 };
@@ -79,7 +71,7 @@ class CircuitBreaker {
  public:
   explicit CircuitBreaker(BreakerOptions options) : options_(options) {}
 
-  /// Records a completed operation (open or pull) against this
+  /// Records a completed operation (one shard fetch) against this
   /// backend and advances the state machine.
   void OnResult(bool ok, uint64_t latency_us, uint64_t now_us);
 

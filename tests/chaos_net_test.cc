@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/durable_index.h"
+#include "core/index_factory.h"
 #include "net/chaos_proxy.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -419,10 +420,10 @@ TEST(ChaosRouterTest, HedgedReadsMaskABrownedReplicaBitIdentically) {
   proxy.Stop();
 }
 
-// A frontier on a wire replica asks for the whole answer when the
+// A fetch from a wire replica asks for the whole answer when the
 // router sets no count limit, or one past the wire's u32 k: the server
 // refuses k = 0, and a wrapped limit would cut the answer short.
-TEST(ChaosRouterTest, RemoteFrontierLimitsPastTheWireKServeEveryPoint) {
+TEST(ChaosRouterTest, RemoteShardLimitsPastTheWireKServeEveryPoint) {
   const auto points = testing::MakeClusteredPoints(300, kDim, 4, 73);
   WireReplica replica = MakeWireReplica(points, TempDir("limits") + "/a");
 
@@ -451,6 +452,31 @@ TEST(ChaosRouterTest, RemoteFrontierLimitsPastTheWireKServeEveryPoint) {
     }
     EXPECT_EQ(router.replica_state(0, 0), shard::ReplicaState::kHealthy);
   }
+}
+
+// A server's verdict is an answer, not a broken link: the backend keeps
+// the connection it came on. This server has no durable store, so it
+// refuses catch-up with NotSupported.
+TEST(ChaosRouterTest, RemoteShardKeepsItsConnectionAfterAVerdict) {
+  const auto points = testing::MakeClusteredPoints(200, kDim, 4, 79);
+  auto built = core::BuildIndex(points, TestBuild());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  service::QueryService service(std::move(*built), service::ServiceOptions());
+  Server server(&service, ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  shard::RemoteShardBackend backend("127.0.0.1", server.port(),
+                                    ChaosClientOptions());
+
+  for (int i = 0; i < 3; ++i) {
+    auto position = backend.CatchupPosition();
+    ASSERT_FALSE(position.ok());
+    EXPECT_EQ(position.status().code(), StatusCode::kNotSupported);
+  }
+  service::StreamOptions stream;
+  stream.max_results = 5;
+  auto frontier = backend.OpenFrontier(points[0], stream);
+  ASSERT_TRUE(frontier.ok()) << frontier.status().ToString();
+  EXPECT_EQ(server.stats().accepted, 1u);
 }
 
 }  // namespace

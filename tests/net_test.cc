@@ -649,41 +649,6 @@ TEST(NetEndToEnd, DeadlineExpiryMidStreamLeavesTheConnectionReusable) {
   }
 }
 
-TEST(NetEndToEnd, DeadlineExpiryDuringIncrementalStreamRetiresCleanly) {
-  NetHarness h;
-  auto client = h.Connect();
-
-  // Consume the doomed stream one result at a time — the shard
-  // router's frontier pattern — until the server's deadline cuts it.
-  QueryLimits limits;
-  limits.deadline_us = 1;
-  auto id = client->SubmitKnn(h.vectors[11], 400, limits);
-  ASSERT_TRUE(id.ok());
-  size_t consumed = 0;
-  while (true) {
-    auto next = client->NextResult(*id);
-    ASSERT_TRUE(next.ok()) << next.status().ToString();
-    if (!next->has_value()) break;
-    ++consumed;
-  }
-  auto fin = client->FinishQuery(*id);
-  ASSERT_TRUE(fin.ok()) << fin.status().ToString();
-  ASSERT_TRUE(fin->ok());
-  EXPECT_TRUE(fin->truncated);
-  EXPECT_TRUE(fin->neighbors.empty());  // everything was consumed above.
-  EXPECT_LT(consumed, 400u);
-
-  // The retired stream leaves nothing behind: a fresh full query on
-  // the same connection is complete and exact.
-  auto again = client->Knn(h.vectors[11], 400);
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  ASSERT_TRUE(again->ok());
-  EXPECT_FALSE(again->truncated);
-  ASSERT_EQ(again->neighbors.size(), 400u);
-  EXPECT_EQ(RidSet(again->neighbors),
-            RidSet(TruthKnn(*h.tree, h.vectors[11], 400)));
-}
-
 TEST(NetEndToEnd, StatsAndHealthCrossTheWire) {
   NetHarness h;
   auto client = h.Connect();
@@ -1279,11 +1244,9 @@ TEST(NetWritePath, NonFiniteCoordinatesAreInvalidAndKeepTheConnection) {
     streamed.batch_size = 1;
     auto id = (*client)->SubmitKnn(point, 50, streamed);
     ASSERT_TRUE(id.ok());
-    auto first = (*client)->NextResult(*id);
-    ASSERT_TRUE(first.ok()) << first.status().ToString();
-    EXPECT_FALSE(first->has_value()) << bad;
-    auto finished = (*client)->FinishQuery(*id);
+    auto finished = (*client)->AwaitQuery(*id);
     ASSERT_TRUE(finished.ok()) << finished.status().ToString();
+    EXPECT_TRUE(finished->neighbors.empty()) << bad;
     EXPECT_EQ(finished->wire_status, invalid) << bad;
 
     auto range = (*client)->Range(point, 0.5);

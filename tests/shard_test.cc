@@ -3,9 +3,10 @@
 // routing, and the scatter-gather router's headline contracts — k-NN
 // over N healthy shards bit-identical to a single unsharded index,
 // degraded accounting summed exactly across shards, deterministic
-// mid-stream replica failover with count-skip, fault-budget fail-closed
-// vs degraded answers, probe-driven recovery (dead resurrects, stale
-// never does), and routed mutations with stale-marking.
+// replica failover that fetches a shard's whole answer again, fault-
+// budget fail-closed vs degraded answers, probe-driven recovery (dead
+// resurrects, stale never does), and routed mutations with
+// stale-marking.
 
 #include <gtest/gtest.h>
 
@@ -319,9 +320,39 @@ TEST(RouterFaultTest, DegradedAccountingSumsAcrossShards) {
 // Mid-stream failover: deterministic fail-after-N replica
 // ---------------------------------------------------------------------------
 
+// A test double's base: every call goes to an in-process replica;
+// doubles override OpenFrontier.
+class DelegatingBackend : public ShardBackend {
+ public:
+  DelegatingBackend(service::QueryService* service, std::string name)
+      : delegate_(service, std::move(name)) {}
+
+  Result<std::unique_ptr<ShardFrontier>> OpenFrontier(
+      const geom::Vec& query, const StreamOptions& limits) override {
+    return delegate_.OpenFrontier(query, limits);
+  }
+  Result<service::QueryResponse> Range(const geom::Vec& query, double radius,
+                                       uint32_t deadline_us) override {
+    return delegate_.Range(query, radius, deadline_us);
+  }
+  Result<service::MutationOutcome> Insert(const geom::Vec& point,
+                                          uint64_t rid) override {
+    return delegate_.Insert(point, rid);
+  }
+  Result<service::MutationOutcome> Remove(const geom::Vec& point,
+                                          uint64_t rid) override {
+    return delegate_.Remove(point, rid);
+  }
+  Status Probe() override { return delegate_.Probe(); }
+  std::string DebugName() const override { return delegate_.DebugName(); }
+
+ protected:
+  LocalShardBackend delegate_;
+};
+
 // Fails every Next() after `fail_after` successful pulls, for every
 // frontier it ever opens — the deterministic stand-in for a replica
-// dying mid-stream.
+// dying while its answer is read.
 class FailAfterFrontier : public ShardFrontier {
  public:
   FailAfterFrontier(std::unique_ptr<ShardFrontier> inner, size_t fail_after)
@@ -344,10 +375,10 @@ class FailAfterFrontier : public ShardFrontier {
   size_t remaining_;
 };
 
-class FailAfterBackend : public ShardBackend {
+class FailAfterBackend : public DelegatingBackend {
  public:
   FailAfterBackend(service::QueryService* service, size_t fail_after)
-      : delegate_(service, "fail-after"), fail_after_(fail_after) {}
+      : DelegatingBackend(service, "fail-after"), fail_after_(fail_after) {}
 
   Result<std::unique_ptr<ShardFrontier>> OpenFrontier(
       const geom::Vec& query, const StreamOptions& limits) override {
@@ -356,23 +387,8 @@ class FailAfterBackend : public ShardBackend {
     return std::unique_ptr<ShardFrontier>(
         new FailAfterFrontier(std::move(inner), fail_after_));
   }
-  Result<service::QueryResponse> Range(const geom::Vec& query, double radius,
-                                       uint32_t deadline_us) override {
-    return delegate_.Range(query, radius, deadline_us);
-  }
-  Result<service::MutationOutcome> Insert(const geom::Vec& point,
-                                          uint64_t rid) override {
-    return delegate_.Insert(point, rid);
-  }
-  Result<service::MutationOutcome> Remove(const geom::Vec& point,
-                                          uint64_t rid) override {
-    return delegate_.Remove(point, rid);
-  }
-  Status Probe() override { return delegate_.Probe(); }
-  std::string DebugName() const override { return "fail-after"; }
 
  private:
-  LocalShardBackend delegate_;
   size_t fail_after_;
 };
 
@@ -426,38 +442,142 @@ TEST(RouterFaultTest, MidStreamFailoverIsBitIdentical) {
   EXPECT_EQ(router.replica_state(0, 1), ReplicaState::kHealthy);
 }
 
+// Takes its answer, then lets a write (`point` as `rid`) reach both
+// replicas, then dies after two results: the sibling's answer now
+// holds a write the dead replica's answer lacks.
+class WriteThenFailBackend : public DelegatingBackend {
+ public:
+  WriteThenFailBackend(std::vector<service::QueryService*> replicas,
+                       geom::Vec point, gist::Rid rid)
+      : DelegatingBackend(replicas[0], "write-then-fail"),
+        replicas_(std::move(replicas)),
+        point_(std::move(point)),
+        rid_(rid) {}
+
+  Result<std::unique_ptr<ShardFrontier>> OpenFrontier(
+      const geom::Vec& query, const StreamOptions& limits) override {
+    BW_ASSIGN_OR_RETURN(std::unique_ptr<ShardFrontier> inner,
+                        delegate_.OpenFrontier(query, limits));
+    for (service::QueryService* replica : replicas_) {
+      BW_ASSIGN_OR_RETURN(service::QueryService::MutationFuture write,
+                          replica->SubmitInsert(point_, rid_));
+      BW_RETURN_IF_ERROR(write.get().status());
+    }
+    return std::unique_ptr<ShardFrontier>(
+        new FailAfterFrontier(std::move(inner), 2));
+  }
+
+ private:
+  std::vector<service::QueryService*> replicas_;
+  geom::Vec point_;
+  gist::Rid rid_;
+};
+
+// A failover fetches the sibling's whole answer: the merged answer is
+// one replica's answer, never a splice of two taken at different
+// writes (which could repeat a rid and drop the acked insert).
+TEST(RouterFaultTest, FailoverAfterAWriteTakesOneReplicasAnswer) {
+  const auto corpus = testing::MakeClusteredPoints(120, kDim, 3, 41);
+  const Partition partition = PartitionByStr(corpus, 1);
+  const std::string dir = TempDir("write_failover");
+  service::ServiceOptions writable;
+  writable.write.enabled = true;
+  std::vector<std::unique_ptr<service::QueryService>> services;
+  for (const char* tag : {"a", "b"}) {
+    const std::string stem = dir + "/" + tag;
+    auto index = BuildShardIndex(partition.points[0], partition.rids[0],
+                                 TestBuild(), stem + ".idx", stem + ".wal");
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    services.push_back(
+        std::make_unique<service::QueryService>(std::move(*index), writable));
+  }
+  const geom::Vec& query = corpus[5];
+  constexpr gist::Rid kWritten = 1000000;
+  std::vector<Router::Shard> shards(1);
+  shards[0].replicas.push_back(std::make_unique<WriteThenFailBackend>(
+      std::vector<service::QueryService*>{services[0].get(),
+                                          services[1].get()},
+      query, kWritten));
+  shards[0].replicas.push_back(
+      std::make_unique<LocalShardBackend>(services[1].get(), "local:0/1"));
+  RouterOptions router_options;
+  router_options.hedge = false;
+  Router router(ShardMap(kDim, partition.bounds), std::move(shards),
+                router_options);
+
+  StreamOptions stream;
+  stream.max_results = 10;
+  auto merged = router.Knn(query, stream);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(router.stats().failovers, 1u);
+
+  const auto truth = TruthKnn(services[1]->tree(), query, 10);
+  ASSERT_EQ(merged->neighbors.size(), truth.size());
+  for (size_t i = 0; i < truth.size(); ++i) {
+    EXPECT_EQ(merged->neighbors[i].rid, truth[i].rid) << "position " << i;
+    EXPECT_EQ(merged->neighbors[i].distance, truth[i].distance);
+  }
+  const std::multiset<gist::Rid> rids = RidSet(merged->neighbors);
+  EXPECT_EQ(rids.count(kWritten), 1u);
+  EXPECT_EQ(std::set<gist::Rid>(rids.begin(), rids.end()).size(),
+            rids.size());
+}
+
+// A router range runs on the query's thread like a k-NN fetch: a shard
+// service whose admission queue is full still answers it, and the
+// replica is not marked dead for the service's load.
+TEST(RouterFaultTest, RangeThroughAFullShardQueueStaysHealthy) {
+  const auto corpus = testing::MakeClusteredPoints(300, kDim, 4, 151);
+  auto single = BuildSingleIndex(corpus);
+  ASSERT_NE(single, nullptr);
+  service::ServiceOptions held;
+  held.start_paused = true;
+  held.queue_capacity = 1;
+  auto fleet = BuildFleet(corpus, "fullqueue", 1, 1, RouterOptions(), held);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  Router* router = (*fleet)->router();
+  // The paused workers never take this query: it holds the one slot.
+  auto parked = (*fleet)->service(0, 0)->SubmitKnn(corpus[1], 5);
+  ASSERT_TRUE(parked.ok()) << parked.status().ToString();
+
+  StreamOptions stream;
+  stream.max_results = 5;
+  ASSERT_TRUE(router->Knn(corpus[0], stream).ok());
+  const double radius = 12.0;
+  auto merged = router->Range(corpus[0], radius, 0);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  gist::TraversalStats stats;
+  auto truth = single->tree().RangeSearch(corpus[0], radius, &stats);
+  ASSERT_TRUE(truth.ok());
+  ASSERT_GT(truth->size(), 1u);
+  ASSERT_EQ(merged->neighbors.size(), truth->size());
+  for (size_t i = 0; i < truth->size(); ++i) {
+    EXPECT_EQ(merged->neighbors[i].rid, (*truth)[i].rid);
+    EXPECT_EQ(merged->neighbors[i].distance, (*truth)[i].distance);
+  }
+  EXPECT_EQ(router->replica_state(0, 0), ReplicaState::kHealthy);
+
+  (*fleet)->service(0, 0)->Resume();
+  EXPECT_TRUE(parked->get().ok());
+}
+
 // ---------------------------------------------------------------------------
 // Per-shard limits: a shard opened after j merged results asks for k - j
 // ---------------------------------------------------------------------------
 
 // Records the count limit of every frontier it opens.
-class RecordingBackend : public ShardBackend {
+class RecordingBackend : public DelegatingBackend {
  public:
   RecordingBackend(service::QueryService* service, std::vector<size_t>* limits)
-      : delegate_(service, "recording"), limits_(limits) {}
+      : DelegatingBackend(service, "recording"), limits_(limits) {}
 
   Result<std::unique_ptr<ShardFrontier>> OpenFrontier(
       const geom::Vec& query, const StreamOptions& limits) override {
     limits_->push_back(limits.max_results);
     return delegate_.OpenFrontier(query, limits);
   }
-  Result<service::QueryResponse> Range(const geom::Vec& query, double radius,
-                                       uint32_t deadline_us) override {
-    return delegate_.Range(query, radius, deadline_us);
-  }
-  Result<service::MutationOutcome> Insert(const geom::Vec& point,
-                                          uint64_t rid) override {
-    return delegate_.Insert(point, rid);
-  }
-  Result<service::MutationOutcome> Remove(const geom::Vec& point,
-                                          uint64_t rid) override {
-    return delegate_.Remove(point, rid);
-  }
-  Status Probe() override { return delegate_.Probe(); }
-  std::string DebugName() const override { return "recording"; }
 
  private:
-  LocalShardBackend delegate_;
   std::vector<size_t>* limits_;
 };
 
@@ -691,7 +811,7 @@ TEST(RouterMutationTest, MissedWriteMarksReplicaStaleForever) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent mutations racing mid-stream failover
+// Concurrent mutations racing replica failover
 // ---------------------------------------------------------------------------
 
 // Writers stream inserts through the router while readers run k-NN
@@ -749,17 +869,21 @@ TEST(RouterMutationTest, ConcurrentMutationsRacingFailoverStayConsistent) {
         if (!merged.ok()) continue;  // transient flap; budget 0 may fail.
         // No ordering assert mid-race: the root bounds are taken when
         // the query starts, and an insert that lands in a shard before
-        // its frontier opens may lie below that shard's bound, so the
-        // merge can emit it out of order. Answers must still be
-        // genuine rids, never junk.
+        // its answer is fetched may lie below that shard's bound, so
+        // the merge can emit it out of order. Answers must still be
+        // genuine rids, never junk, and never one rid twice: every rid
+        // lives in one shard, and each shard's results are one
+        // replica's answer.
+        std::set<gist::Rid> seen;
         for (const gist::Neighbor& n : merged->neighbors) {
           EXPECT_LT(n.rid, corpus.size() + inserted.size());
+          EXPECT_TRUE(seen.insert(n.rid).second) << "rid " << n.rid;
         }
       }
     });
   }
 
-  // Kill one replica of each shard mid-stream, let writes land without
+  // Kill one replica of each shard mid-query, let writes land without
   // them (kStale via missed writes, kDead via failed streams), revive.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   (*fleet)->backend(0, 0)->set_failed(true);
@@ -867,31 +991,6 @@ TEST(CircuitBreakerTest, LatencyOutliersTripOpenOnlyOnceArmed) {
   EXPECT_EQ(breaker.opens(), 1u);
 }
 
-TEST(CircuitBreakerTest, BufferedReplaysAreStreakNeutral) {
-  // A remote frontier hands out already-pulled batch results in
-  // microseconds between two browned wire pulls. Those buffered
-  // replays say nothing about the backend: they must not reset the
-  // outlier streak (or a browned remote replica could never trip).
-  CircuitBreaker breaker(TestBreaker());
-  uint64_t now = 1'000'000;
-  for (int i = 0; i < 8; ++i) breaker.OnResult(true, 200, now += 10);
-  ASSERT_EQ(breaker.state(), BreakerState::kClosed);
-  breaker.OnResult(true, 50'000, now += 10);  // browned wire pull.
-  breaker.OnResult(true, 5, now += 10);       // buffered replay: neutral.
-  breaker.OnResult(true, 5, now += 10);
-  breaker.OnResult(true, 50'000, now += 10);  // next browned pull trips.
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_EQ(breaker.opens(), 1u);
-  // A genuine (>= streak_floor) fast wire operation still resets.
-  CircuitBreaker fresh(TestBreaker());
-  now = 1'000'000;
-  for (int i = 0; i < 8; ++i) fresh.OnResult(true, 200, now += 10);
-  fresh.OnResult(true, 50'000, now += 10);
-  fresh.OnResult(true, 200, now += 10);       // real fast pull: reset.
-  fresh.OnResult(true, 50'000, now += 10);
-  EXPECT_EQ(fresh.state(), BreakerState::kClosed);
-}
-
 TEST(CircuitBreakerTest, HalfOpenTrialClosesOnFastSuccess) {
   CircuitBreaker breaker(TestBreaker());
   uint64_t now = 1'000'000;
@@ -984,7 +1083,7 @@ TEST(RouterTailTest, HedgedReadBeatsBrownedReplicaBitIdentically) {
   Router* router = (*fleet)->router();
 
   // Replica 0 of every shard browns out: alive, correct, probe-visible
-  // — just 30ms per streamed result, far past the hedge delay.
+  // — just 30ms per fetch, far past the hedge delay.
   for (size_t s = 0; s < 2; ++s) {
     (*fleet)->backend(s, 0)->set_delay_us(30'000);
   }
@@ -1031,19 +1130,22 @@ TEST(RouterTailTest, BreakerOpensOnBrownoutThenRecovers) {
   StreamOptions stream;
   stream.max_results = 10;
   // Healthy warm-up: replica 0 (the preferred one) builds a fast
-  // latency history, arming the outlier detector.
-  for (int q = 0; q < 3; ++q) {
+  // latency history of one sample per fetch, arming the outlier
+  // detector.
+  for (uint64_t q = 0; q < router_options.breaker.min_samples; ++q) {
     auto warm = router->Knn(corpus[q], stream);
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   }
   ASSERT_EQ(router->breaker_state(0, 0), BreakerState::kClosed);
 
-  // Brownout: 20ms per streamed result. One query's pulls are >= 3
-  // consecutive outliers against the fast history — the breaker trips
-  // mid-stream, deterministically.
+  // Brownout: 20ms per fetch. Three browned queries are 3 consecutive
+  // outliers against the fast history — the breaker trips,
+  // deterministically.
   (*fleet)->backend(0, 0)->set_delay_us(20'000);
-  auto slow = router->Knn(corpus[0], stream);
-  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  for (uint32_t q = 0; q < router_options.breaker.slow_threshold; ++q) {
+    auto slow = router->Knn(corpus[q], stream);
+    ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  }
   EXPECT_EQ(router->breaker_state(0, 0), BreakerState::kOpen);
   EXPECT_GE(router->stats().breaker_opens, 1u);
 
@@ -1081,13 +1183,15 @@ TEST(RouterTailTest, OpenBreakerIsAdvisoryNeverUnavailability) {
 
   StreamOptions stream;
   stream.max_results = 10;
-  for (int q = 0; q < 3; ++q) {
+  for (uint64_t q = 0; q < router_options.breaker.min_samples; ++q) {
     auto warm = router->Knn(corpus[q], stream);
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   }
   (*fleet)->backend(0, 0)->set_delay_us(20'000);
-  auto slow = router->Knn(corpus[0], stream);
-  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  for (uint32_t q = 0; q < router_options.breaker.slow_threshold; ++q) {
+    auto slow = router->Knn(corpus[q], stream);
+    ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  }
   ASSERT_EQ(router->breaker_state(0, 0), BreakerState::kOpen);
 
   // Breaker open, no sibling, cooldown nowhere near over: the
@@ -1098,42 +1202,17 @@ TEST(RouterTailTest, OpenBreakerIsAdvisoryNeverUnavailability) {
   EXPECT_EQ(merged->neighbors.size(), 10u);
 }
 
-// A replica that is both slow (20ms per pull) and rigged to die after
-// two results: with a 30ms deadline the failover re-open cannot fit in
-// what is left, so the router degrades instead of re-scattering.
-class SlowFailBackend : public ShardBackend {
+// A replica that is both slow (40ms per fetch) and rigged to die after
+// two results: with a 30ms deadline its failed fetch spends the
+// budget, so the sibling's attempt cannot fit in what is left and the
+// router degrades instead of re-scattering.
+class SlowFailBackend : public FailAfterBackend {
  public:
   SlowFailBackend(service::QueryService* service, uint64_t delay_us,
                   size_t fail_after)
-      : delegate_(service, "slow-fail"), fail_after_(fail_after) {
+      : FailAfterBackend(service, fail_after) {
     delegate_.set_delay_us(delay_us);
   }
-
-  Result<std::unique_ptr<ShardFrontier>> OpenFrontier(
-      const geom::Vec& query, const StreamOptions& limits) override {
-    BW_ASSIGN_OR_RETURN(std::unique_ptr<ShardFrontier> inner,
-                        delegate_.OpenFrontier(query, limits));
-    return std::unique_ptr<ShardFrontier>(
-        new FailAfterFrontier(std::move(inner), fail_after_));
-  }
-  Result<service::QueryResponse> Range(const geom::Vec& query, double radius,
-                                       uint32_t deadline_us) override {
-    return delegate_.Range(query, radius, deadline_us);
-  }
-  Result<service::MutationOutcome> Insert(const geom::Vec& point,
-                                          uint64_t rid) override {
-    return delegate_.Insert(point, rid);
-  }
-  Result<service::MutationOutcome> Remove(const geom::Vec& point,
-                                          uint64_t rid) override {
-    return delegate_.Remove(point, rid);
-  }
-  Status Probe() override { return delegate_.Probe(); }
-  std::string DebugName() const override { return "slow-fail"; }
-
- private:
-  LocalShardBackend delegate_;
-  size_t fail_after_;
 };
 
 TEST(RouterTailTest, ExhaustedDeadlineBudgetDegradesInsteadOfRescattering) {
@@ -1155,10 +1234,12 @@ TEST(RouterTailTest, ExhaustedDeadlineBudgetDegradesInsteadOfRescattering) {
   std::vector<Router::Shard> shards(2);
   shards[0].replicas.push_back(
       std::make_unique<LocalShardBackend>(make_service(0, "a"), "local:0/0"));
-  // Shard 1's only replica burns 20ms per result and dies after two:
-  // by then a 30ms budget cannot cover the re-open.
+  // Shard 1's preferred replica burns 40ms per fetch and dies after two
+  // results: by then a 30ms budget cannot cover its sibling's fetch.
   shards[1].replicas.push_back(
-      std::make_unique<SlowFailBackend>(make_service(1, "a"), 20'000, 2));
+      std::make_unique<SlowFailBackend>(make_service(1, "a"), 40'000, 2));
+  shards[1].replicas.push_back(
+      std::make_unique<LocalShardBackend>(make_service(1, "b"), "local:1/1"));
   RouterOptions router_options;
   router_options.fault_budget = 1;  // degraded is allowed; failure is not.
   router_options.hedge = false;
@@ -1169,12 +1250,13 @@ TEST(RouterTailTest, ExhaustedDeadlineBudgetDegradesInsteadOfRescattering) {
   StreamOptions stream;
   stream.max_results = corpus.size();  // forces both shards open.
   stream.deadline_us = 30'000;
-  auto merged = router.Knn(partition.points[1][0], stream);
+  // Shard 0 is fetched first and answers; shard 1 degrades.
+  auto merged = router.Knn(partition.points[0][0], stream);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   EXPECT_TRUE(merged->degraded());
-  // A degraded partial answer, inside the deadline: whatever streamed
-  // before the budget ran out — genuine results, nothing invented, and
-  // necessarily not the full corpus.
+  // A degraded partial answer: what was fetched before the budget ran
+  // out — genuine results, nothing invented, and necessarily not the
+  // full corpus.
   EXPECT_GE(merged->neighbors.size(), 1u);
   EXPECT_LT(merged->neighbors.size(), corpus.size());
   for (const gist::Neighbor& n : merged->neighbors) {
