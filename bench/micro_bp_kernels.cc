@@ -11,8 +11,7 @@
 // one whole k-NN traversal (BM_KnnSearch: node scans, candidate upkeep
 // and frontier together) at k = 10 and k = 200.
 // `--json_out=PATH` additionally runs a self-timed scalar-vs-batched
-// comparison and writes entries/sec + speedups as a flat JSON object
-// (the committed BENCH_read_path.json record).
+// comparison and writes entries/sec + speedups as a flat JSON object.
 
 #include <benchmark/benchmark.h>
 

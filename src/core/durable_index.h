@@ -105,7 +105,8 @@ Result<std::unique_ptr<DurableIndex>> BuildDurableIndex(
 /// method recorded in the meta page (`options` supplies tuning values
 /// the meta page does not record, such as amap_samples and seed), and
 /// validates the tree. The returned index carries the recovery summary.
-/// Recovery ends with a checkpoint, so opening writes to both files.
+/// Recovery ends with a checkpoint when it replayed or discarded
+/// anything; opening a cleanly closed index writes to neither file.
 /// NotFound (and no file created) if the base file does not exist.
 Result<std::unique_ptr<DurableIndex>> OpenDurableIndex(
     const std::string& base_path, const std::string& wal_path,

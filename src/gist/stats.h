@@ -11,15 +11,20 @@
 
 namespace bw::gist {
 
-/// Page accesses of a single query, split by tree level.
-struct TraversalStats {
+/// Page accesses of a single query, split by tree level: the counts a
+/// served query reports.
+struct AccessCounts {
   uint64_t internal_accesses = 0;
   uint64_t leaf_accesses = 0;
-  /// Page ids of every node visited (each node at most once per query).
-  std::vector<pages::PageId> accessed_leaves;
-  std::vector<pages::PageId> accessed_internals;
 
   uint64_t TotalAccesses() const { return internal_accesses + leaf_accesses; }
+};
+
+/// The counts plus the page id of every node visited (each node at most
+/// once per query): what amdb's analyses and the node-set tests read.
+struct TraversalStats : AccessCounts {
+  std::vector<pages::PageId> accessed_leaves;
+  std::vector<pages::PageId> accessed_internals;
 
   void Clear() {
     internal_accesses = 0;

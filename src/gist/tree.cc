@@ -20,9 +20,9 @@ Result<pages::Page*> Tree::Fetch(pages::PageId id,
   return file_->Read(id);
 }
 
-Result<pages::Page*> Tree::VisitNode(pages::PageId id, TraversalStats* stats,
-                                     pages::PageReader* pool,
-                                     DegradedRead* degraded) const {
+Result<pages::Page*> Tree::Visit(pages::PageId id, AccessCounts* counts,
+                                 TraversalStats* ids, pages::PageReader* pool,
+                                 DegradedRead* degraded) const {
   auto fetched = Fetch(id, pool);
   if (!fetched.ok()) {
     // Degraded mode drops the subtree while the skip budget holds out.
@@ -33,22 +33,30 @@ Result<pages::Page*> Tree::VisitNode(pages::PageId id, TraversalStats* stats,
     degraded->skipped.push_back(id);
     return static_cast<pages::Page*>(nullptr);
   }
-  if (stats != nullptr) {
-    if (NodeView(fetched.value()).IsLeaf()) {
-      ++stats->leaf_accesses;
-      stats->accessed_leaves.push_back(id);
-    } else {
-      ++stats->internal_accesses;
-      stats->accessed_internals.push_back(id);
+  if (counts != nullptr) {
+    const bool leaf = NodeView(fetched.value()).IsLeaf();
+    ++(leaf ? counts->leaf_accesses : counts->internal_accesses);
+    if (ids != nullptr) {
+      (leaf ? ids->accessed_leaves : ids->accessed_internals).push_back(id);
     }
   }
   return fetched;
+}
+
+Result<pages::Page*> Tree::VisitNode(pages::PageId id, TraversalStats* stats,
+                                     pages::PageReader* pool,
+                                     DegradedRead* degraded) const {
+  return Visit(id, stats, stats, pool, degraded);
 }
 
 void Tree::InstallBulkLoaded(pages::PageId root, int height, uint64_t size) {
   root_ = root;
   height_ = height;
   size_ = size;
+}
+
+TreeVersion Tree::Version(uint64_t generation) const {
+  return TreeVersion{file_->page_table(), root_, height_, size_, generation};
 }
 
 // --------------------------------------------------------------------------
@@ -60,16 +68,36 @@ Result<std::vector<Neighbor>> Tree::RangeSearch(const geom::Vec& query,
                                                 TraversalStats* stats,
                                                 pages::PageReader* pool,
                                                 DegradedRead* degraded) const {
+  return RangeFrom(root_, query, radius, stats, stats, pool, degraded);
+}
+
+Result<std::vector<Neighbor>> Tree::RangeSearch(const TreeVersion& version,
+                                                const geom::Vec& query,
+                                                double radius,
+                                                AccessCounts* counts,
+                                                pages::PageReader* reader,
+                                                DegradedRead* degraded) const {
+  return RangeFrom(version.root, query, radius, counts, nullptr, reader,
+                   degraded);
+}
+
+Result<std::vector<Neighbor>> Tree::RangeFrom(pages::PageId root,
+                                              const geom::Vec& query,
+                                              double radius,
+                                              AccessCounts* counts,
+                                              TraversalStats* ids,
+                                              pages::PageReader* pool,
+                                              DegradedRead* degraded) const {
   std::vector<Neighbor> results;
-  if (empty()) return results;
+  if (root == pages::kInvalidPageId) return results;
 
   NodeScan scan;
-  std::vector<pages::PageId> todo = {root_};
+  std::vector<pages::PageId> todo = {root};
   while (!todo.empty()) {
     const pages::PageId id = todo.back();
     todo.pop_back();
     BW_ASSIGN_OR_RETURN(pages::Page * page,
-                        VisitNode(id, stats, pool, degraded));
+                        Visit(id, counts, ids, pool, degraded));
     if (page == nullptr) continue;  // skipped subtree (degraded mode).
     const NodeView node(page);
     if (node.IsLeaf()) {
@@ -99,7 +127,27 @@ Result<std::vector<Neighbor>> Tree::KnnSearch(const geom::Vec& query,
                                               DegradedRead* degraded,
                                               double radius,
                                               bool* truncated) const {
-  if (empty() || k == 0) return std::vector<Neighbor>();
+  return KnnFrom(root_, size_, query, k, stats, stats, pool, degraded, radius,
+                 truncated);
+}
+
+Result<std::vector<Neighbor>> Tree::KnnSearch(
+    const TreeVersion& version, const geom::Vec& query, size_t k,
+    AccessCounts* counts, pages::PageReader* reader, DegradedRead* degraded,
+    double radius, bool* truncated) const {
+  return KnnFrom(version.root, version.size, query, k, counts, nullptr,
+                 reader, degraded, radius, truncated);
+}
+
+Result<std::vector<Neighbor>> Tree::KnnFrom(pages::PageId root, uint64_t size,
+                                            const geom::Vec& query, size_t k,
+                                            AccessCounts* counts,
+                                            TraversalStats* ids,
+                                            pages::PageReader* pool,
+                                            DegradedRead* degraded,
+                                            double radius,
+                                            bool* truncated) const {
+  if (root == pages::kInvalidPageId || k == 0) return std::vector<Neighbor>();
 
   // Unexpanded nodes, a min-heap by (bound, page id).
   struct NodeBound {
@@ -109,11 +157,11 @@ Result<std::vector<Neighbor>> Tree::KnnSearch(const geom::Vec& query,
   const auto later = [](const NodeBound& a, const NodeBound& b) {
     return a.bound != b.bound ? a.bound > b.bound : a.page > b.page;
   };
-  std::vector<NodeBound> frontier = {{0.0, root_}};
+  std::vector<NodeBound> frontier = {{0.0, root}};
   TopK candidates(k);
   // A k of at least the tree's size sets no count limit, and the answer
   // (say, a radius's) may be far smaller than the tree: let it grow.
-  if (k < size_) candidates.reserve(k);
+  if (k < size) candidates.reserve(k);
   NodeScan scan;
   // Nothing beyond the k-th candidate or the radius can be returned.
   const auto prune_bound = [&] { return std::min(radius, candidates.Bound()); };
@@ -136,7 +184,8 @@ Result<std::vector<Neighbor>> Tree::KnnSearch(const geom::Vec& query,
     const NodeBound next = frontier.back();
     frontier.pop_back();
 
-    Result<pages::Page*> visited = VisitNode(next.page, stats, pool, degraded);
+    Result<pages::Page*> visited =
+        Visit(next.page, counts, ids, pool, degraded);
     if (!visited.ok()) {
       if (truncated == nullptr ||
           visited.status().code() != StatusCode::kAborted) {

@@ -31,6 +31,22 @@ inline bool NeighborLess(const Neighbor& a, const Neighbor& b) {
   return a.distance != b.distance ? a.distance < b.distance : a.rid < b.rid;
 }
 
+/// An immutable published state of a tree: a copy of its store's page
+/// table (shared ownership of every page it reaches) plus the root,
+/// height and size those pages describe, and the generation that
+/// published it. The store copies a page before its mutator writes it
+/// (pages/page_store.h), so nothing a version holds ever changes, and a
+/// reader that pins one may search it while the tree moves on. A version
+/// holds no other version: releasing one frees only the pages no newer
+/// table holds.
+struct TreeVersion {
+  pages::PageTable pages;
+  pages::PageId root = pages::kInvalidPageId;
+  int height = 0;
+  uint64_t size = 0;
+  uint64_t generation = 0;
+};
+
 /// Tree construction options.
 struct TreeOptions {
   /// Minimum fill fraction enforced by splits and deletes.
@@ -94,16 +110,15 @@ inline bool IsDegradableReadError(const Status& status) {
 /// I/O accounting in the attached reader or the PageStore, both shared.
 /// All other search state (node frontier, candidates, scan scratch) is
 /// local to the call: no search keeps static or thread-local scratch.
-/// Concurrent searches over one tree are
-/// therefore safe if and only if every caller passes its own per-call
-/// PageReader (a pages::ResidentReader, which reads the resident store
-/// through its const PeekNoIo path) via the `pool` parameter, which
-/// overrides both the attached reader and the direct PageStore::Read
-/// path. Insert/Delete and set_buffer_pool require exclusive access.
-/// Extension consistency methods (BpMinDistance and its batch variants,
-/// BpConsistentRange, DecodePoint) are const and draw nothing from the
-/// extension Rng (the Rng feeds only the non-const build-side methods),
-/// so one Extension instance safely serves concurrent readers.
+/// Served searches run over a pinned TreeVersion (the version overloads
+/// of KnnSearch and RangeSearch), each with its own pages::ResidentReader
+/// over the version's page table: they read neither the tree's root nor
+/// the store's table, so any number of them run beside one mutator
+/// thread in Insert/Delete. Extension consistency methods (BpMinDistance
+/// and its batch variants, BpConsistentRange, DecodePoint) are const,
+/// draw nothing from the extension Rng and read nothing the build-side
+/// methods write, so one Extension instance serves concurrent readers
+/// while the mutator builds predicates.
 class Tree {
  public:
   Tree(pages::PageStore* file, std::unique_ptr<Extension> extension,
@@ -193,6 +208,25 @@ class Tree {
       double radius = std::numeric_limits<double>::infinity(),
       bool* truncated = nullptr) const;
 
+  /// The served searches: RangeSearch and KnnSearch over a pinned
+  /// `version`, from its root and size, reading every node through
+  /// `reader` (a pages::ResidentReader over version.pages). They count
+  /// node visits in `counts` without recording page ids; otherwise they
+  /// are the searches above, node for node and result for result.
+  Result<std::vector<Neighbor>> RangeSearch(const TreeVersion& version,
+                                            const geom::Vec& query,
+                                            double radius,
+                                            AccessCounts* counts,
+                                            pages::PageReader* reader,
+                                            DegradedRead* degraded =
+                                                nullptr) const;
+  Result<std::vector<Neighbor>> KnnSearch(
+      const TreeVersion& version, const geom::Vec& query, size_t k,
+      AccessCounts* counts, pages::PageReader* reader,
+      DegradedRead* degraded = nullptr,
+      double radius = std::numeric_limits<double>::infinity(),
+      bool* truncated = nullptr) const;
+
   /// Depth-first branch-and-bound k-NN (Roussopoulos/Kelley/Vincent
   /// style): children are visited in MinDistance order and pruned
   /// against the current k-th best candidate. Returns exactly what
@@ -212,6 +246,10 @@ class Tree {
 
   /// Installs a pre-built structure (used by the STR bulk loader).
   void InstallBulkLoaded(pages::PageId root, int height, uint64_t size);
+
+  /// The tree as it stands, as a version readers can pin: a copy of the
+  /// store's page table plus root, height and size. Mutator thread only.
+  TreeVersion Version(uint64_t generation) const;
 
   // --- Introspection ------------------------------------------------------
 
@@ -257,6 +295,30 @@ class Tree {
   /// pool, else a counted PageStore read.
   Result<pages::Page*> Fetch(pages::PageId id,
                              pages::PageReader* pool = nullptr) const;
+
+  /// VisitNode for both kinds of caller: counts the visit in `counts`
+  /// and, when `ids` is set (the TraversalStats overloads pass the same
+  /// object twice), records the page id too.
+  Result<pages::Page*> Visit(pages::PageId id, AccessCounts* counts,
+                             TraversalStats* ids, pages::PageReader* pool,
+                             DegradedRead* degraded) const;
+
+  /// The searches' bodies, from an explicit root (and size). One body
+  /// serves both kinds of caller, so the compiler sees one copy of the
+  /// hot loop.
+  Result<std::vector<Neighbor>> RangeFrom(pages::PageId root,
+                                          const geom::Vec& query,
+                                          double radius, AccessCounts* counts,
+                                          TraversalStats* ids,
+                                          pages::PageReader* pool,
+                                          DegradedRead* degraded) const;
+  Result<std::vector<Neighbor>> KnnFrom(pages::PageId root, uint64_t size,
+                                        const geom::Vec& query, size_t k,
+                                        AccessCounts* counts,
+                                        TraversalStats* ids,
+                                        pages::PageReader* pool,
+                                        DegradedRead* degraded, double radius,
+                                        bool* truncated) const;
 
   /// Descends to the level-0 leaf with the minimum insertion penalty,
   /// recording the path (root first).

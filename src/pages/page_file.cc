@@ -54,7 +54,7 @@ struct PeekerScope {
 
 PageId PageFile::Allocate() {
   BW_PAGEFILE_MUTATOR_SCOPE();
-  pages_.push_back(std::make_unique<Page>(page_size_));
+  pages_.push_back(std::make_shared<Page>(page_size_));
   return static_cast<PageId>(pages_.size() - 1);
 }
 
@@ -82,6 +82,10 @@ Result<Page*> PageFile::Write(PageId id) {
   BW_PAGEFILE_MUTATOR_SCOPE();
   BW_RETURN_IF_ERROR(CheckId(id));
   ++stats_.writes;
+  // Copy-on-write: a page another table holds is replaced, never changed.
+  if (pages_[id].use_count() > 1) {
+    pages_[id] = std::make_shared<Page>(*pages_[id]);
+  }
   return pages_[id].get();
 }
 

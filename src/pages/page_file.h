@@ -16,26 +16,24 @@
 
 namespace bw::pages {
 
-/// The in-memory PageStore: a growable array of Pages owned by the file,
-/// with read accounting. This is the experiment/bench substrate; the
-/// durable, file-backed implementation is storage::DiskPageFile.
+/// The in-memory PageStore: a growable table of Pages in shared
+/// ownership, with read accounting. This is the experiment/bench
+/// substrate; the durable, file-backed implementation is
+/// storage::DiskPageFile.
 ///
-/// Thread-safety contract (audited for the concurrent query service):
-///  - Read() and Write() mutate the shared IoStats counters and the
-///    sequential-read tracker, so they are single-threaded — they belong
-///    to the build/bench path, never to concurrent query execution.
-///  - PeekNoIo() is a pure read and safe from any number of threads,
-///    provided no thread calls Allocate() concurrently (Allocate may
-///    grow the page table; page contents themselves never move).
-///  - Concurrent readers therefore go through pages::ResidentReader,
-///    which serves every fetch via PeekNoIo and counts it in the
+/// Thread-safety contract (the one in page_store.h):
+///  - Read(), Write(), Allocate() and PeekNoIo() belong to the one
+///    mutator thread: Read() mutates the shared IoStats counters and the
+///    sequential-read tracker, Write() may replace a shared page with its
+///    copy, and Allocate() may grow the table.
+///  - Concurrent readers read a pinned version's copy of the table
+///    through pages::ResidentReader, which counts each fetch in the
 ///    reader's own BufferStats, never in the shared IoStats.
 ///
-/// Debug builds enforce the contract with atomic occupancy counters:
-/// a mutating call (Read/Write/Allocate) overlapping another mutating
-/// call or an in-flight PeekNoIo aborts with a CHECK failure instead of
-/// silently racing. The counters compile out under NDEBUG, keeping the
-/// serving hot path free of shared writes.
+/// Debug builds enforce the mutator's side with atomic occupancy
+/// counters: a mutating call (Read/Write/Allocate) overlapping another
+/// mutating call or an in-flight PeekNoIo aborts with a CHECK failure
+/// instead of silently racing. The counters compile out under NDEBUG.
 class PageFile final : public PageStore {
  public:
   explicit PageFile(size_t page_size = kDefaultPageSize)
@@ -51,11 +49,11 @@ class PageFile final : public PageStore {
   Result<Page*> Read(PageId id) override;
   Result<Page*> Write(PageId id) override;
 
-  /// Access without I/O accounting (for validation, debugging tools, and
-  /// the concurrent read path, which must not perturb the measured
-  /// workload).
+  /// Access without I/O accounting (validation and debugging tools,
+  /// which must not perturb the measured workload).
   Page* PeekNoIo(PageId id) override;
   const Page* PeekNoIo(PageId id) const override;
+  const PageTable& page_table() const override { return pages_; }
 
   const IoStats& stats() const override { return stats_; }
   void ResetStats() override {
@@ -74,7 +72,7 @@ class PageFile final : public PageStore {
 #endif
 
   size_t page_size_;
-  std::vector<std::unique_ptr<Page>> pages_;
+  PageTable pages_;
   IoStats stats_;
   PageId last_read_ = kInvalidPageId;
 };

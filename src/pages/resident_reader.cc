@@ -4,8 +4,10 @@
 
 namespace bw::pages {
 
-ResidentReader::ResidentReader(const PageStore* store) : store_(store) {
+ResidentReader::ResidentReader(const PageStore* store, const PageTable* table)
+    : store_(store), table_(table) {
   BW_CHECK(store != nullptr);
+  BW_CHECK(table != nullptr);
 }
 
 Result<Page*> ResidentReader::Fetch(PageId id) {
@@ -14,12 +16,11 @@ Result<Page*> ResidentReader::Fetch(PageId id) {
     return Status::Aborted("query deadline expired before a page fetch");
   }
   BW_RETURN_IF_ERROR(store_->ReadHealth(id));
-  if (id >= store_->page_count()) {
+  if (id >= table_->size()) {
     return Status::InvalidArgument("page id out of range");
   }
   ++stats_.hits;
-  // PageReader hands out Page*, but the traversal only reads through it.
-  return const_cast<Page*>(store_->PeekNoIo(id));
+  return (*table_)[id].get();
 }
 
 }  // namespace bw::pages

@@ -77,6 +77,7 @@ void QueryService::Start() {
   BW_CHECK_GE(options_.queue_capacity, 1u);
   paused_ = options_.start_paused;
   start_time_ = Clock::now();
+  Publish();
 
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
@@ -179,12 +180,6 @@ Status QueryService::CheckTask(const Task& task) {
 
 Result<QueryService::ResponseFuture> QueryService::Submit(Task task) {
   BW_RETURN_IF_ERROR(CheckTask(task));
-  if (snapshot_restoring_.load(std::memory_order_acquire)) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Unavailable(
-        "replica is restoring from a snapshot; queries shed until the "
-        "restore commits");
-  }
   std::unique_lock<std::mutex> lock(mutex_);
   if (shutdown_) {
     return Status::Unavailable("query service is shut down");
@@ -360,12 +355,34 @@ void QueryService::MirrorWalStats() {
   wal_live_bytes_.store(wal->live_bytes(), std::memory_order_relaxed);
 }
 
-void QueryService::ApplyBatch(std::vector<Mutation>* todo) {
-  const Clock::time_point picked = Clock::now();
+std::shared_ptr<const gist::TreeVersion> QueryService::Pin() const {
+  std::lock_guard<std::mutex> lock(version_mutex_);
+  return version_;
+}
+
+void QueryService::Publish() {
+  // Publishers take turns (apply_mutex_, or Start before any thread), so
+  // this unlocked read of version_ races only other reads.
+  const uint64_t generation =
+      version_ == nullptr ? 0 : version_->generation + 1;
+  std::shared_ptr<const gist::TreeVersion> next =
+      std::make_shared<const gist::TreeVersion>(tree_->Version(generation));
   {
-    // Exclusive side: readers are out for the duration of the whole
-    // batch, so no query ever observes some-but-not-all of it.
-    std::unique_lock<std::shared_mutex> exclusive(tree_mutex_);
+    std::lock_guard<std::mutex> lock(version_mutex_);
+    version_.swap(next);
+  }
+  // `next` now holds the prior version: it goes here or with its last
+  // reader, freeing the pages no newer table holds.
+}
+
+Status QueryService::ApplyBatch(std::vector<Mutation>* todo) {
+  const Clock::time_point picked = Clock::now();
+  Status meta;
+  {
+    // Copy-on-write into the tree's pages, then one publication: no
+    // query ever observes some-but-not-all of the batch, and none waits
+    // for it.
+    std::lock_guard<std::mutex> apply_lock(apply_mutex_);
     const Clock::time_point start = Clock::now();
     gist::Tree& tree = mutable_durable_->tree();
     for (Mutation& m : *todo) {
@@ -376,13 +393,17 @@ void QueryService::ApplyBatch(std::vector<Mutation>* todo) {
                            ? tree.Insert(m.point, m.rid)
                            : tree.Delete(m.point, m.rid);
     }
+    // The meta page is published with the pages it describes, so a
+    // version holds exactly the pages the batch's commit logs.
+    meta = core::WriteTreeMeta(&mutable_durable_->store(), tree);
+    if (meta.ok()) Publish();
     const double apply_us = MicrosSince(start);
     for (Mutation& m : *todo) m.apply_us = apply_us;
-    generation_.fetch_add(1, std::memory_order_release);
   }
   std::lock_guard<std::mutex> lock(write_mutex_);
   for (Mutation& m : *todo) pending_.push_back(std::move(m));
   todo->clear();
+  return meta;
 }
 
 Status QueryService::CommitPendingBatch() {
@@ -392,19 +413,19 @@ Status QueryService::CommitPendingBatch() {
     if (pending_.empty()) return Status::OK();
     batch_size = pending_.size();
   }
-  // The commit runs with no tree lock held: the writer (this thread) is
-  // the only mutator, so the pages it encodes are quiescent, and
-  // readers overlap the fsync instead of stalling behind it. The tag is
-  // the cumulative mutation count, so it lands on the same value on
-  // every replica that applied the same writes regardless of how those
-  // writes were grouped into batches — the property replica catch-up
-  // compares positions with. A retried batch recomputes the identical
-  // tag (last_commit_tag only advances on durable commits).
+  // The batch is already published, so readers overlap the fsync; the
+  // writer (this thread) is the only mutator, so the pages it encodes
+  // are quiescent. The tag is the cumulative mutation count, so it lands
+  // on the same value on every replica that applied the same writes
+  // regardless of how those writes were grouped into batches — the
+  // property replica catch-up compares positions with. A retried batch
+  // recomputes the identical tag (last_commit_tag only advances on
+  // durable commits).
   uint64_t tag = 0;
   {
     std::lock_guard<std::mutex> commit_lock(commit_mutex_);
     tag = mutable_durable_->store().last_commit_tag() + batch_size;
-    BW_RETURN_IF_ERROR(mutable_durable_->Commit(tag));
+    BW_RETURN_IF_ERROR(mutable_durable_->store().CommitBatch(tag));
     MirrorWalStats();
   }
   std::vector<Mutation> batch;
@@ -566,8 +587,8 @@ void QueryService::WriterLoop() {
       continue;
     }
 
-    ApplyBatch(&todo);
-    const Status committed = CommitPendingBatch();
+    const Status applied = ApplyBatch(&todo);
+    const Status committed = applied.ok() ? CommitPendingBatch() : applied;
     {
       // Whatever the verdict, the batch now lives somewhere visible: in
       // the log (committed) or back in pending_ (retryable failure).
@@ -614,20 +635,9 @@ void QueryService::WorkerLoop() {
 }
 
 QueryService::Response QueryService::Run(Task& task) {
-  // Shared side of the write path's batch lock: queries never run
-  // while a mutation batch is mid-apply, so every answer reflects a
-  // whole number of batches (a consistent generation).
-  Response response = [&]() -> Response {
-    std::shared_lock<std::shared_mutex> read_lock(tree_mutex_);
-    if (snapshot_restoring_.load(std::memory_order_acquire)) {
-      // The tree is torn between snapshot chunks; a traversal now
-      // would walk pages from two different trees.
-      return Status::Unavailable(
-          "replica is restoring from a snapshot; queries shed until "
-          "the restore commits");
-    }
-    return Execute(task);
-  }();
+  // The version current at the start, pinned for the whole search: the
+  // answer reflects a whole number of batches, and no write waits for it.
+  Response response = Execute(task, *Pin());
 
   // Aggregate into the shared counters (relaxed: monitoring only).
   if (response.ok()) {
@@ -651,11 +661,12 @@ QueryService::Response QueryService::Run(Task& task) {
   return response;
 }
 
-QueryService::Response QueryService::Execute(Task& task) {
-  // A reader per query: its counters are this query's, and its deadline
-  // dies with it.
-  pages::ResidentReader reader(tree_->file());
-  gist::TraversalStats traversal;
+QueryService::Response QueryService::Execute(
+    Task& task, const gist::TreeVersion& version) {
+  // A reader per query over the pinned version's pages: its counters are
+  // this query's, and its deadline dies with it.
+  pages::ResidentReader reader(tree_->file(), &version.pages);
+  gist::AccessCounts traversal;
   // Per-query fault budget: how many unreadable subtrees this query may
   // absorb before failing. With budget 0 the first fault wins.
   gist::DegradedRead degraded;
@@ -665,7 +676,7 @@ QueryService::Response QueryService::Execute(Task& task) {
   QueryResponse response;
   if (task.kind == Kind::kRange) {
     BW_ASSIGN_OR_RETURN(response.neighbors,
-                        tree_->RangeSearch(task.query, task.radius,
+                        tree_->RangeSearch(version, task.query, task.radius,
                                            &traversal, &reader, &degraded));
   } else {
     const StreamOptions& limits = task.stream;
@@ -680,8 +691,9 @@ QueryService::Response QueryService::Execute(Task& task) {
                          : std::numeric_limits<size_t>::max();
     BW_ASSIGN_OR_RETURN(
         response.neighbors,
-        tree_->KnnSearch(task.query, k, &traversal, &reader, &degraded,
-                         limits.budget_radius, &response.metrics.truncated));
+        tree_->KnnSearch(version, task.query, k, &traversal, &reader,
+                         &degraded, limits.budget_radius,
+                         &response.metrics.truncated));
   }
 
   response.metrics.latency_us = MicrosSince(start);
@@ -711,6 +723,18 @@ Status WritesInFlight() {
 
 }  // namespace
 
+std::shared_ptr<const gist::TreeVersion> QueryService::PinCommitted() const {
+  // Pinned before the quiescence check: a batch the writer published
+  // before the pin keeps writer_applying_ set until its commit, which
+  // waits for the caller's commit_mutex_, so the check refuses it.
+  std::shared_ptr<const gist::TreeVersion> version = Pin();
+  std::lock_guard<std::mutex> lock(write_mutex_);
+  if (!pending_.empty() || !write_queue_.empty() || writer_applying_) {
+    return nullptr;
+  }
+  return version;
+}
+
 Result<CatchupPosition> QueryService::Position() const {
   if (durable_ == nullptr) {
     return Status::NotSupported(
@@ -719,10 +743,8 @@ Result<CatchupPosition> QueryService::Position() const {
   CatchupPosition pos;
   pos.last_tag = durable_->store().last_commit_tag();
   pos.checkpoint_tag = durable_->store().checkpoint_tag();
-  // Shared lock only for the page count: the vector behind it grows
-  // under the writer's exclusive batch lock.
-  std::shared_lock<std::shared_mutex> shared(tree_mutex_);
-  pos.page_count = durable_->store().disk()->page_count();
+  // The store's own table grows under the writer; the version's does not.
+  pos.page_count = Pin()->pages.size();
   return pos;
 }
 
@@ -773,13 +795,15 @@ Status QueryService::ApplyWalBatch(const storage::ShippedBatch& batch) {
     // but committing twice would burn a tag — skip cleanly instead.
     return Status::OK();
   }
-  std::unique_lock<std::shared_mutex> exclusive(tree_mutex_);
+  std::unique_lock<std::mutex> apply_lock(apply_mutex_);
   {
     std::lock_guard<std::mutex> lock(write_mutex_);
     if (!pending_.empty() || !write_queue_.empty() || writer_applying_) {
       return WritesInFlight();
     }
   }
+  // Copy-on-write: until the publication below, queries read the
+  // version before the batch.
   storage::DiskPageFile* disk = store.disk();
   for (const storage::ShippedRecord& rec : batch.records) {
     if (rec.type == storage::WalRecordType::kAlloc) {
@@ -795,8 +819,8 @@ Status QueryService::ApplyWalBatch(const storage::ShippedBatch& batch) {
   }
   BW_RETURN_IF_ERROR(
       core::RefreshTreeFromMeta(&store, &mutable_durable_->tree()));
-  generation_.fetch_add(1, std::memory_order_release);
-  exclusive.unlock();
+  Publish();
+  apply_lock.unlock();
   // Commit the shipped images as this replica's own WAL batch carrying
   // the source's tag. Not DurableIndex::Commit: the meta page rode
   // along in the shipped images and the tree was just refreshed *from*
@@ -814,24 +838,15 @@ Result<SnapshotChunk> QueryService::ReadSnapshotChunk(uint32_t start_page,
         "replica catch-up requires a durable index");
   }
   std::lock_guard<std::mutex> commit_lock(commit_mutex_);
-  // Shared tree lock before the quiescence check: a batch the writer
-  // has applied but not yet parked in pending_ cannot exist while we
-  // hold the readers' side (the apply needs the exclusive side).
-  std::shared_lock<std::shared_mutex> shared(tree_mutex_);
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    if (!pending_.empty() || !write_queue_.empty() || writer_applying_) {
-      return WritesInFlight();
-    }
-  }
-  const storage::DiskPageFile* disk = durable_->store().disk();
-  if (!disk->suspect_pages().empty()) {
+  const std::shared_ptr<const gist::TreeVersion> version = PinCommitted();
+  if (version == nullptr) return WritesInFlight();
+  if (!durable_->store().disk()->suspect_pages().empty()) {
     return Status::Unavailable(
         "quarantined pages make this replica an unfit snapshot source");
   }
   SnapshotChunk chunk;
   chunk.tag = durable_->store().last_commit_tag();
-  chunk.total_pages = disk->page_count();
+  chunk.total_pages = version->pages.size();
   chunk.start_page = start_page;
   if (start_page >= chunk.total_pages) {
     return Status::InvalidArgument("start_page past the end of the store");
@@ -839,8 +854,7 @@ Result<SnapshotChunk> QueryService::ReadSnapshotChunk(uint32_t start_page,
   size_t bytes = 0;
   std::vector<uint8_t> image;
   for (uint64_t id = start_page; id < chunk.total_pages; ++id) {
-    pages::EncodePage(*disk->PeekNoIo(static_cast<pages::PageId>(id)),
-                      &image);
+    pages::EncodePage(*version->pages[id], &image);
     // Always at least one page per chunk, so a tiny budget still makes
     // progress instead of spinning on an empty reply.
     if (!chunk.pages.empty() && bytes + image.size() > max_bytes) break;
@@ -862,7 +876,7 @@ Status QueryService::ApplySnapshotChunk(const SnapshotChunk& chunk,
   }
   std::lock_guard<std::mutex> commit_lock(commit_mutex_);
   storage::DurableStore& store = mutable_durable_->store();
-  std::unique_lock<std::shared_mutex> exclusive(tree_mutex_);
+  std::unique_lock<std::mutex> apply_lock(apply_mutex_);
   {
     std::lock_guard<std::mutex> lock(write_mutex_);
     if (!pending_.empty() || !write_queue_.empty() || writer_applying_) {
@@ -870,17 +884,15 @@ Status QueryService::ApplySnapshotChunk(const SnapshotChunk& chunk,
     }
   }
   storage::DiskPageFile* disk = store.disk();
-  if (first) {
-    if (disk->page_count() > chunk.total_pages) {
-      return Status::InvalidArgument(
-          "this store holds more pages than the snapshot; page stores "
-          "never shrink — rebuild the replica instead");
-    }
-    // From here until the last chunk commits, the store is a mix of two
-    // trees: shed queries. Deliberately never cleared on failure — a
-    // half-restored replica must stay dark until a restore completes.
-    snapshot_restoring_.store(true, std::memory_order_release);
+  if (first && disk->page_count() > chunk.total_pages) {
+    return Status::InvalidArgument(
+        "this store holds more pages than the snapshot; page stores "
+        "never shrink — rebuild the replica instead");
   }
+  // From the first chunk to the last the store's own table mixes two
+  // trees. The chunks apply copy-on-write and nothing is published
+  // until the last, so queries keep reading the pre-restore version —
+  // and keep doing so if the restore fails mid-way.
   for (const storage::ShippedRecord& rec : chunk.pages) {
     if (rec.type != storage::WalRecordType::kPageImage) {
       return Status::InvalidArgument(
@@ -894,15 +906,14 @@ Status QueryService::ApplySnapshotChunk(const SnapshotChunk& chunk,
   if (!last) return Status::OK();
   BW_RETURN_IF_ERROR(
       core::RefreshTreeFromMeta(&store, &mutable_durable_->tree()));
-  generation_.fetch_add(1, std::memory_order_release);
-  exclusive.unlock();
-  // One commit for the whole restore, then a checkpoint: the shipped
-  // pages all sit in the commit tracking, and folding them immediately
-  // spares the WAL a full copy of the store on the next rotation.
+  Publish();
+  apply_lock.unlock();
+  // One commit for the whole restore (it logs every shipped page), then
+  // a checkpoint, which folds them into the base file and empties the
+  // log again.
   BW_RETURN_IF_ERROR(store.CommitBatch(chunk.tag));
   BW_RETURN_IF_ERROR(store.Checkpoint());
   MirrorWalStats();
-  snapshot_restoring_.store(false, std::memory_order_release);
   return Status::OK();
 }
 
@@ -912,26 +923,19 @@ Result<TreeSum> QueryService::TreeChecksum() const {
         "replica catch-up requires a durable index");
   }
   std::lock_guard<std::mutex> commit_lock(commit_mutex_);
-  std::shared_lock<std::shared_mutex> shared(tree_mutex_);
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    if (!pending_.empty() || !write_queue_.empty() || writer_applying_) {
-      return WritesInFlight();
-    }
-  }
-  const storage::DiskPageFile* disk = durable_->store().disk();
-  if (!disk->suspect_pages().empty()) {
+  const std::shared_ptr<const gist::TreeVersion> version = PinCommitted();
+  if (version == nullptr) return WritesInFlight();
+  if (!durable_->store().disk()->suspect_pages().empty()) {
     return Status::Unavailable(
         "quarantined pages poison the checksum; repair first");
   }
   TreeSum sum;
   sum.tag = durable_->store().last_commit_tag();
-  sum.page_count = disk->page_count();
+  sum.page_count = version->pages.size();
   uint32_t crc = 0;
   std::vector<uint8_t> image;
-  for (uint64_t id = 0; id < sum.page_count; ++id) {
-    pages::EncodePage(*disk->PeekNoIo(static_cast<pages::PageId>(id)),
-                      &image);
+  for (const std::shared_ptr<pages::Page>& page : version->pages) {
+    pages::EncodePage(*page, &image);
     crc = Crc32Extend(crc, image.data(), image.size());
   }
   sum.crc = crc;
@@ -975,14 +979,12 @@ ServiceSnapshot QueryService::Snapshot() const {
   snap.writes_acked = writes_acked_.load(std::memory_order_relaxed);
   snap.writes_failed = writes_failed_.load(std::memory_order_relaxed);
   snap.commit_batches = commit_batches_.load(std::memory_order_relaxed);
-  snap.generation = generation_.load(std::memory_order_acquire);
+  snap.generation = Pin()->generation;
   snap.wal_live_bytes = wal_live_bytes_.load(std::memory_order_relaxed);
   snap.catchup_batches_applied =
       catchup_batches_applied_.load(std::memory_order_relaxed);
   snap.snapshot_chunks_applied =
       snapshot_chunks_applied_.load(std::memory_order_relaxed);
-  snap.snapshot_restoring =
-      snapshot_restoring_.load(std::memory_order_relaxed);
   snap.mean_write_latency_us = write_latency_histogram_.Mean();
   snap.p50_write_latency_us = write_latency_histogram_.Percentile(0.50);
   snap.p99_write_latency_us = write_latency_histogram_.Percentile(0.99);

@@ -1,4 +1,4 @@
-// Concurrent query service over a shared read-only index: the serving
+// Concurrent query service over one shared index: the serving
 // tier the paper's Blobworld front end implies ("give me images until
 // the user stops scrolling", many users at once) but the one-shot bench
 // binaries never built. A fixed pool of worker threads executes k-NN,
@@ -8,13 +8,15 @@
 // latency + I/O metrics and the service aggregates them into a
 // lock-cheap latency histogram and throughput snapshot.
 //
-// Concurrency model (see the audited contracts in gist/tree.h and
-// pages/page_file.h): the tree, its extension, and the page file are
-// shared and strictly read-only during serving. Every page is resident,
-// so there is no cache in front of the store: each query reads through
-// its own pages::ResidentReader (quarantine gate,
-// range check, deadline check, then the const PeekNoIo path), which
-// keeps deadline state and per-query counters private without a lock.
+// Concurrency model (see the contracts in gist/tree.h and
+// pages/page_store.h): every query pins the tree version current when
+// it starts (gist::TreeVersion: page table, root, height, size,
+// generation) and reads only through it, with its own
+// pages::ResidentReader (quarantine gate, range check against the
+// version, deadline check) over the version's page table. Pages are
+// shared and copied on write, so nothing a version holds ever changes:
+// there is no cache, no lock held during a search, and one read path for
+// every service (writable, read-only durable, BuiltIndex, bare tree).
 //
 // Serving through faults: when the store underneath quarantines pages
 // (see storage/page_health.h), queries carrying a fault budget
@@ -27,15 +29,14 @@
 //
 // Serving through writes (ServiceWriteOptions::enabled over a mutable
 // DurableIndex): a single writer thread drains a bounded mutation queue
-// in batches, applies Insert/Delete to the shared tree under the
-// exclusive side of a reader-writer lock, and makes each batch durable
-// with one DurableIndex::Commit. Readers take the shared side per query,
-// so they never observe a half-applied batch — between batches they see
-// a consistent snapshot, and the generation counter in Snapshot() counts
-// the handoffs. Commits run *outside* the exclusive section (the tree is
-// quiescent while the writer is the only mutator), so reads overlap the
-// fsync. A mutation's future resolves only once its batch is durable:
-// ack implies recoverable.
+// in batches, applies Insert/Delete copy-on-write to the tree's pages,
+// publishes the result as the next version with one pointer swap, and
+// makes each batch durable with one WAL commit. Readers never
+// wait for an apply and the writer never waits for readers: a query
+// reads the version it pinned, so it sees a whole number of batches.
+// Publish, then commit, then ack: a batch is visible once applied and a
+// mutation's future resolves only once its batch is durable (ack
+// implies recoverable).
 //
 // Write-side degradation (DESIGN.md §10): the service runs a three-state
 // machine, kServing -> kReadOnly -> kFailed. A disk-space watchdog
@@ -60,7 +61,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -100,7 +100,7 @@ struct ServiceWriteOptions {
   size_t queue_capacity = 256;
   OverflowPolicy overflow = OverflowPolicy::kReject;
   /// Mutations applied + committed per batch (one fsync per batch, one
-  /// reader-visible generation per batch).
+  /// published version per batch).
   size_t batch_size = 16;
   /// Disk-space watchdog: once the probe reports fewer free bytes, the
   /// service trips kReadOnly *before* appending to the WAL, instead of
@@ -299,24 +299,23 @@ struct ServiceSnapshot {
   uint64_t writes_acked = 0;        // durable and future-resolved.
   uint64_t writes_failed = 0;       // resolved with an error status.
   uint64_t commit_batches = 0;      // durable batches this service made.
-  /// Reader-visible snapshot handoffs: incremented once per applied
-  /// batch, under the writer's exclusive lock.
+  /// Generation of the current tree version: 0 at start, one more for
+  /// each version published (an applied write batch, an applied WAL
+  /// batch, a finished snapshot restore).
   uint64_t generation = 0;
   /// Bytes in the WAL file, mirrored after each commit.
   uint64_t wal_live_bytes = 0;
   /// Catch-up: shipped WAL batches / snapshot chunks this replica has
-  /// applied, and whether a snapshot restore is in flight right now
-  /// (queries are shed while it is).
+  /// applied.
   uint64_t catchup_batches_applied = 0;
   uint64_t snapshot_chunks_applied = 0;
-  bool snapshot_restoring = false;
   double mean_write_latency_us = 0;  // submission -> durable ack.
   uint64_t p50_write_latency_us = 0;
   uint64_t p99_write_latency_us = 0;
   uint64_t p999_write_latency_us = 0;
 };
 
-/// A thread-pool query executor over one shared read-only index.
+/// A thread-pool query executor over one shared index.
 ///
 ///   auto built = bw::core::BuildIndex(vectors, build_options);
 ///   bw::service::QueryService service(std::move(*built), {});
@@ -325,8 +324,8 @@ struct ServiceSnapshot {
 ///
 /// Submit* methods are thread-safe and may be called from any number of
 /// client threads. The returned future resolves to Result<QueryResponse>
-/// once a worker has executed the query. The tree must not be mutated
-/// while the service is alive.
+/// once a worker has executed the query. Only the service's writer (or
+/// a catch-up apply) may mutate the tree while the service is alive.
 class QueryService {
  public:
   using Response = Result<QueryResponse>;
@@ -388,8 +387,8 @@ class QueryService {
   /// the in-process shard frontier the scatter-gather router merges.
   /// It bypasses the worker pool and its admission queue (the caller
   /// *is* the worker), and otherwise runs exactly as a worker does: the
-  /// same validation, shared tree lock (held for this search only),
-  /// restore shedding and accounting as SubmitStream.
+  /// same validation, version pin (held for this search only) and
+  /// accounting as SubmitStream.
   Response RunStream(geom::Vec query, StreamOptions stream);
 
   // --- Mutations (thread-safe; require ServiceWriteOptions::enabled) ----
@@ -420,13 +419,14 @@ class QueryService {
   // --- Replica catch-up (thread-safe; requires a durable index) ---------
   //
   // Source-side reads (Position/ReadWalTail/ReadSnapshotChunk/
-  // TreeChecksum) serve from committed state and refuse (kUnavailable)
-  // while writes are in flight where a torn view could leak. Target-side
-  // applies (ApplyWalBatch/ApplySnapshotChunk) mutate the store outside
-  // the writer thread and are only safe while the replica is out of the
-  // router's write rotation — the driver's contract; a write that does
-  // land mid-catch-up merely diverges the replica again (the checksum
-  // handshake catches it), it cannot corrupt the store.
+  // TreeChecksum) serve from committed state, read through a pinned
+  // version, and refuse (kUnavailable) while writes are in flight where
+  // a torn view could leak. Target-side applies
+  // (ApplyWalBatch/ApplySnapshotChunk) mutate the store outside the
+  // writer thread, copy-on-write, and publish a version only once the
+  // tree is whole again. They are only safe while the replica is out of
+  // the router's write rotation — the driver's contract: a write that
+  // lands mid-restore would apply to, and publish, a torn tree.
 
   /// Tag position of this replica (cheap poll).
   Result<CatchupPosition> Position() const;
@@ -437,9 +437,9 @@ class QueryService {
   Result<WalTail> ReadWalTail(uint64_t after_tag, size_t max_batches,
                               size_t max_bytes);
 
-  /// Applies one shipped batch: redo records under the exclusive tree
-  /// lock, meta refresh + generation bump, then a commit carrying the
-  /// batch's tag. Batches at or below the current tag are skipped (OK)
+  /// Applies one shipped batch: redo records copy-on-write, meta
+  /// refresh, a published version, then a commit carrying the batch's
+  /// tag. Batches at or below the current tag are skipped (OK)
   /// so retries are idempotent. Unavailable while local writes are in
   /// flight.
   Status ApplyWalBatch(const storage::ShippedBatch& batch);
@@ -451,12 +451,13 @@ class QueryService {
   Result<SnapshotChunk> ReadSnapshotChunk(uint32_t start_page,
                                           size_t max_bytes);
 
-  /// Applies one snapshot chunk. `first` starts the restore (queries
-  /// are shed until the restore finishes — the tree is torn between
-  /// chunks); `last` refreshes the tree meta, commits at the chunk's
-  /// tag, checkpoints, and resumes queries. FailedPrecondition if this
-  /// store has more pages than the snapshot (page stores never shrink;
-  /// such a replica needs an operator rebuild).
+  /// Applies one snapshot chunk, copy-on-write. Queries keep reading
+  /// the pre-restore version throughout; `last` refreshes the tree meta,
+  /// publishes the restored tree as one version, commits at the chunk's
+  /// tag, and checkpoints. A restore that fails mid-way publishes
+  /// nothing. InvalidArgument if this store has more pages than the
+  /// snapshot (page stores never shrink; such a replica needs an
+  /// operator rebuild).
   Status ApplySnapshotChunk(const SnapshotChunk& chunk, bool first,
                             bool last);
 
@@ -521,15 +522,24 @@ class QueryService {
   static Status CheckTask(const Task& task);
   Result<ResponseFuture> Submit(Task task);
   void WorkerLoop();
-  /// Runs one admitted task under the shared tree lock (shed while a
-  /// snapshot restore is in flight) and folds its outcome into the
-  /// service counters: the one execution path of WorkerLoop and
-  /// RunStream.
+  /// Runs one admitted task over the version current when it starts
+  /// and folds its outcome into the service counters: the one execution
+  /// path of WorkerLoop and RunStream.
   Response Run(Task& task);
-  /// Runs one query through its own ResidentReader. Fills
-  /// metrics.latency_us/accesses/pool counters; queue_wait_us is set by
-  /// the caller.
-  Response Execute(Task& task);
+  /// Runs one query over `version` through its own ResidentReader.
+  /// Fills metrics.latency_us/accesses/pool counters; queue_wait_us is
+  /// set by the caller.
+  Response Execute(Task& task, const gist::TreeVersion& version);
+  /// The current version, pinned for as long as the caller holds it.
+  std::shared_ptr<const gist::TreeVersion> Pin() const;
+  /// The current version when no local write is in flight, else null:
+  /// then it is exactly the committed state. Caller holds
+  /// commit_mutex_.
+  std::shared_ptr<const gist::TreeVersion> PinCommitted() const;
+  /// Publishes the tree as it stands as the next version. Called by the
+  /// tree's one mutator (the writer, or a catch-up apply under
+  /// apply_mutex_), and once at start.
+  void Publish();
 
   // --- Write path (single writer thread) --------------------------------
 
@@ -539,12 +549,12 @@ class QueryService {
   /// (or no watchdog is configured).
   bool FreeSpaceOk() const;
   /// Commits the applied-but-unacked batch; on success resolves every
-  /// pending promise. Called with no tree lock held (the writer is the
-  /// only mutator, so the pages it encodes are quiescent).
+  /// pending promise.
   Status CommitPendingBatch();
-  /// Applies `todo` to the tree under the exclusive lock, moving each
-  /// mutation into pending_ and bumping the generation.
-  void ApplyBatch(std::vector<Mutation>* todo);
+  /// Applies `todo` to the tree, writes the tree meta and publishes the
+  /// result, moving each mutation into pending_. A failed meta write
+  /// publishes nothing and fails the write path like a failed commit.
+  Status ApplyBatch(std::vector<Mutation>* todo);
   /// Transitions + bookkeeping for a commit/watchdog verdict.
   void EnterReadOnly();
   void EnterFailed(const Status& cause);
@@ -566,11 +576,13 @@ class QueryService {
   core::DurableIndex* mutable_durable_ = nullptr;
   ServiceOptions options_;
 
-  /// Reader-writer lock around the tree: every query holds the shared
-  /// side for its whole execution; the writer holds the exclusive side
-  /// across the apply of one whole batch. This is what makes a batch
-  /// atomic from a reader's point of view.
-  mutable std::shared_mutex tree_mutex_;
+  /// The published version. version_mutex_ guards the pointer swap
+  /// and copy only; nothing runs under it.
+  mutable std::mutex version_mutex_;
+  std::shared_ptr<const gist::TreeVersion> version_;
+  /// Orders the writer's tree apply against the catch-up applies: the
+  /// tree's one mutator at a time. Readers never take it.
+  std::mutex apply_mutex_;
 
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
@@ -603,14 +615,9 @@ class QueryService {
   /// tail reads (which sync and then scan the log file — a concurrent
   /// checkpoint would truncate it mid-read), shipped-batch
   /// applies, snapshot chunk reads, and tree checksums. Always acquired
-  /// before tree_mutex_ when both are needed; the writer's tree apply
-  /// takes tree_mutex_ alone, so the order cannot invert.
+  /// before apply_mutex_ when both are needed; the writer's tree apply
+  /// takes apply_mutex_ alone, so the order cannot invert.
   mutable std::mutex commit_mutex_;
-  /// Set between the first and last chunk of a snapshot restore: the
-  /// tree is torn across chunks, so queries and streams are shed until
-  /// the final chunk commits. Stays set if a restore fails mid-way —
-  /// the replica is inconsistent until a snapshot completes.
-  std::atomic<bool> snapshot_restoring_{false};
 
   // Aggregate metrics (relaxed atomics: hot-path increments never
   // contend on a lock).
@@ -631,7 +638,6 @@ class QueryService {
   std::atomic<uint64_t> writes_acked_{0};
   std::atomic<uint64_t> writes_failed_{0};
   std::atomic<uint64_t> commit_batches_{0};
-  std::atomic<uint64_t> generation_{0};
   std::atomic<uint64_t> wal_live_bytes_{0};
   std::atomic<uint64_t> catchup_batches_applied_{0};
   std::atomic<uint64_t> snapshot_chunks_applied_{0};

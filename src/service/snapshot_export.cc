@@ -57,7 +57,6 @@ std::vector<std::pair<std::string, double>> ExportSnapshotFields(
       static_cast<double>(snap.catchup_batches_applied));
   add("snapshot_chunks_applied",
       static_cast<double>(snap.snapshot_chunks_applied));
-  add("snapshot_restoring", snap.snapshot_restoring ? 1 : 0);
   add("mean_write_latency_us", snap.mean_write_latency_us);
   add("p50_write_latency_us",
       static_cast<double>(snap.p50_write_latency_us));

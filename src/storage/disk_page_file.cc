@@ -168,7 +168,7 @@ Result<std::unique_ptr<DiskPageFile>> DiskPageFile::Open(
   // transient faults with consecutive attempts of its own.
   std::vector<uint8_t> frame(store->frame_bytes());
   for (pages::PageId id = 0; id < header.page_count; ++id) {
-    auto page = std::make_unique<pages::Page>(header.page_size);
+    auto page = std::make_shared<pages::Page>(header.page_size);
     const bool intact =
         store->ReadWithRetry(store->FrameOffset(id), frame.data(),
                              frame.size(), /*jitter_stream=*/id)
@@ -185,7 +185,7 @@ Result<std::unique_ptr<DiskPageFile>> DiskPageFile::Open(
 }
 
 pages::PageId DiskPageFile::Allocate() {
-  pages_.push_back(std::make_unique<pages::Page>(page_size_));
+  pages_.push_back(std::make_shared<pages::Page>(page_size_));
   const auto id = static_cast<pages::PageId>(pages_.size() - 1);
   alloc_commit_.push_back(id);
   dirty_checkpoint_.insert(id);
@@ -216,6 +216,10 @@ Result<pages::Page*> DiskPageFile::Write(pages::PageId id) {
   ++stats_.writes;
   dirty_commit_.insert(id);
   dirty_checkpoint_.insert(id);
+  // Copy-on-write: a page another table holds is replaced, never changed.
+  if (pages_[id].use_count() > 1) {
+    pages_[id] = std::make_shared<pages::Page>(*pages_[id]);
+  }
   return pages_[id].get();
 }
 
@@ -329,8 +333,10 @@ Status DiskPageFile::EnsureAllocated(pages::PageId id) {
     return Status::Corruption("WAL alloc record for invalid page id");
   }
   while (pages_.size() <= id) {
-    pages_.push_back(std::make_unique<pages::Page>(page_size_));
-    dirty_checkpoint_.insert(static_cast<pages::PageId>(pages_.size() - 1));
+    pages_.push_back(std::make_shared<pages::Page>(page_size_));
+    const auto added = static_cast<pages::PageId>(pages_.size() - 1);
+    alloc_commit_.push_back(added);
+    dirty_checkpoint_.insert(added);
   }
   return Status::OK();
 }
@@ -338,11 +344,32 @@ Status DiskPageFile::EnsureAllocated(pages::PageId id) {
 Status DiskPageFile::ApplyPageImage(pages::PageId id, const uint8_t* image,
                                     size_t len) {
   BW_RETURN_IF_ERROR(EnsureAllocated(id));
-  BW_RETURN_IF_ERROR(pages::DecodePage(image, len, pages_[id].get()));
+  std::shared_ptr<pages::Page>& page = pages_[id];
+  if (page.use_count() > 1) page = std::make_shared<pages::Page>(page_size_);
+  BW_RETURN_IF_ERROR(pages::DecodePage(image, len, page.get()));
   suspect_.erase(id);
   health_.Release(id);
+  dirty_commit_.insert(id);
   dirty_checkpoint_.insert(id);
   return Status::OK();
+}
+
+Status DiskPageFile::RepairFromImage(pages::PageId id, const uint8_t* image,
+                                     size_t len) {
+  BW_RETURN_IF_ERROR(CheckId(id));
+  pages::Page scratch(page_size_);
+  BW_RETURN_IF_ERROR(pages::DecodePage(image, len, &scratch));
+  RepairInPlace(id, scratch);
+  dirty_checkpoint_.insert(id);
+  return Status::OK();
+}
+
+void DiskPageFile::RepairInPlace(pages::PageId id, const pages::Page& image) {
+  // While the page is quarantined readers are gated off it, so this
+  // assignment races with no one.
+  *pages_[id] = image;
+  suspect_.erase(id);
+  health_.Release(id);
 }
 
 std::vector<pages::PageId> DiskPageFile::suspect_pages() const {
@@ -352,7 +379,6 @@ std::vector<pages::PageId> DiskPageFile::suspect_pages() const {
 }
 
 Status DiskPageFile::ReadHealth(pages::PageId id) const {
-  BW_RETURN_IF_ERROR(CheckId(id));
   if (health_.IsQuarantined(id)) {
     return Status::Unavailable("page " + std::to_string(id) +
                                " quarantined pending repair");
@@ -400,18 +426,14 @@ Status DiskPageFile::ReloadFromDisk(pages::PageId id) {
       ReadWithRetry(FrameOffset(id), frame.data(), frame.size(),
                     /*jitter_stream=*/id));
   // Decode into a scratch page first: the live page must not hold a
-  // half-decoded image if the frame turns out to be rotten, and while
-  // the page is quarantined readers are gated off it, so the final
-  // assignment races with no one.
+  // half-decoded image if the frame turns out to be rotten.
   pages::Page scratch(page_size_);
   Status check = CheckFrame(frame.data(), frame.size(), &scratch);
   if (!check.ok()) {
     return Status::DataLoss("page " + std::to_string(id) + " frame in '" +
                             file_->path() + "': " + check.message());
   }
-  *pages_[id] = scratch;
-  suspect_.erase(id);
-  health_.Release(id);
+  RepairInPlace(id, scratch);
   return Status::OK();
 }
 

@@ -1,9 +1,9 @@
 // The durable PageStore: file-backed pages with per-frame CRC32
-// checksums. Pages stay resident in memory (the read path is identical
-// to pages::PageFile, including the audited concurrent PeekNoIo
-// contract), but every page has a home frame in a base file, mutations
-// are tracked for WAL logging, and checkpoints/recovery move state
-// between memory and disk.
+// checksums. Pages stay resident in memory, in shared ownership with
+// copy-on-write (the contract in pages/page_store.h, identical to
+// pages::PageFile), but every page has a home frame in a base file,
+// mutations are tracked for WAL logging, and checkpoints/recovery move
+// state between memory and disk.
 //
 // Base file layout:
 //
@@ -36,6 +36,10 @@
 //  - ReadHealth(id) is the serving path's gate: pages::ResidentReader
 //    asks it before trusting the memory-resident page, so quarantine
 //    turns into degraded (partial-but-flagged) query answers upstream.
+//  - Repairs run on a caller's thread and write the repaired image in
+//    place, into the page object the published version holds: readers
+//    are gated off a quarantined page, and a copy would never reach
+//    them. Catch-up's ApplyPageImage, by contrast, copies on write.
 
 #ifndef BLOBWORLD_STORAGE_DISK_PAGE_FILE_H_
 #define BLOBWORLD_STORAGE_DISK_PAGE_FILE_H_
@@ -107,6 +111,7 @@ class DiskPageFile final : public pages::PageStore {
   Result<pages::Page*> Write(pages::PageId id) override;
   pages::Page* PeekNoIo(pages::PageId id) override;
   const pages::Page* PeekNoIo(pages::PageId id) const override;
+  const pages::PageTable& page_table() const override { return pages_; }
   const pages::IoStats& stats() const override { return stats_; }
   void ResetStats() override {
     stats_.Reset();
@@ -115,7 +120,8 @@ class DiskPageFile final : public pages::PageStore {
 
   /// Serving-path gate: OK for a healthy page, Unavailable while the
   /// page is quarantined pending repair. Thread-safe (lock-free when no
-  /// page is quarantined).
+  /// page is quarantined); the range check is the reader's, against the
+  /// table it reads.
   Status ReadHealth(pages::PageId id) const override;
 
   // --- Durability surface (driven by DurableStore and recovery) --------
@@ -160,10 +166,19 @@ class DiskPageFile final : public pages::PageStore {
   /// the alternate slot and fsyncs.
   Status CommitHeader(uint64_t checkpoint_lsn);
 
-  /// Redo hooks: extends the page table to include `id` / replaces the
-  /// in-memory page from a WAL image (clearing its suspect mark).
+  /// Redo hooks (recovery's replay, catch-up's applies): extends the
+  /// page table to include `id` / replaces page `id` with a WAL image,
+  /// clearing its suspect mark. Copy-on-write: the image goes into a
+  /// fresh page when another table still holds the old one. Both are
+  /// tracked for the next commit, like Allocate and Write, so a
+  /// catch-up apply's commit logs what it applied; recovery clears the
+  /// tracking after its replay (ClearCommitTracking).
   Status EnsureAllocated(pages::PageId id);
   Status ApplyPageImage(pages::PageId id, const uint8_t* image, size_t len);
+
+  /// Repair hook: decodes a WAL image into quarantined page `id` in
+  /// place (see the file comment) and releases the quarantine.
+  Status RepairFromImage(pages::PageId id, const uint8_t* image, size_t len);
 
   /// Pages whose base frames failed their checksum on Open and have not
   /// been repaired by ApplyPageImage (sorted). These pages' in-memory
@@ -232,13 +247,17 @@ class DiskPageFile final : public pages::PageStore {
   Status CheckFrame(const uint8_t* frame, size_t frame_len,
                     pages::Page* scratch) const;
 
+  /// Assigns a verified image to page `id` in place and returns the
+  /// page to service: the last step of every repair.
+  void RepairInPlace(pages::PageId id, const pages::Page& image);
+
   ReadRetryPolicy retry_;
   mutable std::atomic<uint64_t> read_retries_{0};
   PageHealth health_;
 
   std::unique_ptr<File> file_;
   size_t page_size_;
-  std::vector<std::unique_ptr<pages::Page>> pages_;
+  pages::PageTable pages_;
   pages::IoStats stats_;
   pages::PageId last_read_ = pages::kInvalidPageId;
 

@@ -182,7 +182,7 @@ Status DurableStore::RepairQuarantined(RepairReport* report) {
     for (const pages::PageId id : need_wal) {
       auto it = committed.find(id);
       if (it == committed.end() ||
-          !disk_->ApplyPageImage(id, it->second.data(), it->second.size())
+          !disk_->RepairFromImage(id, it->second.data(), it->second.size())
                .ok()) {
         ++local.unrepaired;
         continue;
@@ -275,12 +275,19 @@ Result<std::unique_ptr<DurableStore>> RecoveryManager::Recover(
   }
   out.pages_quarantined = suspects.size();
 
+  // A clean open: the base file already holds the whole committed state
+  // and the log holds nothing to fold, so recovery writes nothing (a
+  // read-only open leaves both files byte-identical).
+  const bool clean = out.committed_batches == 0 &&
+                     out.records_discarded == 0 &&
+                     !out.wal_tail_truncated && suspects.empty();
+
   // Replay applied images directly; none of it is new work to re-log.
   disk->ClearCommitTracking();
   // But the next checkpoint must rewrite everything: the base frames on
   // disk may predate the replayed state (fuzzy checkpoints flush only
   // what changed, so "unchanged since replay" is not "clean on disk").
-  disk->MarkAllDirtyForCheckpoint();
+  if (!clean) disk->MarkAllDirtyForCheckpoint();
 
   WalOptions wal_options;
   wal_options.injector = options.injector;
@@ -292,6 +299,7 @@ Result<std::unique_ptr<DurableStore>> RecoveryManager::Recover(
   auto store = std::make_unique<DurableStore>(std::move(disk), std::move(wal),
                                               options, out.committed_batches,
                                               out.last_commit_tag);
+  if (clean) return store;
   if (out.pages_quarantined > 0) {
     // Tolerant mode with survivors: skip the post-recovery checkpoint.
     // It would truncate the WAL, and the WAL is the only place a redo

@@ -207,7 +207,9 @@ class RecoveryManager {
 
   /// Replays committed WAL batches over the checkpointed base, verifies
   /// every page checksum, then re-checkpoints so the returned store
-  /// starts from a clean base and an empty log. DataLoss if corruption
+  /// starts from a clean base and an empty log. A clean open (no batch
+  /// applied, no record discarded, no torn tail, no suspect frame)
+  /// writes nothing to either file. DataLoss if corruption
   /// is detected that redo cannot repair — unless
   /// StoreOptions::quarantine_unrepaired is set, in which case the store
   /// opens degraded with those pages quarantined and the WAL preserved

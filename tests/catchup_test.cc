@@ -1,8 +1,8 @@
 // Tests for replica catch-up (DESIGN.md §13), layer by layer: the
 // storage tier's WAL shipping (tag-indexed batch reads, the wire
 // codec), the service tier's catch-up surface (WAL
-// path, snapshot path, idempotent re-apply, query shedding mid-restore,
-// checksum handshake), and the router's state machine — a kStale
+// path, snapshot path, idempotent re-apply, the pre-restore version
+// served mid-restore, checksum handshake), and the router's state machine — a kStale
 // replica streams what it missed from a healthy sibling, verifies
 // bit-identity, and rejoins rotation kHealthy with answers identical to
 // an unsharded reference, all without a rebuild or a restart.
@@ -234,7 +234,42 @@ TEST(ServiceCatchupTest, WalPathConvergesAndReapplyIsIdempotent) {
   EXPECT_EQ(nearest->neighbors[0].rid, 5000u);
 }
 
-TEST(ServiceCatchupTest, SnapshotPathCrossesRetiredHorizonAndShedsQueries) {
+// A shipped batch is committed with its page images, so a target that
+// restarts before any checkpoint recovers the batch, not just its tag.
+TEST(ServiceCatchupTest, ShippedBatchSurvivesATargetRestart) {
+  const auto points = testing::MakeClusteredPoints(80, kDim, 3, 19);
+  std::vector<gist::Rid> rids(points.size());
+  for (size_t i = 0; i < rids.size(); ++i) rids[i] = i;
+  const std::string dir = TempDir("svc_restart");
+  Replica src = MakeReplica(points, rids, dir + "/src");
+  Replica dst = MakeReplica(points, rids, dir + "/dst");
+  auto dst_pos = dst.service->Position();
+  ASSERT_TRUE(dst_pos.ok());
+  InsertSync(src.service.get(), MakePoint(400.0f), 5000);
+  auto tail = src.service->ReadWalTail(dst_pos->last_tag, 100, 64u << 20);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  ASSERT_FALSE(tail->batches.empty());
+  for (const storage::ShippedBatch& batch : tail->batches) {
+    ASSERT_TRUE(dst.service->ApplyWalBatch(batch).ok());
+  }
+  auto applied = dst.service->Position();
+  ASSERT_TRUE(applied.ok());
+  dst.service.reset();
+  dst.index.reset();  // no checkpoint: only the log holds the batch.
+
+  auto reopened =
+      core::OpenDurableIndex(dir + "/dst.idx", dir + "/dst.wal", TestBuild());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->recovery().last_commit_tag, applied->last_tag);
+  EXPECT_EQ((*reopened)->tree().size(), points.size() + 1);
+  auto nearest = (*reopened)->tree().KnnSearch(MakePoint(400.0f), 1, nullptr);
+  ASSERT_TRUE(nearest.ok());
+  ASSERT_EQ(nearest->size(), 1u);
+  EXPECT_EQ(nearest->front().rid, 5000u);
+}
+
+TEST(ServiceCatchupTest,
+     SnapshotPathCrossesRetiredHorizonAndServesThePreRestoreVersion) {
   const auto points = testing::MakeClusteredPoints(80, kDim, 3, 19);
   std::vector<gist::Rid> rids(points.size());
   for (size_t i = 0; i < rids.size(); ++i) rids[i] = i;
@@ -256,11 +291,16 @@ TEST(ServiceCatchupTest, SnapshotPathCrossesRetiredHorizonAndShedsQueries) {
   EXPECT_TRUE(tail->snapshot_needed);
   EXPECT_TRUE(tail->batches.empty());
 
-  // Full-store transfer in small chunks; queries are shed between the
-  // first and last chunk (the tree is torn mid-restore).
+  // Full-store transfer in small chunks. Between the first and the last
+  // chunk the store's own table is torn, but queries read the version
+  // published before the restore: the same answer, bit for bit.
+  const geom::Vec probe = MakePoint(500.0f);
+  auto before = dst.service->Knn(probe, 3);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->neighbors.size(), 3u);
   uint32_t start_page = 0;
   bool first = true;
-  bool shed_observed = false;
+  size_t mid_restore_queries = 0;
   for (;;) {
     // A 1-byte budget still yields one page per chunk: the restore is
     // forced through its multi-chunk path.
@@ -271,17 +311,22 @@ TEST(ServiceCatchupTest, SnapshotPathCrossesRetiredHorizonAndShedsQueries) {
         start_page + chunk->pages.size() >= chunk->total_pages;
     ASSERT_TRUE(dst.service->ApplySnapshotChunk(*chunk, first, last).ok());
     if (!last) {
-      auto mid = dst.service->Knn(points[0], 1);
-      EXPECT_FALSE(mid.ok());  // torn store: queries must be refused.
-      shed_observed = true;
+      auto mid = dst.service->Knn(probe, 3);
+      ASSERT_TRUE(mid.ok()) << mid.status().ToString();
+      ASSERT_EQ(mid->neighbors.size(), before->neighbors.size());
+      for (size_t i = 0; i < mid->neighbors.size(); ++i) {
+        EXPECT_EQ(mid->neighbors[i].rid, before->neighbors[i].rid);
+        EXPECT_EQ(mid->neighbors[i].distance, before->neighbors[i].distance);
+      }
+      ++mid_restore_queries;
     }
     start_page += static_cast<uint32_t>(chunk->pages.size());
     first = false;
     if (last) break;
   }
-  EXPECT_TRUE(shed_observed) << "snapshot fit one chunk; shrink max_bytes";
+  EXPECT_GT(mid_restore_queries, 0u)
+      << "snapshot fit one chunk; shrink max_bytes";
   EXPECT_GE(ExportedStat(*dst.service, "snapshot_chunks_applied"), 1.0);
-  EXPECT_EQ(ExportedStat(*dst.service, "snapshot_restoring"), 0.0);
 
   auto src_sum = src.service->TreeChecksum();
   auto dst_sum = dst.service->TreeChecksum();
@@ -289,8 +334,9 @@ TEST(ServiceCatchupTest, SnapshotPathCrossesRetiredHorizonAndShedsQueries) {
   EXPECT_EQ(src_sum->tag, dst_sum->tag);
   EXPECT_EQ(src_sum->crc, dst_sum->crc);
 
-  // Queries resume on the restored replica, shipped writes included.
-  auto nearest = dst.service->Knn(MakePoint(500.0f), 1);
+  // The query after the last chunk reads the restored version, shipped
+  // writes included.
+  auto nearest = dst.service->Knn(probe, 1);
   ASSERT_TRUE(nearest.ok()) << nearest.status().ToString();
   ASSERT_EQ(nearest->neighbors.size(), 1u);
   EXPECT_EQ(nearest->neighbors[0].rid, 6000u);

@@ -13,12 +13,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "core/bites.h"
 #include "core/index_factory.h"
 #include "core/jagged.h"
 #include "core/map_tree.h"
 #include "gist/node.h"
+#include "pages/page_codec.h"
+#include "pages/resident_reader.h"
 #include "tests/reference_bites.h"
 #include "tests/test_helpers.h"
 #include "util/crc32.h"
@@ -341,6 +345,188 @@ TEST(SamePagesTest, XjbInsertDeleteScriptMatchesPinnedHash) {
   EXPECT_EQ(tree.size(), (points.size() + 2) / 3);
   EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
   EXPECT_EQ(TreePagesCrc(tree), 2406796071u);
+}
+
+// ---------------------------------------------------------------------------
+// Tree versions: copy-on-write pages under pinned readers
+// ---------------------------------------------------------------------------
+
+// CRC of every page image a version holds, in id order.
+std::vector<uint32_t> VersionPageCrcs(const gist::TreeVersion& version) {
+  std::vector<uint32_t> crcs;
+  std::vector<uint8_t> image;
+  for (const std::shared_ptr<pages::Page>& page : version.pages) {
+    pages::EncodePage(*page, &image);
+    crcs.push_back(Crc32(image.data(), image.size()));
+  }
+  return crcs;
+}
+
+// The served search over `version`: a ResidentReader over its pages.
+std::vector<gist::Neighbor> SearchVersion(const gist::Tree& tree,
+                                          const gist::TreeVersion& version,
+                                          const geom::Vec& query, size_t k) {
+  pages::ResidentReader reader(tree.file(), &version.pages);
+  gist::AccessCounts counts;
+  auto found = tree.KnnSearch(version, query, k, &counts, &reader);
+  EXPECT_TRUE(found.ok()) << found.status().ToString();
+  return found.ok() ? *found : std::vector<gist::Neighbor>();
+}
+
+void ExpectSameAnswer(const std::vector<gist::Neighbor>& got,
+                      const std::vector<gist::Neighbor>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].rid, want[i].rid) << i;
+    EXPECT_EQ(got[i].distance, want[i].distance) << i;
+  }
+}
+
+// The SamePagesTest script as one batch: insert the held-out points,
+// then delete two of every three points.
+void ApplyScript(gist::Tree* tree, const std::vector<geom::Vec>& points,
+                 size_t loaded) {
+  for (size_t i = loaded; i < points.size(); ++i) {
+    ASSERT_TRUE(tree->Insert(points[i], i).ok());
+  }
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (i % 3 == 0) continue;
+    ASSERT_TRUE(tree->Delete(points[i], i).ok()) << i;
+  }
+}
+
+TEST(TreeVersionTest, PinnedVersionKeepsItsAnswerAndPagesThroughABatch) {
+  const auto points = testing::MakeClusteredPoints(2000, 5, 6, 4048);
+  const size_t loaded = 1500;
+  IndexBuildOptions options;
+  options.am = "xjb";
+  options.page_bytes = 2048;
+  auto built = BuildIndex(
+      std::vector<geom::Vec>(points.begin(), points.begin() + loaded),
+      options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  gist::Tree& tree = (*built)->tree();
+
+  const auto pinned =
+      std::make_shared<const gist::TreeVersion>(tree.Version(0));
+  const std::vector<uint32_t> pinned_crcs = VersionPageCrcs(*pinned);
+  constexpr size_t kK = 10;
+  std::vector<geom::Vec> queries;
+  for (size_t i = 0; i < points.size(); i += 97) queries.push_back(points[i]);
+  std::vector<std::vector<gist::Neighbor>> before;
+  for (const geom::Vec& q : queries) {
+    before.push_back(SearchVersion(tree, *pinned, q, kK));
+  }
+
+  ApplyScript(&tree, points, loaded);
+  const gist::TreeVersion next = tree.Version(1);
+  EXPECT_EQ(next.size, (points.size() + 2) / 3);
+
+  std::vector<geom::Vec> live;
+  std::vector<gist::Rid> live_rids;
+  for (size_t i = 0; i < points.size(); i += 3) {
+    live.push_back(points[i]);
+    live_rids.push_back(i);
+  }
+  size_t changed = 0;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    // The pinned version still gives the pre-batch answer, bit for bit.
+    ExpectSameAnswer(SearchVersion(tree, *pinned, queries[q], kK), before[q]);
+    // The next version gives the post-batch answer.
+    const std::vector<gist::Neighbor> after =
+        SearchVersion(tree, next, queries[q], kK);
+    const std::vector<size_t> want =
+        testing::BruteForceKnn(live, queries[q], kK);
+    ASSERT_EQ(after.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(after[i].rid, live_rids[want[i]]) << i;
+      EXPECT_NEAR(after[i].distance,
+                  std::sqrt(live[want[i]].DistanceSquaredTo(queries[q])),
+                  1e-6);
+    }
+    changed += after[0].rid != before[q][0].rid ? 1 : 0;
+  }
+  EXPECT_GT(changed, 0u);
+  EXPECT_EQ(VersionPageCrcs(*pinned), pinned_crcs);
+}
+
+TEST(TreeVersionTest, ReleasingThePinFreesTheReplacedPages) {
+  const auto points = testing::MakeClusteredPoints(2000, 5, 6, 4048);
+  const size_t loaded = 1500;
+  IndexBuildOptions options;
+  options.am = "xjb";
+  options.page_bytes = 2048;
+  auto built = BuildIndex(
+      std::vector<geom::Vec>(points.begin(), points.begin() + loaded),
+      options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  gist::Tree& tree = (*built)->tree();
+
+  auto pinned = std::make_shared<const gist::TreeVersion>(tree.Version(0));
+  std::vector<std::weak_ptr<pages::Page>> held(pinned->pages.begin(),
+                                               pinned->pages.end());
+  // A small batch, so that most pages outlive it unchanged.
+  for (size_t i = loaded; i < loaded + 20; ++i) {
+    ASSERT_TRUE(tree.Insert(points[i], i).ok());
+  }
+  for (size_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(tree.Delete(points[i], i).ok()) << i;
+  }
+  const gist::TreeVersion next = tree.Version(1);
+
+  size_t replaced = 0;
+  size_t kept = 0;
+  for (size_t id = 0; id < held.size(); ++id) {
+    const bool same = held[id].lock() == next.pages[id];
+    replaced += same ? 0 : 1;
+    kept += same ? 1 : 0;
+  }
+  ASSERT_GT(replaced, 0u);
+  ASSERT_GT(kept, 0u);
+  const auto live = [&] {
+    size_t n = 0;
+    for (const auto& page : held) n += page.expired() ? 0 : 1;
+    return n;
+  };
+  EXPECT_EQ(live(), held.size());  // the pin holds every page it saw.
+  pinned.reset();
+  // Only the pages the next version still holds outlive the pin.
+  EXPECT_EQ(live(), kept);
+}
+
+// The same script with a version pinned across each batch of eight
+// mutations (so every write copies) gives the pinned in-place hash.
+TEST(TreeVersionTest, CopyOnWriteWritesTheInPlacePages) {
+  const auto points = testing::MakeClusteredPoints(2000, 5, 6, 4048);
+  const size_t loaded = 1500;
+  IndexBuildOptions options;
+  options.am = "xjb";
+  options.page_bytes = 2048;
+  auto built = BuildIndex(
+      std::vector<geom::Vec>(points.begin(), points.begin() + loaded),
+      options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  gist::Tree& tree = (*built)->tree();
+
+  auto pinned = std::make_shared<const gist::TreeVersion>(tree.Version(0));
+  size_t mutations = 0;
+  const auto publish_every_eight = [&] {
+    if (++mutations % 8 == 0) {
+      pinned = std::make_shared<const gist::TreeVersion>(
+          tree.Version(mutations / 8));
+    }
+  };
+  for (size_t i = loaded; i < points.size(); ++i) {
+    ASSERT_TRUE(tree.Insert(points[i], i).ok());
+    publish_every_eight();
+  }
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (i % 3 == 0) continue;
+    ASSERT_TRUE(tree.Delete(points[i], i).ok()) << i;
+    publish_every_eight();
+  }
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
+  EXPECT_EQ(TreePagesCrc(tree), 2406796071u);  // SamePagesTest's pin.
 }
 
 // ---------------------------------------------------------------------------

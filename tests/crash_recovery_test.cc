@@ -431,6 +431,50 @@ TEST(CrashRecoveryTest, SegmentFileBesideTheLogIsRefused) {
   EXPECT_EQ(std::fopen(segment.c_str(), "rb"), nullptr);
 }
 
+// A clean open has nothing to replay, so it is a read: opening a freshly
+// built index and closing it again leaves both files as they were, byte
+// for byte. An open that replays a committed batch still checkpoints.
+TEST(CrashRecoveryTest, CleanOpenWritesNothing) {
+  const std::string base = TempPath("clean_open.bwpf");
+  const std::string wal = TempPath("clean_open.wal");
+  {
+    auto built = core::BuildDurableIndex(Points(), IndexOpts(), base, wal);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+  }
+  const std::vector<uint8_t> base_built = Bytes(base);
+  const std::vector<uint8_t> wal_built = Bytes(wal);
+  {
+    auto opened = core::OpenDurableIndex(base, wal, IndexOpts());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ((*opened)->recovery().committed_batches, 0u);
+    auto found = (*opened)->tree().KnnSearch(Points()[3], 5, nullptr);
+    ASSERT_TRUE(found.ok());
+    EXPECT_EQ(found->front().rid, 3u);
+  }
+  EXPECT_EQ(Bytes(base), base_built);
+  EXPECT_EQ(Bytes(wal), wal_built);
+
+  // A committed write the log alone holds: the next open replays it and
+  // folds it into the base file.
+  const geom::Vec extra = testing::MakeUniformPoints(1, kDim, 5)[0];
+  {
+    auto opened = core::OpenDurableIndex(base, wal, IndexOpts());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ASSERT_TRUE((*opened)->tree().Insert(extra, kNumPoints).ok());
+    ASSERT_TRUE((*opened)->Commit().ok());
+  }
+  EXPECT_EQ(Bytes(base), base_built);
+  EXPECT_GT(Bytes(wal).size(), wal_built.size());
+  {
+    auto reopened = core::OpenDurableIndex(base, wal, IndexOpts());
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ((*reopened)->recovery().committed_batches, 1u);
+    EXPECT_EQ((*reopened)->tree().size(), kNumPoints + 1);
+  }
+  EXPECT_NE(Bytes(base), base_built);
+  EXPECT_EQ(Bytes(wal), wal_built);  // the checkpoint emptied the log.
+}
+
 // ---------------------------------------------------------------------------
 // Serving a recovered index
 // ---------------------------------------------------------------------------

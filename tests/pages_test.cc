@@ -222,6 +222,7 @@ class QuarantiningFile : public PageStore {
   const Page* PeekNoIo(PageId id) const override {
     return file_.PeekNoIo(id);
   }
+  const PageTable& page_table() const override { return file_.page_table(); }
   Status ReadHealth(PageId id) const override {
     for (PageId sick : sick_) {
       if (sick == id) return Status::Unavailable("page quarantined");

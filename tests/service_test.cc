@@ -948,5 +948,75 @@ TEST(QueryServiceWriteTest, ReadersSeeOnlyWholeBatchPrefixes) {
   EXPECT_EQ(service.tree().size(), kSeedPoints + kInserts);
 }
 
+// Every write through the service copies the pages the published
+// version holds, while readers pin versions throughout; the pages must
+// still be the ones an in-place apply of the same script writes.
+TEST(QueryServiceWriteTest, CopyOnWriteGivesTheInPlacePages) {
+  const std::string base_a = TempPath("svcw_cow_a.bwpf");
+  const std::string wal_a = TempPath("svcw_cow_a.bwwal");
+  const std::string base_b = TempPath("svcw_cow_b.bwpf");
+  const std::string wal_b = TempPath("svcw_cow_b.bwwal");
+  auto served = BuildWritableIndex(base_a, wal_a);
+  auto in_place = BuildWritableIndex(base_b, wal_b);
+  ASSERT_NE(served, nullptr);
+  ASSERT_NE(in_place, nullptr);
+  const auto seed = testing::MakeClusteredPoints(kSeedPoints, 3, 6, 31);
+  const auto extra = testing::MakeClusteredPoints(64, 3, 4, 77);
+  constexpr size_t kDeletes = 40;
+
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.write.enabled = true;
+  options.write.batch_size = 8;
+  options.write.queue_capacity = 512;
+  QueryService service(served.get(), options);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_relaxed)) {
+        (void)service.Knn(extra[0], 20);
+      }
+    });
+  }
+  std::vector<QueryService::MutationFuture> futures;
+  for (size_t i = 0; i < extra.size(); ++i) {
+    auto future = service.SubmitInsert(extra[i], kSeedPoints + i);
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    futures.push_back(std::move(*future));
+  }
+  for (size_t i = 0; i < kDeletes; ++i) {
+    auto future = service.SubmitDelete(seed[i * 7], i * 7);
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    futures.push_back(std::move(*future));
+  }
+  for (auto& future : futures) {
+    auto outcome = future.get();
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+  auto served_sum = service.TreeChecksum();
+  ASSERT_TRUE(served_sum.ok()) << served_sum.status().ToString();
+
+  // The same script, in the same order, in place: no version holds any
+  // page, so every write changes the page it finds.
+  gist::Tree& tree = in_place->tree();
+  for (size_t i = 0; i < extra.size(); ++i) {
+    ASSERT_TRUE(tree.Insert(extra[i], kSeedPoints + i).ok());
+  }
+  for (size_t i = 0; i < kDeletes; ++i) {
+    ASSERT_TRUE(tree.Delete(seed[i * 7], i * 7).ok());
+  }
+  ASSERT_TRUE(in_place->Commit(served_sum->tag).ok());
+  QueryService reference(in_place.get(), ServiceOptions());
+  auto in_place_sum = reference.TreeChecksum();
+  ASSERT_TRUE(in_place_sum.ok()) << in_place_sum.status().ToString();
+  EXPECT_EQ(served_sum->tag, in_place_sum->tag);
+  EXPECT_EQ(served_sum->page_count, in_place_sum->page_count);
+  EXPECT_EQ(served_sum->crc, in_place_sum->crc);
+  EXPECT_EQ(service.Snapshot().generation, service.Snapshot().commit_batches);
+}
+
 }  // namespace
 }  // namespace bw
